@@ -34,7 +34,7 @@ from .harness import (
     run_study,
     splitting_gap,
 )
-from .problems import Grid2D, Problem, evaluate_nonlinearity, example_problem, sech
+from .problems import Grid2D, Problem, example_problem, sech
 from .snapshots import apply_surface, write_snapshot_csv, write_snapshot_raw
 from .stepper import (
     RunInfo,
@@ -79,7 +79,7 @@ __all__ = [
     "TauSpec", "ValidationError", "adi_solve", "apply_surface", "bttb_apply",
     "bttb_build", "build_operators", "circulant_matvec",
     "coeff_quadrature_oracle", "discrete_energy", "dst1",
-    "error_space_refinement", "error_time_refinement", "evaluate_nonlinearity",
+    "error_space_refinement", "error_time_refinement",
     "example_problem", "gs_precompute", "gs_solve", "inner_product",
     "laplacian_coeffs_2d", "nonadi_first_step", "nonadi_step", "pcg",
     "rhs_first", "rhs_general", "riesz_coeffs_1d", "riesz_sum_coeffs_2d",

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import scipy.fft as _sfft
 
+from .errors import ValidationError
+
 _WORKERS: int = 1
 
 
@@ -24,12 +26,8 @@ def set_fft_workers(workers: int) -> None:
     """Cap the number of threads scipy.fft may use for the heavy transforms."""
     global _WORKERS
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ValidationError(f"FFT worker count must be >= 1, got {workers}")
     _WORKERS = int(workers)
-
-
-def get_fft_workers() -> int:
-    return _WORKERS
 
 
 @dataclass

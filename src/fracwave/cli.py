@@ -8,11 +8,12 @@ Subcommands:
 * ``coeffs``       dump difference coefficients as CSV for cross-checking
 * ``selftest``     run the built-in consistency suite
 
-Exit codes: 0 success, 2 validation error (argparse errors included),
-3 iterative-solver non-convergence, 4 solution blow-up, 5 I/O failure;
-``selftest`` exits 1 when a check fails. The output directory is the
-``--out-dir`` flag when given, else the FRACWAVE_OUTDIR environment
-variable, else the current directory.
+Exit codes: 0 success, 2 validation error (argparse errors, non-finite
+numbers and thread counts below one included), 3 iterative-solver
+non-convergence, 4 solution blow-up, 5 I/O failure; ``selftest`` exits 1
+when a check fails. The output directory is the ``--out-dir`` flag when
+given, else the FRACWAVE_OUTDIR environment variable, else the current
+directory.
 
 All numeric flags accept plain decimals or p/q fractions (``--tau 1/100``).
 Runs are seed-free and deterministic: identical flags and thread count give
@@ -26,6 +27,8 @@ import argparse
 import logging
 import os
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,9 @@ from . import _fft
 from .coeffs import laplacian_coeffs_2d, riesz_coeffs_1d, riesz_sum_coeffs_2d
 from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
+    EnergyTrace,
     StudySpec,
+    _steps_for,
     discrete_energy,
     inner_product,
     parse_number,
@@ -200,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="baseline per-step solve tolerance (default 1e-11)")
         st.add_argument("--oversampling", type=int, default=None)
         st.add_argument("--threads", type=int, default=None)
-        st.add_argument("--timing-strict", action="store_true",
-                        help="run timing cells exclusively (single-process runs "
-                             "already do)")
         st.add_argument("--out", default=None,
                         help=f"output CSV path (default study_{axis}.csv in the "
                              "output directory)")
@@ -299,20 +301,16 @@ def _cmd_solve(args) -> int:
     else:
         grid = Grid2D.from_spacing(problem.a, problem.b,
                                    args.h if args.h is not None else h_default)
-    if tau <= 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    m_steps = round(t_final / tau)
-    if m_steps < 1 or abs(m_steps * tau - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValidationError(
-            f"t-final={t_final} is not an integral number of steps of tau={tau:g}"
-        )
+    m_steps = _steps_for(t_final, tau)
     plan = _snapshot_steps(args.snapshots, tau, m_steps)
     _fft.set_fft_workers(args.threads)
     log.info("solve: %s alpha=%g scheme=%s N=%d h=%g tau=%g steps=%d",
              problem.label, problem.alpha, args.scheme, grid.n, grid.h, tau, m_steps)
 
+    t0 = time.perf_counter()
     ops = build_operators(problem, grid, tau, tol=args.setup_tol,
                           oversampling=args.oversampling)
+    setup_seconds = time.perf_counter() - t0
 
     def write_snap(field_values: np.ndarray, label: str, t_actual: float) -> None:
         surf = apply_surface(args.surface, field_values)
@@ -334,13 +332,14 @@ def _cmd_solve(args) -> int:
 
     def recorder(state) -> None:
         if track_energy:
-            energies.append(discrete_energy(state, ops))
+            energies.append(discrete_energy(state, ops, args.scheme))
         label = plan.get(state.step_index)
         if label is not None:
             write_snap(state.u_curr, label, state.time)
 
     state, info = run(problem, grid, tau, m_steps, scheme=args.scheme,
                       recorder=recorder, step_tol=args.tol, ops=ops)
+    info.setup_seconds = setup_seconds
 
     u = state.u_curr
     lines = [
@@ -361,12 +360,11 @@ def _cmd_solve(args) -> int:
         f"snapshots_written = {len(plan)}",
     ]
     if track_energy and energies:
-        values = np.asarray(energies)
-        drift = float(np.max(np.abs(values - values[0])) / values[0]) if values[0] else 0.0
+        trace = EnergyTrace(np.asarray(energies))
         lines += [
-            f"energy_first = {values[0]:.12e}",
-            f"energy_last = {values[-1]:.12e}",
-            f"energy_relative_drift = {drift:.3e}",
+            f"energy_first = {trace.values[0]:.12e}",
+            f"energy_last = {trace.values[-1]:.12e}",
+            f"energy_relative_drift = {trace.relative_drift():.3e}",
         ]
     if info.pcg_solves:
         lines += [
@@ -416,11 +414,7 @@ def _cmd_study(args) -> int:
         updates["oversampling"] = args.oversampling
     if args.threads is not None:
         updates["threads"] = args.threads
-    if args.timing_strict:
-        updates["timing_strict"] = True
     updates["kappa"] = args.kappa
-    from dataclasses import replace
-
     spec = replace(spec, **updates)
     out_path = Path(args.out) if args.out else outdir / f"study_{args.axis}.csv"
     rows = run_study(spec, out_path)

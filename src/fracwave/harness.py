@@ -19,26 +19,25 @@ scheme, written for the level pair (w^n, w^{n+1}) with dt = (w^{n+1} - w^n)/tau:
           + (kappa^2 tau^4 / 4) ||dt||_B^2,
 
 where the quadratic forms pair a field with the discrete fractional
-Laplacian (A), the separable Riesz sum (Atilde), and the Riesz tensor
-product (B). The Atilde - A difference is nonnegative for every field
-(tested as a standalone inequality), which is what makes H_n^2 a norm.
+Laplacian (A), the separable Riesz sum (Atilde = delta_x + delta_y), and the
+Riesz tensor product (B = delta_x delta_y). The Atilde - A difference is
+nonnegative for every field (tested as a standalone inequality), which is
+what makes H_n^2 a norm. The unfactored baseline conserves the first and
+third terms alone, E_n = ||dt||^2 + (kappa / 2) (||w^{n+1}||_A^2 + ||w^n||_A^2).
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coeffs import riesz_sum_coeffs_2d
 from .errors import ValidationError
 from .problems import Grid2D, Problem, example_problem
-from .stepper import RunInfo, SchemeState, StepOperators, build_operators, run
-from .structured import BttbOperator, SymToeplitz, bttb_build
+from .stepper import SCHEME_NAMES, RunInfo, SchemeState, StepOperators, run
 
 __all__ = [
     "NORM_KINDS",
@@ -62,42 +61,6 @@ log = logging.getLogger(__name__)
 NORM_KINDS = ("l2", "A", "A_tilde", "B")
 
 
-class _NormEngine:
-    """Operators behind the A / Atilde / B quadratic forms for one ops set."""
-
-    def __init__(self, ops: StepOperators):
-        n = ops.grid.n
-        h_alpha = ops.grid.h ** (-ops.riesz_1d.alpha)
-        self.h2 = ops.grid.h * ops.grid.h
-        self.lap = ops.lap
-        cross = riesz_sum_coeffs_2d(ops.riesz_1d.alpha, n)
-        self.cross: BttbOperator = bttb_build(cross, n, scale=h_alpha)
-        self.riesz_t = SymToeplitz(h_alpha * ops.riesz_1d.weights)
-
-    def apply_a(self, w: np.ndarray) -> np.ndarray:
-        return self.lap.apply(w)
-
-    def apply_a_tilde(self, w: np.ndarray) -> np.ndarray:
-        return self.cross.apply(w)
-
-    def apply_b(self, w: np.ndarray) -> np.ndarray:
-        # tensor product of the two 1D Riesz operators: columns, then rows
-        return self.riesz_t.matvec(self.riesz_t.matvec(w).T).T
-
-
-_ENGINES: "weakref.WeakKeyDictionary[StepOperators, _NormEngine]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _engine(ops: StepOperators) -> _NormEngine:
-    eng = _ENGINES.get(ops)
-    if eng is None:
-        eng = _NormEngine(ops)
-        _ENGINES[ops] = eng
-    return eng
-
-
 def inner_product(kind: str, w1: np.ndarray, w2: np.ndarray, ops: StepOperators) -> float:
     """Discrete inner product h^2 sum(T w1 * w2) with T depending on kind:
     identity (l2), fractional Laplacian (A), separable Riesz sum (A_tilde),
@@ -106,18 +69,18 @@ def inner_product(kind: str, w1: np.ndarray, w2: np.ndarray, ops: StepOperators)
     w2 = np.asarray(w2, dtype=float)
     if w1.shape != w2.shape:
         raise ValidationError(f"field shapes differ: {w1.shape} vs {w2.shape}")
-    eng = _engine(ops)
     if kind == "l2":
         tw1 = w1
     elif kind == "A":
-        tw1 = eng.apply_a(w1)
+        tw1 = ops.lap.apply(w1)
     elif kind == "A_tilde":
-        tw1 = eng.apply_a_tilde(w1)
+        tw1 = ops.delta_x(w1) + ops.delta_y(w1)
     elif kind == "B":
-        tw1 = eng.apply_b(w1)
+        tw1 = ops.delta_y(ops.delta_x(w1))
     else:
         raise ValidationError(f"unknown norm kind {kind!r}; kinds: {NORM_KINDS}")
-    return eng.h2 * float(np.vdot(tw1, w2).real)
+    h = ops.grid.h
+    return h * h * float(np.vdot(tw1, w2).real)
 
 
 def splitting_gap(w: np.ndarray, ops: StepOperators) -> float:
@@ -138,18 +101,28 @@ class EnergyTrace:
         return float(np.max(np.abs(v - v[0])) / abs(v[0]))
 
 
-def discrete_energy(state: SchemeState, ops: StepOperators) -> float:
-    """Evaluate H_n^2 on the level pair held by ``state``."""
+def discrete_energy(
+    state: SchemeState, ops: StepOperators, scheme: str = "sadi"
+) -> float:
+    """Evaluate the energy ``scheme`` conserves for g = 0 on the level pair
+    held by ``state``: H_n^2 for sadi, E_n for nonadi."""
+    if scheme not in SCHEME_NAMES:
+        raise ValidationError(
+            f"unknown scheme {scheme!r}; available: {', '.join(SCHEME_NAMES)}"
+        )
+    split = scheme == "sadi"
     tau = ops.tau_step
     kappa = ops.kappa
     dt = (state.u_curr - state.u_prev) / tau
     e = inner_product("l2", dt, dt, ops)
-    e += 0.5 * tau * tau * kappa * splitting_gap(dt, ops)
+    if split:
+        e += 0.5 * tau * tau * kappa * splitting_gap(dt, ops)
     e += 0.5 * kappa * (
         inner_product("A", state.u_curr, state.u_curr, ops)
         + inner_product("A", state.u_prev, state.u_prev, ops)
     )
-    e += 0.25 * (kappa * tau * tau) ** 2 * inner_product("B", dt, dt, ops)
+    if split:
+        e += 0.25 * (kappa * tau * tau) ** 2 * inner_product("B", dt, dt, ops)
     return e
 
 
@@ -181,6 +154,8 @@ class StudyRow:
 
 
 def _steps_for(t_final: float, tau: float) -> int:
+    if not tau > 0:
+        raise ValidationError(f"tau must be positive, got {tau}")
     m = round(t_final / tau)
     if m < 1 or abs(m * tau - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValidationError(
@@ -197,6 +172,8 @@ def _l2h_diff(h: float, u_coarse: np.ndarray, u_fine_restricted: np.ndarray) -> 
 def _check_halving(values: Sequence[float], what: str) -> None:
     if len(values) < 1:
         raise ValidationError(f"{what} list must not be empty")
+    if not all(v > 0 for v in values):
+        raise ValidationError(f"{what} list must be positive: {list(values)}")
     for a, b in zip(values, values[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ValidationError(f"{what} list must halve strictly: {a} -> {b}")
@@ -324,7 +301,6 @@ class StudySpec:
     kappa: float = 1.0
     oversampling: int = 8
     threads: int = 1
-    timing_strict: bool = False
 
 
 def _spec_defaults(spec: StudySpec) -> StudySpec:
@@ -355,8 +331,7 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
     Cells run sequentially in declaration order (scheme, then alpha, then
-    step), which also satisfies the exclusive-timing requirement of
-    ``timing_strict`` within this single-process harness.
+    step).
     """
     from . import _fft
 
@@ -421,19 +396,20 @@ def write_rows_csv(path, rows: Iterable[StudyRow]) -> None:
 # ---------------------------------------------------------------------------
 
 def parse_number(text: str) -> float:
-    """Parse a decimal or a p/q fraction (the benchmark steps are naturally
-    fractions like 1/40)."""
+    """Parse a finite decimal or a p/q fraction (the benchmark steps are
+    naturally fractions like 1/40)."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return float(num) / float(den)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad fraction {text!r}") from exc
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ValidationError(f"bad number {text!r}") from exc
+        if "/" in text:
+            num, _, den = text.partition("/")
+            value = float(num) / float(den)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"bad number {text!r}") from None
+    if not np.isfinite(value):
+        raise ValidationError(f"number must be finite, got {text!r}")
+    return value
 
 
 def parse_number_list(text: str) -> tuple[float, ...]:
@@ -441,19 +417,16 @@ def parse_number_list(text: str) -> tuple[float, ...]:
     return tuple(parse_number(t) for t in items)
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
 STUDY_FILE_KEYS = ("example", "scheme", "alphas", "taus", "hs",
-                   "t_final", "tol", "threads", "timing-strict")
+                   "t_final", "tol", "threads")
 
 
 def parse_study_file(path, axis: str) -> StudySpec:
     """Read a flat ``key = value`` study file.
 
     Recognized keys: example, scheme, alphas, taus, hs, t_final, tol,
-    threads, timing-strict. Lists are comma separated; numbers may be
-    fractions. Blank lines and '#' comments are ignored.
+    threads. Lists are comma separated; numbers may be fractions. Blank
+    lines and '#' comments are ignored.
     """
     values: dict[str, str] = {}
     with open(path) as fh:
@@ -490,10 +463,9 @@ def parse_study_file(path, axis: str) -> StudySpec:
     if "tol" in values:
         kwargs["tol"] = parse_number(values["tol"])
     if "threads" in values:
-        kwargs["threads"] = int(values["threads"])
-    if "timing-strict" in values:
-        word = values["timing-strict"].lower()
-        if word not in _BOOL_WORDS:
-            raise ValidationError(f"bad boolean for timing-strict: {word!r}")
-        kwargs["timing_strict"] = _BOOL_WORDS[word]
+        try:
+            kwargs["threads"] = int(values["threads"])
+        except ValueError:
+            raise ValidationError(
+                f"bad thread count {values['threads']!r}") from None
     return StudySpec(**kwargs)

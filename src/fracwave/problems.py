@@ -30,9 +30,8 @@ from .errors import ValidationError
 __all__ = [
     "Grid2D",
     "Problem",
-    "TableNonlinearity",
     "sech",
-    "evaluate_nonlinearity",
+    "resolve_nonlinearity",
     "example_problem",
     "EXAMPLE_NAMES",
     "NONLINEARITY_NAMES",
@@ -110,41 +109,6 @@ _REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 NONLINEARITY_NAMES = tuple(sorted(_REGISTRY))
 
 
-@dataclass(frozen=True)
-class TableNonlinearity:
-    """Nonlinearity given as a lookup table, linearly interpolated.
-
-    The table must pass through the origin (g(0) = 0) to be consistent
-    with the zero exterior extension. Evaluation outside the tabulated
-    range clamps to the end values.
-    """
-
-    u_values: np.ndarray
-    g_values: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u_values, dtype=float)
-        g = np.asarray(self.g_values, dtype=float)
-        if u.ndim != 1 or u.shape != g.shape or u.shape[0] < 2:
-            raise ValidationError("table needs matching 1D u and g arrays, length >= 2")
-        if np.any(np.diff(u) <= 0):
-            raise ValidationError("table abscissae must be strictly increasing")
-        if abs(float(np.interp(0.0, u, g))) > 1e-14:
-            raise ValidationError("table nonlinearity must satisfy g(0) = 0")
-        object.__setattr__(self, "u_values", u)
-        object.__setattr__(self, "g_values", g)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self.u_values, self.g_values)
-
-
-def evaluate_nonlinearity(
-    g: str | Callable[[np.ndarray], np.ndarray], u: np.ndarray
-) -> np.ndarray:
-    """Evaluate a nonlinearity given by registry name, table, or callable."""
-    return resolve_nonlinearity(g)(u)
-
-
 def resolve_nonlinearity(
     g: str | Callable[[np.ndarray], np.ndarray],
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -162,10 +126,10 @@ def resolve_nonlinearity(
 class Problem:
     """Full problem statement, independent of any discretization.
 
-    ``nonlinearity`` is a registry name, a TableNonlinearity, or a callable
-    acting pointwise on fields; ``phi1`` and ``phi2`` map coordinate fields
-    (X, Y) to initial displacement and velocity. kappa = 0 is accepted as a
-    degenerate test mode in which all spatial coupling vanishes.
+    ``nonlinearity`` is a registry name or a callable acting pointwise on
+    fields; ``phi1`` and ``phi2`` map coordinate fields (X, Y) to initial
+    displacement and velocity. kappa = 0 is accepted as a degenerate test
+    mode in which all spatial coupling vanishes.
     """
 
     a: float
@@ -186,7 +150,7 @@ class Problem:
         resolve_nonlinearity(self.nonlinearity)
 
     def g(self, u: np.ndarray) -> np.ndarray:
-        return evaluate_nonlinearity(self.nonlinearity, u)
+        return resolve_nonlinearity(self.nonlinearity)(u)
 
     def initial_fields(self, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
         """Sample (phi1, phi2) on the interior nodes."""

@@ -149,23 +149,10 @@ def _small_ops(n: int = 12, tau: float = 0.05):
     return problem, grid, ops
 
 
-def _directional_applies(ops):
-    h_alpha = ops.grid.h ** (-ops.riesz_1d.alpha)
-    t1 = SymToeplitz(h_alpha * ops.riesz_1d.weights)
-
-    def delta_x(w):
-        return t1.matvec(w)
-
-    def delta_y(w):
-        return t1.matvec(w.T).T
-
-    return delta_x, delta_y
-
-
 def _check_step_equation_residuals() -> None:
     problem, grid, ops = _small_ops()
     tau, kappa = ops.tau_step, ops.kappa
-    delta_x, delta_y = _directional_applies(ops)
+    delta_x, delta_y = ops.delta_x, ops.delta_y
     lap = ops.lap.apply
     g = problem.g
 

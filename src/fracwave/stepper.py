@@ -38,12 +38,13 @@ comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .coeffs import Coeffs1D, laplacian_coeffs_2d, riesz_coeffs_1d
+from .coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from .errors import BlowUpError, SolverError, ValidationError
 from .problems import Grid2D, Problem, resolve_nonlinearity
 from .structured import (
@@ -83,36 +84,45 @@ SCHEME_NAMES = ("sadi", "nonadi")
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Two consecutive time levels: u_prev = u^{n-1}, u_curr = u^n."""
+    """Two consecutive time levels: u_prev = u^{n-1}, u_curr = u^n.
+
+    ``pcg_iterations`` counts the iterations of the baseline solve that
+    produced u_curr (zero is a valid count); it is None for sadi steps.
+    """
 
     u_prev: np.ndarray
     u_curr: np.ndarray
     step_index: int
     time: float
+    pcg_iterations: int | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StepOperators:
-    """Everything a step needs, built once per (problem, grid, tau).
+    """Every operator a step or a norm uses, built once per (problem, grid, tau).
 
-    ``gs`` inverts H = I + (tau^2 kappa / 2) h^{-alpha} T(a) where T(a) is
-    the symmetric Toeplitz matrix of 1D Riesz weights; the grid is square
-    with equal spacing, so the same inverse serves the column and row
-    sweeps. ``lap`` applies the plain discrete fractional Laplacian
-    h^{-alpha} scaling included, kappa NOT included (kappa enters at the
-    use sites). ``tau2d`` preconditions the unfactored baseline system.
+    ``riesz`` is T, the h^{-alpha}-scaled symmetric Toeplitz matrix of 1D
+    Riesz weights: delta_x applies it along axis 0, delta_y along axis 1.
+    ``gs`` inverts H = I + (tau^2 kappa / 2) T; the grid is square with
+    equal spacing, so the same inverse serves the column and row sweeps.
+    ``lap`` applies the plain discrete fractional Laplacian h^{-alpha}
+    scaling included, kappa NOT included (kappa enters at the use sites).
+    ``tau2d`` preconditions the unfactored baseline system.
     """
 
     tau_step: float
     kappa: float
     grid: Grid2D
+    riesz: SymToeplitz
     gs: GSData
     lap: BttbOperator
-    riesz_1d: Coeffs1D
-    h_matrix: SymToeplitz
     tau2d: TauSpec
-    oversampling: int = 8
-    pcg_iterations: list[int] = field(default_factory=list)
+
+    def delta_x(self, w: np.ndarray) -> np.ndarray:
+        return self.riesz.matvec(w)
+
+    def delta_y(self, w: np.ndarray) -> np.ndarray:
+        return self.riesz.matvec(w.T).T
 
 
 def build_operators(
@@ -133,22 +143,18 @@ def build_operators(
     riesz = riesz_coeffs_1d(problem.alpha, n)
     lap = bttb_build(coeff2d, n, scale=h_alpha)
 
-    first_col = factor * riesz.weights.copy()
+    first_col = factor * riesz.weights
     first_col[0] += 1.0
-    h_matrix = SymToeplitz(first_col)
     precond = tau_spec_1d(problem.alpha, n, factor)
-    gs = gs_precompute(h_matrix, tol=tol, precond=precond)
-    tau2d = tau_spec_2d(problem.alpha, n, factor)
+    gs = gs_precompute(SymToeplitz(first_col), tol=tol, precond=precond)
     return StepOperators(
         tau_step=tau_step,
         kappa=problem.kappa,
         grid=grid,
+        riesz=SymToeplitz(h_alpha * riesz.weights),
         gs=gs,
         lap=lap,
-        riesz_1d=riesz,
-        h_matrix=h_matrix,
-        tau2d=tau2d,
-        oversampling=oversampling,
+        tau2d=tau_spec_2d(problem.alpha, n, factor),
     )
 
 
@@ -223,9 +229,10 @@ def sadi_step(
 
 def _nonadi_solve(
     ops: StepOperators, b: np.ndarray, x0: np.ndarray, tol: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Solve (I + (tau^2 kappa/2) L) x = b by PCG with the 2D sine-transform
-    preconditioner, warm-started from the previous level."""
+    preconditioner, warm-started from the previous level. Returns x and the
+    iteration count."""
     c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
 
     def apply_a(v: np.ndarray) -> np.ndarray:
@@ -235,13 +242,12 @@ def _nonadi_solve(
         return tau_apply(ops.tau2d, r)
 
     x, report = pcg(apply_a, apply_m, b, tol=tol, max_iter=400, x0=x0)
-    ops.pcg_iterations.append(report.iterations)
     if not report.converged:
         raise SolverError(
             f"step solve did not converge: {report.iterations} iterations, "
             f"relative residual {report.final_relative_residual:.2e}"
         )
-    return x
+    return x, report.iterations
 
 
 def nonadi_first_step(
@@ -256,8 +262,9 @@ def nonadi_first_step(
     u0, phi2_field = problem.initial_fields(grid)
     tau = ops.tau_step
     b = u0 + tau * phi2_field + (0.5 * tau * tau) * g(u0)
-    u1 = _nonadi_solve(ops, b, x0=u0, tol=tol)
-    return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=tau)
+    u1, iterations = _nonadi_solve(ops, b, x0=u0, tol=tol)
+    return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=tau,
+                       pcg_iterations=iterations)
 
 
 def nonadi_step(
@@ -273,12 +280,13 @@ def nonadi_step(
     b = 2.0 * state.u_curr - state.u_prev + tau * tau * g(state.u_curr)
     if ops.kappa != 0.0:
         b -= c * ops.lap.apply(state.u_prev)
-    u_next = _nonadi_solve(ops, b, x0=state.u_curr, tol=tol)
+    u_next, iterations = _nonadi_solve(ops, b, x0=state.u_curr, tol=tol)
     return SchemeState(
         u_prev=state.u_curr,
         u_curr=u_next,
         step_index=state.step_index + 1,
         time=(state.step_index + 1) * tau,
+        pcg_iterations=iterations,
     )
 
 
@@ -344,34 +352,25 @@ def run(
         raise ValidationError("prebuilt operators were made for a different tau")
     info.setup_seconds = time.perf_counter() - t0
 
-    g = resolve_nonlinearity(problem.nonlinearity)
-    pcg_before = len(ops.pcg_iterations)
-    t1 = time.perf_counter()
     if scheme == "sadi":
-        state = sadi_first_step(problem, grid, ops)
-        _check_finite(state)
-        if recorder is not None:
-            recorder(state)
-        for _ in range(m_steps - 1):
-            state = sadi_step(state, ops, g)
-            _check_finite(state)
-            if recorder is not None:
-                recorder(state)
+        first_step, step = sadi_first_step, sadi_step
     else:
-        state = nonadi_first_step(problem, grid, ops, tol=step_tol)
+        first_step = partial(nonadi_first_step, tol=step_tol)
+        step = partial(nonadi_step, tol=step_tol)
+    g = resolve_nonlinearity(problem.nonlinearity)
+    iters: list[int] = []
+    t1 = time.perf_counter()
+    for n in range(m_steps):
+        state = first_step(problem, grid, ops) if n == 0 else step(state, ops, g)
+        if state.pcg_iterations is not None:
+            iters.append(state.pcg_iterations)
         _check_finite(state)
         if recorder is not None:
             recorder(state)
-        for _ in range(m_steps - 1):
-            state = nonadi_step(state, ops, g, tol=step_tol)
-            _check_finite(state)
-            if recorder is not None:
-                recorder(state)
     info.loop_seconds = time.perf_counter() - t1
 
-    iters = ops.pcg_iterations[pcg_before:]
     if iters:
         info.pcg_solves = len(iters)
-        info.pcg_total_iterations = int(sum(iters))
-        info.pcg_max_iterations = int(max(iters))
+        info.pcg_total_iterations = sum(iters)
+        info.pcg_max_iterations = max(iters)
     return state, info

@@ -91,6 +91,14 @@ class TestSolve:
                        if ln.startswith("energy_relative_drift")][0])
         assert drift <= 1e-10
 
+    def test_setup_time_reported(self, tmp_path):
+        assert main(SOLVE_SMALL + ["--out-dir", str(tmp_path)]) == 0
+        summary = (tmp_path / "summary.txt").read_text()
+        setup = [ln for ln in summary.splitlines()
+                 if ln.startswith("# timing setup_seconds")]
+        assert len(setup) == 1
+        assert float(setup[0].split("=")[1]) > 0.0
+
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envdir"))
         assert main(SOLVE_SMALL) == 0
@@ -121,6 +129,30 @@ class TestExitCodes:
         rc = main(SOLVE_SMALL + ["--snapshots", "0.33",
                                  "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        SOLVE_SMALL + ["--tau", "nan"],
+        SOLVE_SMALL + ["--tau", "0"],
+        SOLVE_SMALL + ["--tau", "-1/10"],
+        SOLVE_SMALL + ["--t-final", "inf"],
+        SOLVE_SMALL + ["--snapshots", "nan"],
+        SOLVE_SMALL + ["--threads", "0"],
+        ["study-time", "--spec", "{spec}"],
+        ["study-time", "--threads", "0"],
+        ["study-time", "--taus", "1/5,0", "--h", "1/2", "--t-final", "0.4"],
+    ], ids=["tau-nan", "tau-zero", "tau-negative", "t-final-inf",
+            "snapshot-nan", "threads-zero", "spec-threads-abc",
+            "study-threads-zero", "study-tau-list-zero"])
+    def test_bad_numeric_input_exits_two(self, argv, tmp_path, capsys):
+        spec = tmp_path / "bad.txt"
+        spec.write_text("threads = abc\n")
+        argv = [a.replace("{spec}", str(spec)) for a in argv]
+        try:
+            rc = main(argv + ["--out-dir", str(tmp_path)])
+        except SystemExit as exc:  # argparse rejects the flag itself
+            rc = exc.code
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_solver_failure_maps_to_three(self, tmp_path, monkeypatch):
         def boom(*a, **k):

@@ -1,4 +1,4 @@
-"""Norm engine, energy functional, refinement studies, CSV/spec-file I/O."""
+"""Discrete norms, energy functionals, refinement studies, CSV/spec-file I/O."""
 
 import numpy as np
 import pytest
@@ -131,15 +131,31 @@ class TestEnergy:
         assert discrete_energy(state, ops) == 0.0
 
     def test_conserved_without_forcing(self):
+        # each scheme conserves its own functional
         problem = small_problem(nonlinearity="zero")
         grid = Grid2D(a=-2.0, b=2.0, n=12)
         tau = 0.05
         ops = build_operators(problem, grid, tau)
-        values = []
-        run(problem, grid, tau, 30, ops=ops,
-            recorder=lambda s: values.append(discrete_energy(s, ops)))
-        trace = EnergyTrace(values=np.asarray(values))
-        assert trace.relative_drift() <= 1e-12
+        for scheme in ("sadi", "nonadi"):
+            values = []
+            run(problem, grid, tau, 30, scheme=scheme, ops=ops,
+                recorder=lambda s: values.append(discrete_energy(s, ops, scheme)))
+            trace = EnergyTrace(values=np.asarray(values))
+            assert trace.relative_drift() <= 1e-12, scheme
+
+    def test_nonadi_functional_drops_splitting_terms(self, ops6, rng):
+        _, _, ops = ops6
+        u_prev, u_curr = rng.standard_normal((2, 6, 6))
+        state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
+        tau, kappa = ops.tau_step, ops.kappa
+        dt = (u_curr - u_prev) / tau
+        split_terms = (0.5 * tau * tau * kappa * splitting_gap(dt, ops)
+                       + 0.25 * (kappa * tau * tau) ** 2
+                       * inner_product("B", dt, dt, ops))
+        assert discrete_energy(state, ops) - discrete_energy(
+            state, ops, "nonadi") == pytest.approx(split_terms, rel=1e-10)
+        with pytest.raises(ValidationError):
+            discrete_energy(state, ops, "magic")
 
     def test_trace_drift_metric(self):
         t = EnergyTrace(values=np.array([2.0, 2.0, 2.0]))
@@ -154,6 +170,9 @@ class TestRefinementMechanics:
         assert _steps_for(1.0, 0.25) == 4
         with pytest.raises(ValidationError):
             _steps_for(1.0, 0.3)
+        for tau in (0.0, -0.1):
+            with pytest.raises(ValidationError):
+                _steps_for(1.0, tau)
 
     def test_check_halving(self):
         _check_halving([0.2, 0.1, 0.05], "tau")
@@ -264,6 +283,9 @@ class TestParsing:
             parse_number("abc")
         with pytest.raises(ValidationError):
             parse_number("1/0")
+        for text in ("nan", "inf", "-inf", "1e400", "1/nan"):
+            with pytest.raises(ValidationError):
+                parse_number(text)
 
     def test_parse_number_list(self):
         assert parse_number_list("1, 1/2, 0.25") == (1.0, 0.5, 0.25)
@@ -287,7 +309,6 @@ hs = 1/2
 t-final = 1
 tol = 1e-10
 threads = 2
-timing-strict = yes
 """
         path = tmp_path / "study.txt"
         path.write_text(text)
@@ -300,7 +321,6 @@ timing-strict = yes
         assert spec.t_final == 1.0
         assert spec.tol == 1e-10
         assert spec.threads == 2
-        assert spec.timing_strict is True
 
     def test_study_file_underscore_keys_accepted(self, tmp_path):
         path = tmp_path / "study.txt"
@@ -310,9 +330,10 @@ timing-strict = yes
 
     def test_study_file_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "study.txt"
-        path.write_text("volume = 11\n")
-        with pytest.raises(ValidationError):
-            parse_study_file(path, axis="time")
+        for text in ("volume = 11\n", "timing-strict = yes\n"):
+            path.write_text(text)
+            with pytest.raises(ValidationError):
+                parse_study_file(path, axis="time")
 
     def test_csv_formatting(self, tmp_path):
         from fracwave.harness import StudyRow
