@@ -37,8 +37,10 @@ from . import _fft
 from .coeffs import laplacian_coeffs_2d, riesz_coeffs_1d, riesz_sum_coeffs_2d
 from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
+    STUDY_FIELDS,
     EnergyTrace,
     StudySpec,
+    _step_index,
     _steps_for,
     discrete_energy,
     inner_product,
@@ -91,6 +93,10 @@ def _fraction_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _one_fraction(text: str) -> tuple[float]:
+    return (_fraction(text),)
+
+
 def _add_common_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--example", choices=EXAMPLE_NAMES, default=None,
                    help="built-in benchmark problem on (-10, 10)^2")
@@ -129,11 +135,6 @@ def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=_fraction, default=1e-11,
                    help="per-step linear-solve tolerance of the baseline scheme "
                         "(default 1e-11)")
-    p.add_argument("--setup-tol", type=_fraction, default=1e-13,
-                   help="tolerance of the one-time Toeplitz inverse column solve "
-                        "(default 1e-13)")
-    p.add_argument("--oversampling", type=int, default=8,
-                   help="coefficient symbol-sampling factor (default 8)")
     p.add_argument("--threads", type=int, default=1,
                    help="FFT worker threads (default 1)")
 
@@ -190,20 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
         st.add_argument("--alphas", type=_fraction_list, default=None,
                         help="comma-separated fractional orders (default 1.1,1.5,1.9)")
         st.add_argument("--kappa", type=_fraction, default=1.0)
+        # the fixed step is a one-entry list of the same StudySpec field
         if axis == "time":
             st.add_argument("--taus", type=_fraction_list, default=None,
                             help="halving list of time steps")
-            st.add_argument("--h", type=_fraction, default=None,
-                            help="fixed grid spacing")
+            st.add_argument("--h", type=_one_fraction, default=None,
+                            dest="hs", metavar="H", help="fixed grid spacing")
         else:
             st.add_argument("--hs", type=_fraction_list, default=None,
                             help="halving list of grid spacings")
-            st.add_argument("--tau", type=_fraction, default=None,
-                            help="fixed time step")
+            st.add_argument("--tau", type=_one_fraction, default=None,
+                            dest="taus", metavar="TAU", help="fixed time step")
         st.add_argument("--t-final", type=_fraction, default=None)
         st.add_argument("--tol", type=_fraction, default=None,
                         help="baseline per-step solve tolerance (default 1e-11)")
-        st.add_argument("--oversampling", type=int, default=None)
         st.add_argument("--threads", type=int, default=None)
         st.add_argument("--out", default=None,
                         help=f"output CSV path (default study_{axis}.csv in the "
@@ -279,11 +280,9 @@ def _snapshot_steps(tokens: str, tau: float, m_steps: int) -> dict[int, str]:
         if not token:
             continue
         t_req = parse_number(token)
-        k = round(t_req / tau)
-        if k < 0 or abs(k * tau - t_req) > 1e-9 * max(1.0, abs(t_req)):
-            raise ValidationError(
-                f"snapshot time {token} does not land on a step of tau={tau:g}"
-            )
+        k = _step_index(t_req, tau, "snapshot time")
+        if k < 0:
+            raise ValidationError(f"snapshot time {token} lies before t = 0")
         if k > m_steps:
             raise ValidationError(
                 f"snapshot time {token} lies beyond t_final (step {k} > {m_steps})"
@@ -308,8 +307,7 @@ def _cmd_solve(args) -> int:
              problem.label, problem.alpha, args.scheme, grid.n, grid.h, tau, m_steps)
 
     t0 = time.perf_counter()
-    ops = build_operators(problem, grid, tau, tol=args.setup_tol,
-                          oversampling=args.oversampling)
+    ops = build_operators(problem, grid, tau)
     setup_seconds = time.perf_counter() - t0
 
     def write_snap(field_values: np.ndarray, label: str, t_actual: float) -> None:
@@ -389,31 +387,8 @@ def _cmd_study(args) -> int:
         spec = parse_study_file(args.spec, axis=args.axis)
     else:
         spec = StudySpec(axis=args.axis)
-    updates: dict = {}
-    if args.example is not None:
-        updates["example"] = args.example
-    if args.scheme is not None:
-        updates["scheme"] = args.scheme
-    if args.alphas is not None:
-        updates["alphas"] = args.alphas
-    if args.axis == "time":
-        if args.taus is not None:
-            updates["taus"] = args.taus
-        if args.h is not None:
-            updates["hs"] = (args.h,)
-    else:
-        if args.hs is not None:
-            updates["hs"] = args.hs
-        if args.tau is not None:
-            updates["taus"] = (args.tau,)
-    if args.t_final is not None:
-        updates["t_final"] = args.t_final
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.oversampling is not None:
-        updates["oversampling"] = args.oversampling
-    if args.threads is not None:
-        updates["threads"] = args.threads
+    updates = {field: getattr(args, field) for field in STUDY_FIELDS
+               if getattr(args, field) is not None}
     updates["kappa"] = args.kappa
     spec = replace(spec, **updates)
     out_path = Path(args.out) if args.out else outdir / f"study_{args.axis}.csv"

@@ -8,7 +8,10 @@ Error metrics (self-refinement, no exact solution needed):
 
 with observed order log2 of consecutive error ratios. Halving h turns N
 interior nodes into 2N + 1, so coarse node i coincides with fine node 2i
-and the comparison needs no interpolation.
+and the comparison needs no interpolation. Both studies run through one
+driver, ``_refinement_rows``: it takes the list of (grid, tau) runs and a
+restriction of the finer final field onto the coarser grid (identity for
+time, every other node for space) and turns consecutive runs into rows.
 
 The energy functional conserved exactly by the linear (g = 0) splitting
 scheme, written for the level pair (w^n, w^{n+1}) with dt = (w^{n+1} - w^n)/tau:
@@ -31,7 +34,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +47,7 @@ __all__ = [
     "EnergyTrace",
     "StudyRow",
     "StudySpec",
+    "STUDY_FIELDS",
     "inner_product",
     "splitting_gap",
     "discrete_energy",
@@ -116,13 +120,19 @@ def discrete_energy(
     dt = (state.u_curr - state.u_prev) / tau
     e = inner_product("l2", dt, dt, ops)
     if split:
-        e += 0.5 * tau * tau * kappa * splitting_gap(dt, ops)
+        # delta_x dt serves both the Atilde and the B form; "l2" pairs an
+        # already-applied field with dt
+        dx_dt = ops.delta_x(dt)
+        gap = (inner_product("l2", dx_dt + ops.delta_y(dt), dt, ops)
+               - inner_product("A", dt, dt, ops))
+        e += 0.5 * tau * tau * kappa * gap
     e += 0.5 * kappa * (
         inner_product("A", state.u_curr, state.u_curr, ops)
         + inner_product("A", state.u_prev, state.u_prev, ops)
     )
     if split:
-        e += 0.25 * (kappa * tau * tau) ** 2 * inner_product("B", dt, dt, ops)
+        e += 0.25 * (kappa * tau * tau) ** 2 * inner_product(
+            "l2", ops.delta_y(dx_dt), dt, ops)
     return e
 
 
@@ -153,13 +163,28 @@ class StudyRow:
         return self.cpu_setup + self.cpu_loop
 
 
+def _step_index(t: float, tau: float, what: str) -> int:
+    """Return k with k tau = t, rejecting a t that is not on a step."""
+    ratio = t / tau
+    if not np.isfinite(ratio):
+        raise ValidationError(
+            f"{what} {t:g} is not a finite number of steps of tau={tau:g}"
+        )
+    k = round(ratio)
+    if abs(k * tau - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValidationError(
+            f"{what} {t:g} does not land on a step of tau={tau:g}"
+        )
+    return k
+
+
 def _steps_for(t_final: float, tau: float) -> int:
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    m = round(t_final / tau)
-    if m < 1 or abs(m * tau - t_final) > 1e-9 * max(1.0, abs(t_final)):
+    m = _step_index(t_final, tau, "t_final")
+    if m < 1:
         raise ValidationError(
-            f"t_final={t_final} is not an integral number of steps of tau={tau}"
+            f"t_final {t_final:g} is shorter than one step of tau={tau:g}"
         )
     return m
 
@@ -179,15 +204,51 @@ def _check_halving(values: Sequence[float], what: str) -> None:
             raise ValidationError(f"{what} list must halve strictly: {a} -> {b}")
 
 
+def _refinement_rows(
+    problem: Problem,
+    scheme: str,
+    steps: Sequence[float],
+    runs: Sequence[tuple[Grid2D, float]],
+    t_final: float,
+    restrict: Callable[[np.ndarray], np.ndarray],
+    step_tol: float,
+) -> list[StudyRow]:
+    """Run every (grid, tau) in ``runs`` and turn consecutive finals into rows.
+
+    Row k compares the final field of run k with that of run k + 1 mapped
+    onto run k's grid by ``restrict``; its timings are run k's. ``steps``
+    holds the row labels, one fewer than the runs.
+    """
+    counts = [_steps_for(t_final, tau) for _, tau in runs]
+    finals: list[np.ndarray] = []
+    infos: list[RunInfo] = []
+    for (grid, tau), m_steps in zip(runs, counts):
+        log.info("run %s alpha=%g h=%g tau=%g (%d steps, N=%d)",
+                 scheme, problem.alpha, grid.h, tau, m_steps, grid.n)
+        state, info = run(problem, grid, tau, m_steps, scheme=scheme,
+                          step_tol=step_tol)
+        finals.append(state.u_curr)
+        infos.append(info)
+    rows: list[StudyRow] = []
+    prev_error: float | None = None
+    for k, step in enumerate(steps):
+        err = _l2h_diff(runs[k][0].h, finals[k], restrict(finals[k + 1]))
+        order = None if prev_error is None else float(np.log2(prev_error / err))
+        rows.append(StudyRow(
+            scheme=scheme, alpha=problem.alpha, step=step, error=err, order=order,
+            cpu_setup=infos[k].setup_seconds, cpu_loop=infos[k].loop_seconds,
+        ))
+        prev_error = err
+    return rows
+
+
 def error_time_refinement(
     problem: Problem,
     h_fixed: float,
     tau_list: Sequence[float],
     t_final: float,
     scheme: str = "sadi",
-    setup_tol: float = 1e-13,
     step_tol: float = 1e-11,
-    oversampling: int = 8,
 ) -> list[StudyRow]:
     """Error/order rows along a halving tau list at fixed h.
 
@@ -198,30 +259,10 @@ def error_time_refinement(
     """
     _check_halving(tau_list, "tau")
     grid = Grid2D.from_spacing(problem.a, problem.b, h_fixed)
-    all_taus = list(tau_list) + [tau_list[-1] / 2.0]
-    finals: list[np.ndarray] = []
-    infos: list[RunInfo] = []
-    for tau in all_taus:
-        m_steps = _steps_for(t_final, tau)
-        log.info("run %s alpha=%g h=%g tau=%g (%d steps, N=%d)",
-                 scheme, problem.alpha, h_fixed, tau, m_steps, grid.n)
-        state, info = run(
-            problem, grid, tau, m_steps, scheme=scheme,
-            setup_tol=setup_tol, step_tol=step_tol, oversampling=oversampling,
-        )
-        finals.append(state.u_curr)
-        infos.append(info)
-    rows: list[StudyRow] = []
-    prev_error: float | None = None
-    for k, tau in enumerate(tau_list):
-        err = _l2h_diff(grid.h, finals[k], finals[k + 1])
-        order = None if prev_error is None else float(np.log2(prev_error / err))
-        rows.append(StudyRow(
-            scheme=scheme, alpha=problem.alpha, step=tau, error=err, order=order,
-            cpu_setup=infos[k].setup_seconds, cpu_loop=infos[k].loop_seconds,
-        ))
-        prev_error = err
-    return rows
+    taus = list(tau_list) + [tau_list[-1] / 2.0]
+    return _refinement_rows(problem, scheme, tau_list,
+                            [(grid, tau) for tau in taus], t_final,
+                            lambda u: u, step_tol)
 
 
 def error_space_refinement(
@@ -230,9 +271,7 @@ def error_space_refinement(
     h_list: Sequence[float],
     t_final: float,
     scheme: str = "sadi",
-    setup_tol: float = 1e-13,
     step_tol: float = 1e-11,
-    oversampling: int = 8,
 ) -> list[StudyRow]:
     """Error/order rows along a halving h list at fixed tau.
 
@@ -241,37 +280,16 @@ def error_space_refinement(
     in the time study.
     """
     _check_halving(h_list, "h")
-    m_steps = _steps_for(t_final, tau_fixed)
-    all_hs = list(h_list) + [h_list[-1] / 2.0]
-    grids = [Grid2D.from_spacing(problem.a, problem.b, h) for h in all_hs]
+    hs = list(h_list) + [h_list[-1] / 2.0]
+    grids = [Grid2D.from_spacing(problem.a, problem.b, h) for h in hs]
     for coarse, fine in zip(grids, grids[1:]):
         if fine.n != 2 * coarse.n + 1:
             raise ValidationError(
                 f"grids N={coarse.n} and N={fine.n} have no coincident nodes"
             )
-    finals: list[np.ndarray] = []
-    infos: list[RunInfo] = []
-    for grid, h in zip(grids, all_hs):
-        log.info("run %s alpha=%g tau=%g h=%g (%d steps, N=%d)",
-                 scheme, problem.alpha, tau_fixed, h, m_steps, grid.n)
-        state, info = run(
-            problem, grid, tau_fixed, m_steps, scheme=scheme,
-            setup_tol=setup_tol, step_tol=step_tol, oversampling=oversampling,
-        )
-        finals.append(state.u_curr)
-        infos.append(info)
-    rows: list[StudyRow] = []
-    prev_error: float | None = None
-    for k, h in enumerate(h_list):
-        restricted = finals[k + 1][1::2, 1::2]
-        err = _l2h_diff(h, finals[k], restricted)
-        order = None if prev_error is None else float(np.log2(prev_error / err))
-        rows.append(StudyRow(
-            scheme=scheme, alpha=problem.alpha, step=h, error=err, order=order,
-            cpu_setup=infos[k].setup_seconds, cpu_loop=infos[k].loop_seconds,
-        ))
-        prev_error = err
-    return rows
+    return _refinement_rows(problem, scheme, h_list,
+                            [(grid, tau_fixed) for grid in grids], t_final,
+                            lambda u: u[1::2, 1::2], step_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +317,6 @@ class StudySpec:
     t_final: float | None = None
     tol: float = 1e-11
     kappa: float = 1.0
-    oversampling: int = 8
     threads: int = 1
 
 
@@ -355,13 +372,11 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
                 rows.extend(error_time_refinement(
                     problem, spec.hs[0], spec.taus, spec.t_final,
                     scheme=scheme, step_tol=spec.tol,
-                    oversampling=spec.oversampling,
                 ))
             else:
                 rows.extend(error_space_refinement(
                     problem, spec.taus[0], spec.hs, spec.t_final,
                     scheme=scheme, step_tol=spec.tol,
-                    oversampling=spec.oversampling,
                 ))
     if output_path is not None:
         write_rows_csv(output_path, rows)
@@ -417,18 +432,35 @@ def parse_number_list(text: str) -> tuple[float, ...]:
     return tuple(parse_number(t) for t in items)
 
 
-STUDY_FILE_KEYS = ("example", "scheme", "alphas", "taus", "hs",
-                   "t_final", "tol", "threads")
+def _parse_threads(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"bad thread count {text!r}") from None
+
+
+# StudySpec fields a study file or a study flag may set, with the parser of
+# a file value (flags parse their values through argparse).
+STUDY_FIELDS = {
+    "example": str,
+    "scheme": str,
+    "alphas": parse_number_list,
+    "taus": parse_number_list,
+    "hs": parse_number_list,
+    "t_final": parse_number,
+    "tol": parse_number,
+    "threads": _parse_threads,
+}
 
 
 def parse_study_file(path, axis: str) -> StudySpec:
     """Read a flat ``key = value`` study file.
 
-    Recognized keys: example, scheme, alphas, taus, hs, t_final, tol,
-    threads. Lists are comma separated; numbers may be fractions. Blank
-    lines and '#' comments are ignored.
+    Keys are the STUDY_FIELDS names; '-' may stand for '_'. Lists are
+    comma separated; numbers may be fractions. Blank lines and '#' comments
+    are ignored.
     """
-    values: dict[str, str] = {}
+    kwargs: dict = {"axis": axis}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -437,35 +469,11 @@ def parse_study_file(path, axis: str) -> StudySpec:
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            key = key.strip().lower().replace("_", "-")
-            if key == "t-final":
-                key = "t_final"
-            if key not in STUDY_FILE_KEYS:
+            key = key.strip().lower().replace("-", "_")
+            if key not in STUDY_FIELDS:
                 raise ValidationError(
                     f"{path}:{lineno}: unknown key {key!r}; "
-                    f"known keys: {', '.join(STUDY_FILE_KEYS)}"
+                    f"known keys: {', '.join(STUDY_FIELDS)}"
                 )
-            values[key] = val.strip()
-
-    kwargs: dict = {"axis": axis}
-    if "example" in values:
-        kwargs["example"] = values["example"]
-    if "scheme" in values:
-        kwargs["scheme"] = values["scheme"]
-    if "alphas" in values:
-        kwargs["alphas"] = parse_number_list(values["alphas"])
-    if "taus" in values:
-        kwargs["taus"] = parse_number_list(values["taus"])
-    if "hs" in values:
-        kwargs["hs"] = parse_number_list(values["hs"])
-    if "t_final" in values:
-        kwargs["t_final"] = parse_number(values["t_final"])
-    if "tol" in values:
-        kwargs["tol"] = parse_number(values["tol"])
-    if "threads" in values:
-        try:
-            kwargs["threads"] = int(values["threads"])
-        except ValueError:
-            raise ValidationError(
-                f"bad thread count {values['threads']!r}") from None
+            kwargs[key] = STUDY_FIELDS[key](val.strip())
     return StudySpec(**kwargs)

@@ -79,6 +79,10 @@ class Grid2D:
         if not h > 0:
             raise ValidationError(f"spacing must be positive, got h={h}")
         ratio = (b - a) / h
+        if not np.isfinite(ratio):
+            raise ValidationError(
+                f"spacing h={h} gives no finite interval count on ({a}, {b})"
+            )
         n_intervals = round(ratio)
         if n_intervals < 2 or abs(ratio - n_intervals) > rtol * max(1.0, ratio):
             raise ValidationError(

@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
+from .coeffs import DEFAULT_MAX_SAMPLES, laplacian_coeffs_2d, riesz_coeffs_1d
 from .errors import BlowUpError, SolverError, ValidationError
 from .problems import Grid2D, Problem, resolve_nonlinearity
 from .structured import (
@@ -78,6 +79,13 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e12
+
+# Tolerance of the one-time CG solve for the Toeplitz inverse's first column.
+SETUP_TOL = 1e-13
+# Symbol-sampling factor of the 2D coefficients (~1e-5 absolute accuracy).
+OVERSAMPLING = 8
+# Largest grid whose coefficients fit the symbol-sampling budget.
+MAX_GRID_N = DEFAULT_MAX_SAMPLES // OVERSAMPLING
 
 SCHEME_NAMES = ("sadi", "nonadi")
 
@@ -126,27 +134,27 @@ class StepOperators:
 
 
 def build_operators(
-    problem: Problem,
-    grid: Grid2D,
-    tau_step: float,
-    tol: float = 1e-13,
-    oversampling: int = 8,
+    problem: Problem, grid: Grid2D, tau_step: float
 ) -> StepOperators:
     """Generate coefficients and precompute the structured solvers."""
     if not tau_step > 0:
         raise ValidationError(f"tau_step must be positive, got {tau_step}")
     n = grid.n
+    if n > MAX_GRID_N:
+        raise ValidationError(
+            f"grid N={Decimal(n):.6g} is beyond the largest supported "
+            f"N={MAX_GRID_N}"
+        )
+    coeff2d = laplacian_coeffs_2d(problem.alpha, n, oversampling=OVERSAMPLING)
+    riesz = riesz_coeffs_1d(problem.alpha, n)
     h_alpha = grid.h ** (-problem.alpha)
     factor = 0.5 * tau_step * tau_step * problem.kappa * h_alpha
-
-    coeff2d = laplacian_coeffs_2d(problem.alpha, n, oversampling=oversampling)
-    riesz = riesz_coeffs_1d(problem.alpha, n)
     lap = bttb_build(coeff2d, n, scale=h_alpha)
 
     first_col = factor * riesz.weights
     first_col[0] += 1.0
     precond = tau_spec_1d(problem.alpha, n, factor)
-    gs = gs_precompute(SymToeplitz(first_col), tol=tol, precond=precond)
+    gs = gs_precompute(SymToeplitz(first_col), tol=SETUP_TOL, precond=precond)
     return StepOperators(
         tau_step=tau_step,
         kappa=problem.kappa,
@@ -324,9 +332,7 @@ def run(
     m_steps: int,
     scheme: str = "sadi",
     recorder: Callable[[SchemeState], None] | None = None,
-    setup_tol: float = 1e-13,
     step_tol: float = 1e-11,
-    oversampling: int = 8,
     ops: StepOperators | None = None,
 ) -> tuple[SchemeState, RunInfo]:
     """Integrate m_steps time levels and return the final state.
@@ -346,8 +352,7 @@ def run(
     info = RunInfo(scheme=scheme, steps=m_steps)
     t0 = time.perf_counter()
     if ops is None:
-        ops = build_operators(problem, grid, tau_step, tol=setup_tol,
-                              oversampling=oversampling)
+        ops = build_operators(problem, grid, tau_step)
     elif abs(ops.tau_step - tau_step) > 1e-15 * max(1.0, tau_step):
         raise ValidationError("prebuilt operators were made for a different tau")
     info.setup_seconds = time.perf_counter() - t0

@@ -140,9 +140,21 @@ class TestExitCodes:
         ["study-time", "--spec", "{spec}"],
         ["study-time", "--threads", "0"],
         ["study-time", "--taus", "1/5,0", "--h", "1/2", "--t-final", "0.4"],
+        SOLVE_SMALL + ["--tau", "1e-320"],
+        SOLVE_SMALL + ["--snapshots", "1e308"],
+        ["solve", "--example", "sine-gordon", "--alpha", "1.5", "--h", "1e-320"],
+        ["solve", "--example", "sine-gordon", "--alpha", "1.5", "--h", "1e-300"],
+        ["study-time", "--taus", "1e-320", "--h", "1/2", "--t-final", "0.4"],
+        ["study-space", "--hs", "1e-320", "--tau", "1/10", "--t-final", "0.2"],
+        SOLVE_SMALL + ["--setup-tol", "1e-13"],
+        SOLVE_SMALL + ["--oversampling", "8"],
+        ["study-time", "--oversampling", "8"],
     ], ids=["tau-nan", "tau-zero", "tau-negative", "t-final-inf",
             "snapshot-nan", "threads-zero", "spec-threads-abc",
-            "study-threads-zero", "study-tau-list-zero"])
+            "study-threads-zero", "study-tau-list-zero", "tau-tiny",
+            "snapshot-huge", "h-tiny", "h-beyond-budget", "study-tau-tiny",
+            "study-h-tiny", "removed-setup-tol", "removed-oversampling",
+            "removed-study-oversampling"])
     def test_bad_numeric_input_exits_two(self, argv, tmp_path, capsys):
         spec = tmp_path / "bad.txt"
         spec.write_text("threads = abc\n")
@@ -198,16 +210,22 @@ class TestStudyCommands:
         lines = (tmp_path / "study_space.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
-    def test_study_spec_file_with_flag_override(self, tmp_path, capsys):
+    def test_study_spec_file_with_flag_override(self, tmp_path, monkeypatch):
         spec = tmp_path / "study.txt"
         spec.write_text("example = sine-gordon\nalphas = 1.1\n"
-                        "taus = 1/5\nhs = 1/2\nt-final = 0.4\n")
+                        "taus = 1/5\nhs = 1/4\nt-final = 0.4\n")
+        seen = []
+        real_run_study = cli.run_study
+        monkeypatch.setattr(cli, "run_study", lambda spec, out: (
+            seen.append(spec) or real_run_study(spec, out)))
         out = tmp_path / "o.csv"
         rc = main(["study-time", "--spec", str(spec),
-                   "--alphas", "1.9", "--out", str(out)])
+                   "--alphas", "1.9", "--h", "1/2", "--out", str(out)])
         assert rc == 0
         rows = out.read_text().strip().splitlines()[1:]
         assert all(r.split(",")[1] == "1.9" for r in rows)
+        assert seen[0].hs == (0.5,)  # --h replaced the file's hs = 1/4
+        assert seen[0].taus == (0.2,)
 
 
 class TestCoeffsCommand:

@@ -330,7 +330,8 @@ threads = 2
 
     def test_study_file_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "study.txt"
-        for text in ("volume = 11\n", "timing-strict = yes\n"):
+        for text in ("volume = 11\n", "timing-strict = yes\n",
+                     "oversampling = 8\n"):
             path.write_text(text)
             with pytest.raises(ValidationError):
                 parse_study_file(path, axis="time")
