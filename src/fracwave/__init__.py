@@ -5,7 +5,7 @@ The package is organized as a small stack:
 * :mod:`fracwave.coeffs`      difference coefficients (1D Riesz, 2D fractional
   Laplacian, separable cross weights) and their quadrature oracle
 * :mod:`fracwave.structured`  circulant/Toeplitz/BTTB kernels, the structured
-  Toeplitz inverse, sine-transform preconditioners, PCG
+  Toeplitz inverse, the 2D sine-transform preconditioner, PCG
 * :mod:`fracwave.problems`    problem statements, grids, nonlinearities
 * :mod:`fracwave.stepper`     the factored splitting scheme and the unfactored
   baseline
@@ -65,7 +65,6 @@ from .structured import (
     pcg,
     skew_circulant_matvec,
     tau_apply,
-    tau_spec_1d,
     tau_spec_2d,
     toeplitz_matvec,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "laplacian_coeffs_2d", "nonadi_first_step", "nonadi_step", "pcg",
     "rhs_first", "rhs_general", "riesz_coeffs_1d", "riesz_sum_coeffs_2d",
     "run", "run_study", "sadi_first_step", "sadi_step", "sech",
-    "skew_circulant_matvec", "splitting_gap", "tau_apply", "tau_spec_1d",
-    "tau_spec_2d",
+    "skew_circulant_matvec", "splitting_gap", "tau_apply", "tau_spec_2d",
     "toeplitz_matvec", "write_snapshot_csv", "write_snapshot_raw",
 ]

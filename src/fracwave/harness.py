@@ -63,6 +63,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 NORM_KINDS = ("l2", "A", "A_tilde", "B")
+# Longest run accepted (the paper's longest is 1000 steps).
+MAX_STEPS = 10 ** 7
 
 
 def inner_product(kind: str, w1: np.ndarray, w2: np.ndarray, ops: StepOperators) -> float:
@@ -185,6 +187,11 @@ def _steps_for(t_final: float, tau: float) -> int:
     if m < 1:
         raise ValidationError(
             f"t_final {t_final:g} is shorter than one step of tau={tau:g}"
+        )
+    if m > MAX_STEPS:
+        raise ValidationError(
+            f"t_final {t_final:g} needs {m:.3g} steps of tau={tau:g}, "
+            f"more than the largest supported {MAX_STEPS:.0e}"
         )
     return m
 

@@ -58,7 +58,6 @@ from .structured import (
     gs_solve,
     pcg,
     tau_apply,
-    tau_spec_1d,
     tau_spec_2d,
 )
 
@@ -80,8 +79,6 @@ __all__ = [
 
 BLOWUP_THRESHOLD = 1e12
 
-# Tolerance of the one-time CG solve for the Toeplitz inverse's first column.
-SETUP_TOL = 1e-13
 # Symbol-sampling factor of the 2D coefficients (~1e-5 absolute accuracy).
 OVERSAMPLING = 8
 # Largest grid whose coefficients fit the symbol-sampling budget.
@@ -139,6 +136,11 @@ def build_operators(
     """Generate coefficients and precompute the structured solvers."""
     if not tau_step > 0:
         raise ValidationError(f"tau_step must be positive, got {tau_step}")
+    kappa_tau2 = problem.kappa * tau_step * tau_step
+    if not np.isfinite(kappa_tau2 * kappa_tau2):  # the energy squares it
+        raise ValidationError(
+            f"kappa tau^2 = {kappa_tau2:g} is too large: its square overflows"
+        )
     n = grid.n
     if n > MAX_GRID_N:
         raise ValidationError(
@@ -153,8 +155,7 @@ def build_operators(
 
     first_col = factor * riesz.weights
     first_col[0] += 1.0
-    precond = tau_spec_1d(problem.alpha, n, factor)
-    gs = gs_precompute(SymToeplitz(first_col), tol=SETUP_TOL, precond=precond)
+    gs = gs_precompute(first_col)
     return StepOperators(
         tau_step=tau_step,
         kappa=problem.kappa,

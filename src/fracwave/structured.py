@@ -5,11 +5,12 @@ Everything the time steppers need reduces to four structured-matrix tools:
 * circulant and skew-circulant matvecs (FFT diagonalization),
 * symmetric Toeplitz matvec via circulant embedding,
 * a direct solver for symmetric positive definite Toeplitz systems based on
-  the Gohberg-Semencul representation of the inverse: once c = H^{-1} e_1 is
-  known, H^{-1} factorizes into one circulant and one skew-circulant built
-  from c, and every subsequent solve costs exactly four size-N FFTs,
+  the Gohberg-Semencul representation of the inverse: one Levinson solve
+  gives c = H^{-1} e_1, H^{-1} then factorizes into one circulant and one
+  skew-circulant built from c, and every subsequent solve costs exactly
+  four size-N FFTs,
 * a block-Toeplitz-Toeplitz-block (BTTB) matvec via 2D circulant embedding,
-  plus sine-transform (tau algebra) preconditioners and a plain PCG loop
+  plus a 2D sine-transform (tau algebra) preconditioner and a PCG loop
   for the systems that are BTTB but not factorable.
 
 Dense constructions live only in the test suite; all operators here are
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import _fft
 from .coeffs import Coeffs2D, validate_alpha
@@ -40,7 +42,6 @@ __all__ = [
     "gs_solve",
     "bttb_build",
     "bttb_apply",
-    "tau_spec_1d",
     "tau_spec_2d",
     "tau_apply",
     "dst1",
@@ -172,31 +173,27 @@ class GSData:
         return self.lambda_c.shape[0]
 
 
-def gs_precompute(
-    h_matrix: SymToeplitz,
-    tol: float = 1e-13,
-    precond: "TauSpec | None" = None,
-    max_iter: int = 2000,
-) -> GSData:
+def gs_precompute(first_col: np.ndarray) -> GSData:
     """Solve H c = e_1 once and package the structured inverse.
 
-    The one-time solve uses preconditioned conjugate gradients (matvec via
-    the cached circulant embedding). ``precond`` is typically the 1D tau
-    spectrum matching H; None means plain CG. A positive p_1 = c_0 is a
-    hard requirement: the (1,1) entry of the inverse of an SPD matrix is
-    positive, so p_1 <= 0 signals a non-SPD input.
+    H is the symmetric Toeplitz matrix with first column ``first_col``. The
+    one-time solve is the direct Levinson recursion (O(N^2), exact up to
+    round-off), whose result the Gohberg-Semencul formula packages. A
+    positive p_1 = c_0 is a hard requirement: the (1,1) entry of the inverse
+    of an SPD matrix is positive, so p_1 <= 0 (or a singular leading minor)
+    signals a non-SPD input.
     """
-    n = h_matrix.n
+    col = np.asarray(first_col, dtype=float)
+    if col.ndim != 1 or col.shape[0] < 1:
+        raise ValidationError("first_col must be a nonempty 1D real vector")
+    n = col.shape[0]
     e1 = np.zeros(n)
     e1[0] = 1.0
-    apply_m = (lambda r: tau_apply(precond, r)) if precond is not None else None
-    c, report = pcg(h_matrix.matvec, apply_m, e1, tol=tol, max_iter=max_iter)
-    if not report.converged:
-        raise SolverError(
-            f"CG on the Toeplitz factor did not reach tol={tol:g} in "
-            f"{report.iterations} iterations "
-            f"(relative residual {report.final_relative_residual:.2e})"
-        )
+    try:
+        c = scipy.linalg.solve_toeplitz(col, e1)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Levinson solve on the Toeplitz factor failed ({exc}); "
+                          "matrix is not symmetric positive definite") from exc
     p1 = float(c[0])
     if p1 <= 0.0:
         raise SolverError(f"first entry of the inverse column is {p1:.3e} <= 0; "
@@ -289,37 +286,18 @@ def bttb_apply(op: BttbOperator, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TauSpec:
-    """Eigenvalues of a preconditioner diagonalized by the orthonormal
-    DST-I: a 1D vector d_p for Toeplitz systems or a 2D array d_pq for the
-    BTTB systems of the unfactored scheme. All eigenvalues are >= 1 by
-    construction (1 + nonnegative symbol sample)."""
+    """Eigenvalues d_pq of a preconditioner for the BTTB systems of the
+    unfactored scheme, diagonalized by the orthonormal 2D DST-I. All
+    eigenvalues are >= 1 by construction (1 + nonnegative symbol sample)."""
 
     eigenvalues: np.ndarray
 
-    @property
-    def ndim(self) -> int:
-        return self.eigenvalues.ndim
-
-
-def _sine_symbol(alpha: float, n: int) -> np.ndarray:
-    theta = np.pi * np.arange(1, n + 1) / (n + 1)
-    return (4.0 * np.sin(theta / 2.0) ** 2) ** (alpha / 2.0)
-
-
-def tau_spec_1d(alpha: float, n: int, factor: float) -> TauSpec:
-    """Eigenvalues d_p = 1 + factor * (4 sin^2(theta_p / 2))^{alpha/2} at the
-    sine frequencies theta_p = p pi / (N+1); the sine-transform analogue of
-    I + factor * (1D Riesz difference matrix)."""
-    validate_alpha(alpha, allow_classical=True)
-    if factor < 0:
-        raise ValidationError(f"factor must be >= 0, got {factor}")
-    return TauSpec(1.0 + factor * _sine_symbol(alpha, n))
-
 
 def tau_spec_2d(alpha: float, n: int, factor: float) -> TauSpec:
-    """2D analogue with d_pq = 1 + factor * (s_p + s_q)^{alpha/2} where
-    s_p = 4 sin^2(theta_p / 2): matches the full 2D fractional-Laplacian
-    symbol at the grid frequencies, diagonal in the tensor DST-I basis."""
+    """Eigenvalues d_pq = 1 + factor * (s_p + s_q)^{alpha/2} with
+    s_p = 4 sin^2(theta_p / 2), theta_p = p pi / (N+1): the sine-transform
+    analogue of I + factor * (2D fractional Laplacian), matching its symbol
+    at the grid frequencies, diagonal in the tensor DST-I basis."""
     validate_alpha(alpha, allow_classical=True)
     if factor < 0:
         raise ValidationError(f"factor must be >= 0, got {factor}")
@@ -334,14 +312,9 @@ def dst1(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def tau_apply(spec: TauSpec, v: np.ndarray) -> np.ndarray:
-    """Apply the inverse preconditioner: sine transform, divide by the
-    eigenvalues, transform back. For a 1D spec, ``v`` is a vector or a
-    matrix of columns; for a 2D spec, ``v`` is an N x N field."""
+    """Apply the inverse preconditioner to an N x N field: sine transform,
+    divide by the eigenvalues, transform back."""
     v = np.asarray(v, dtype=float)
-    if spec.ndim == 1:
-        coeff = _fft.dst_type1_ortho(v, axes=(0,))
-        lam = spec.eigenvalues if v.ndim == 1 else spec.eigenvalues[:, None]
-        return _fft.dst_type1_ortho(coeff / lam, axes=(0,))
     if v.shape != spec.eigenvalues.shape:
         raise ValidationError(
             f"field shape {v.shape} does not match spectrum {spec.eigenvalues.shape}"
@@ -363,13 +336,13 @@ class PcgReport:
 
 def pcg(
     apply_a: Callable[[np.ndarray], np.ndarray],
-    apply_m_inv: Callable[[np.ndarray], np.ndarray] | None,
+    apply_m_inv: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 500,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PcgReport]:
-    """Conjugate gradients on an SPD operator with optional preconditioner.
+    """Preconditioned conjugate gradients on an SPD operator.
 
     Works on arrays of any shape (fields included); inner products are full
     contractions. Convergence is declared when the preconditioned residual
@@ -381,8 +354,6 @@ def pcg(
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     b = np.asarray(b, dtype=float)
-    if apply_m_inv is None:
-        apply_m_inv = lambda r: r
     zb = apply_m_inv(b)
     scale = np.sqrt(float(np.vdot(b, zb).real))
     if scale == 0.0:

@@ -42,7 +42,7 @@ from fracwave.stepper import (
     sadi_first_step,
     sadi_step,
 )
-from fracwave.structured import SymToeplitz, gs_precompute, gs_solve
+from fracwave.structured import gs_precompute, gs_solve
 from test_stepper import DenseScheme, gaussian_problem
 
 pytestmark = pytest.mark.acceptance
@@ -171,7 +171,7 @@ def test_05_structured_inverse():
     for trial in range(50):
         n = sizes[trial % len(sizes)]
         col = oracle.random_spd_toeplitz(n, rng)
-        data = gs_precompute(SymToeplitz(first_col=col))
+        data = gs_precompute(col)
         b = rng.standard_normal(n)
         _fft.COUNTER.reset()
         _fft.COUNTER.enabled = True

@@ -149,12 +149,18 @@ class TestExitCodes:
         SOLVE_SMALL + ["--setup-tol", "1e-13"],
         SOLVE_SMALL + ["--oversampling", "8"],
         ["study-time", "--oversampling", "8"],
+        ["solve", "--example", "zero", "--alpha", "1.5", "--n", "9", "--tau",
+         "0.1", "--t-final", "0.3", "--kappa", "1e308"],
+        ["solve", "--example", "zero", "--alpha", "1.5", "--n", "9", "--tau",
+         "0.1", "--t-final", "0.3", "--kappa", "1e200"],
+        SOLVE_SMALL + ["--t-final", "1e300"],
     ], ids=["tau-nan", "tau-zero", "tau-negative", "t-final-inf",
             "snapshot-nan", "threads-zero", "spec-threads-abc",
             "study-threads-zero", "study-tau-list-zero", "tau-tiny",
             "snapshot-huge", "h-tiny", "h-beyond-budget", "study-tau-tiny",
             "study-h-tiny", "removed-setup-tol", "removed-oversampling",
-            "removed-study-oversampling"])
+            "removed-study-oversampling", "kappa-tau2-overflow",
+            "kappa-tau2-squared-overflow", "t-final-too-many-steps"])
     def test_bad_numeric_input_exits_two(self, argv, tmp_path, capsys):
         spec = tmp_path / "bad.txt"
         spec.write_text("threads = abc\n")

@@ -8,6 +8,7 @@ from fracwave.coeffs import riesz_sum_coeffs_2d
 from fracwave.errors import ValidationError
 from fracwave.harness import (
     CSV_HEADER,
+    MAX_STEPS,
     EnergyTrace,
     StudySpec,
     _check_halving,
@@ -131,17 +132,20 @@ class TestEnergy:
         assert discrete_energy(state, ops) == 0.0
 
     def test_conserved_without_forcing(self):
-        # each scheme conserves its own functional
-        problem = small_problem(nonlinearity="zero")
+        # each scheme conserves its own functional; sadi's direct solves
+        # leave round-off only, nonadi's drift is set by the 1e-11 PCG tol
         grid = Grid2D(a=-2.0, b=2.0, n=12)
-        tau = 0.05
-        ops = build_operators(problem, grid, tau)
-        for scheme in ("sadi", "nonadi"):
+        cases = [("sadi", alpha, tau, 2e-14)
+                 for alpha in (1.1, 1.5, 1.9) for tau in (0.05, 0.1)]
+        cases.append(("nonadi", 1.5, 0.05, 1e-12))
+        for scheme, alpha, tau, bound in cases:
+            problem = small_problem(alpha=alpha, nonlinearity="zero")
+            ops = build_operators(problem, grid, tau)
             values = []
             run(problem, grid, tau, 30, scheme=scheme, ops=ops,
                 recorder=lambda s: values.append(discrete_energy(s, ops, scheme)))
-            trace = EnergyTrace(values=np.asarray(values))
-            assert trace.relative_drift() <= 1e-12, scheme
+            drift = EnergyTrace(values=np.asarray(values)).relative_drift()
+            assert drift <= bound, (scheme, alpha, tau, drift)
 
     def test_nonadi_functional_drops_splitting_terms(self, ops6, rng):
         _, _, ops = ops6
@@ -173,6 +177,9 @@ class TestRefinementMechanics:
         for tau in (0.0, -0.1):
             with pytest.raises(ValidationError):
                 _steps_for(1.0, tau)
+        assert _steps_for(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+        with pytest.raises(ValidationError):
+            _steps_for((MAX_STEPS + 1) * 0.5, 0.5)
 
     def test_check_halving(self):
         _check_halving([0.2, 0.1, 0.05], "tau")
