@@ -136,31 +136,37 @@ def build_operators(
     """Generate coefficients and precompute the structured solvers."""
     if not tau_step > 0:
         raise ValidationError(f"tau_step must be positive, got {tau_step}")
-    kappa_tau2 = problem.kappa * tau_step * tau_step
-    if not np.isfinite(kappa_tau2 * kappa_tau2):  # the energy squares it
-        raise ValidationError(
-            f"kappa tau^2 = {kappa_tau2:g} is too large: its square overflows"
-        )
     n = grid.n
     if n > MAX_GRID_N:
         raise ValidationError(
             f"grid N={Decimal(n):.6g} is beyond the largest supported "
             f"N={MAX_GRID_N}"
         )
-    coeff2d = laplacian_coeffs_2d(problem.alpha, n, oversampling=OVERSAMPLING)
-    riesz = riesz_coeffs_1d(problem.alpha, n)
-    h_alpha = grid.h ** (-problem.alpha)
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        h_alpha = float(np.float64(grid.h) ** -problem.alpha)
     factor = 0.5 * tau_step * tau_step * problem.kappa * h_alpha
+    riesz = riesz_coeffs_1d(problem.alpha, n)
+    riesz_col = h_alpha * riesz.weights
+    first_col = factor * riesz.weights
+    # the sadi operator (I + factor T)(I + factor T) squares factor * T
+    peak = float(np.max(np.abs(first_col)))
+    if not (np.all(np.isfinite(riesz_col)) and np.isfinite(peak * peak)):
+        raise ValidationError(
+            f"h^-alpha = {h_alpha:g} (h={grid.h:g}, alpha={problem.alpha:g}) "
+            f"and tau^2 kappa h^-alpha / 2 = {factor:g} (tau={tau_step:g}, "
+            f"kappa={problem.kappa:g}) must keep the scaled Riesz weights "
+            f"and their squares finite"
+        )
+    coeff2d = laplacian_coeffs_2d(problem.alpha, n, oversampling=OVERSAMPLING)
     lap = bttb_build(coeff2d, n, scale=h_alpha)
 
-    first_col = factor * riesz.weights
     first_col[0] += 1.0
     gs = gs_precompute(first_col)
     return StepOperators(
         tau_step=tau_step,
         kappa=problem.kappa,
         grid=grid,
-        riesz=SymToeplitz(h_alpha * riesz.weights),
+        riesz=SymToeplitz(riesz_col),
         gs=gs,
         lap=lap,
         tau2d=tau_spec_2d(problem.alpha, n, factor),

@@ -154,17 +154,32 @@ class TestExitCodes:
         ["solve", "--example", "zero", "--alpha", "1.5", "--n", "9", "--tau",
          "0.1", "--t-final", "0.3", "--kappa", "1e200"],
         SOLVE_SMALL + ["--t-final", "1e300"],
+        ["solve", "--alpha", "1.5", "--a", "0", "--b", "1e-300", "--n", "3",
+         "--tau", "0.1", "--t-final", "0.2"],
+        ["solve", "--alpha", "1.5", "--a", "0", "--b", "4e-200", "--n", "3",
+         "--tau", "1e10", "--t-final", "1e10"],
+        ["solve", "--alpha", "1.5", "--a", "0", "--b", "4e-200", "--n", "3",
+         "--tau", "1e10", "--t-final", "1e10", "--scheme", "nonadi"],
+        ["study-time", "--example", "zero", "--alphas", "", "--taus",
+         "1/5,1/10", "--h", "1", "--t-final", "0.4"],
+        ["study-time", "--spec", "{empty_alphas}"],
     ], ids=["tau-nan", "tau-zero", "tau-negative", "t-final-inf",
             "snapshot-nan", "threads-zero", "spec-threads-abc",
             "study-threads-zero", "study-tau-list-zero", "tau-tiny",
             "snapshot-huge", "h-tiny", "h-beyond-budget", "study-tau-tiny",
             "study-h-tiny", "removed-setup-tol", "removed-oversampling",
             "removed-study-oversampling", "kappa-tau2-overflow",
-            "kappa-tau2-squared-overflow", "t-final-too-many-steps"])
+            "kappa-tau2-squared-overflow", "t-final-too-many-steps",
+            "h-alpha-overflow", "solver-factor-overflow",
+            "solver-factor-overflow-nonadi", "study-alphas-empty",
+            "spec-alphas-empty"])
     def test_bad_numeric_input_exits_two(self, argv, tmp_path, capsys):
         spec = tmp_path / "bad.txt"
         spec.write_text("threads = abc\n")
-        argv = [a.replace("{spec}", str(spec)) for a in argv]
+        empty_alphas = tmp_path / "empty_alphas.txt"
+        empty_alphas.write_text("alphas =\ntaus = 1/5\nhs = 1\nt-final = 0.4\n")
+        argv = [a.replace("{spec}", str(spec))
+                 .replace("{empty_alphas}", str(empty_alphas)) for a in argv]
         try:
             rc = main(argv + ["--out-dir", str(tmp_path)])
         except SystemExit as exc:  # argparse rejects the flag itself

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from fracwave import structured
 from fracwave.coeffs import riesz_sum_coeffs_2d
 from fracwave.errors import ValidationError
 from fracwave.harness import (
@@ -59,7 +60,7 @@ class TestInnerProduct:
         # h^2 * sum over 16 unit entries = 0.25 * 16
         assert inner_product("l2", w, w, ops) == pytest.approx(4.0, rel=1e-14)
 
-    @pytest.mark.parametrize("kind", ["l2", "A", "A_tilde", "B"])
+    @pytest.mark.parametrize("kind", ["l2", "A", "A_tilde"])
     def test_symmetric_bilinear(self, kind, ops6, rng):
         _, _, ops = ops6
         w1 = rng.standard_normal((6, 6))
@@ -68,7 +69,7 @@ class TestInnerProduct:
         b = inner_product(kind, w2, w1, ops)
         assert a == pytest.approx(b, rel=1e-11)
 
-    @pytest.mark.parametrize("kind", ["l2", "A", "A_tilde", "B"])
+    @pytest.mark.parametrize("kind", ["l2", "A", "A_tilde"])
     def test_positive_definite(self, kind, ops6, rng):
         _, _, ops = ops6
         w = rng.standard_normal((6, 6))
@@ -92,11 +93,6 @@ class TestInnerProduct:
                                       n, sc)
         assert inner_product("A_tilde", w, w, ops) == pytest.approx(
             h2 * v @ cross @ v, rel=1e-11)
-
-        t1 = oracle.dense_riesz_1d(alpha, n, sc)
-        tensor = np.kron(t1, t1)
-        assert inner_product("B", w, w, ops) == pytest.approx(
-            h2 * v @ tensor @ v, rel=1e-11)
 
     def test_shape_mismatch_rejected(self, ops6):
         _, _, ops = ops6
@@ -147,19 +143,52 @@ class TestEnergy:
             drift = EnergyTrace(values=np.asarray(values)).relative_drift()
             assert drift <= bound, (scheme, alpha, tau, drift)
 
-    def test_nonadi_functional_drops_splitting_terms(self, ops6, rng):
-        _, _, ops = ops6
-        u_prev, u_curr = rng.standard_normal((2, 6, 6))
-        state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
-        tau, kappa = ops.tau_step, ops.kappa
-        dt = (u_curr - u_prev) / tau
-        split_terms = (0.5 * tau * tau * kappa * splitting_gap(dt, ops)
-                       + 0.25 * (kappa * tau * tau) ** 2
-                       * inner_product("B", dt, dt, ops))
-        assert discrete_energy(state, ops) - discrete_energy(
-            state, ops, "nonadi") == pytest.approx(split_terms, rel=1e-10)
+    @pytest.mark.parametrize("alpha", [1.3, 1.9])
+    @pytest.mark.parametrize("tau", [0.05, 0.5])
+    def test_matches_paper_forms(self, alpha, tau, rng):
+        # the paper's four-term H_n^2 (sadi) and two-term E_n (nonadi),
+        # built from dense matrices, on random level pairs
+        problem = small_problem(alpha=alpha)
+        grid = Grid2D(a=-2.0, b=2.0, n=6)
+        ops = build_operators(problem, grid, tau)
+        n, h2, sc = grid.n, grid.h ** 2, grid.h ** (-alpha)
+        kappa, c = problem.kappa, 0.5 * tau * tau * problem.kappa
+        lap = oracle.dense_laplacian_2d(alpha, n, sc)
+        cross = oracle.dense_cross_2d(riesz_sum_coeffs_2d(alpha, n).quadrant,
+                                      n, sc)
+        t1 = oracle.dense_riesz_1d(alpha, n, sc)
+        tensor = np.kron(t1, t1)
+        for _ in range(5):
+            u_prev, u_curr = rng.standard_normal((2, n, n))
+            state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
+                                time=tau)
+            a, b = oracle.vec_f(u_curr), oracle.vec_f(u_prev)
+            dt = (a - b) / tau
+            e_n = h2 * (dt @ dt + 0.5 * kappa * (a @ lap @ a + b @ lap @ b))
+            h_n2 = e_n + h2 * (c * (dt @ cross @ dt - dt @ lap @ dt)
+                               + c * c * dt @ tensor @ dt)
+            assert discrete_energy(state, ops) == pytest.approx(h_n2, rel=1e-12)
+            assert discrete_energy(state, ops, "nonadi") == pytest.approx(
+                e_n, rel=1e-12)
         with pytest.raises(ValidationError):
             discrete_energy(state, ops, "magic")
+
+    @pytest.mark.parametrize("scheme, applies", [("sadi", 1), ("nonadi", 2)])
+    def test_bttb_applies_per_call(self, scheme, applies, ops6, rng,
+                                   monkeypatch):
+        _, _, ops = ops6
+        calls = []
+        real_apply = structured.bttb_apply
+
+        def counting_apply(op, u):
+            calls.append(op)
+            return real_apply(op, u)
+
+        monkeypatch.setattr(structured, "bttb_apply", counting_apply)
+        u_prev, u_curr = rng.standard_normal((2, 6, 6))
+        state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
+        discrete_energy(state, ops, scheme)
+        assert len(calls) == applies
 
     def test_trace_drift_metric(self):
         t = EnergyTrace(values=np.array([2.0, 2.0, 2.0]))
@@ -247,14 +276,14 @@ class TestRefinementStudies:
 
 
 class TestRunStudy:
-    def test_empty_alphas_yields_header_only_csv(self, tmp_path):
-        spec = StudySpec(axis="time", alphas=(), taus=(0.1,), hs=(0.5,),
+    @pytest.mark.parametrize("axis", ["time", "space"])
+    def test_empty_alphas_rejected(self, axis, tmp_path):
+        spec = StudySpec(axis=axis, alphas=(), taus=(0.1,), hs=(0.5,),
                          t_final=0.2)
         out = tmp_path / "empty.csv"
-        rows = run_study(spec, output_path=out)
-        assert rows == []
-        lines = out.read_text().strip().splitlines()
-        assert lines == [",".join(CSV_HEADER)]
+        with pytest.raises(ValidationError, match="alpha list"):
+            run_study(spec, output_path=out)
+        assert not out.exists()
 
     def test_small_study_both_schemes(self, tmp_path):
         spec = StudySpec(axis="time", example="sine-gordon", scheme="both",
