@@ -66,7 +66,6 @@ from .structured import (
     skew_circulant_matvec,
     tau_apply,
     tau_spec_2d,
-    toeplitz_matvec,
 )
 
 __version__ = "0.1.0"
@@ -84,5 +83,5 @@ __all__ = [
     "rhs_first", "rhs_general", "riesz_coeffs_1d", "riesz_sum_coeffs_2d",
     "run", "run_study", "sadi_first_step", "sadi_step", "sech",
     "skew_circulant_matvec", "splitting_gap", "tau_apply", "tau_spec_2d",
-    "toeplitz_matvec", "write_snapshot_csv", "write_snapshot_raw",
+    "write_snapshot_csv", "write_snapshot_raw",
 ]

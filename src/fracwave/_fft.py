@@ -56,22 +56,24 @@ def _count(x, axis: int) -> None:
     COUNTER.transforms += x.size // x.shape[axis]
 
 
-def cfft(x, axis: int = 0):
-    """Counted complex FFT along ``axis``."""
+def cfft(x, axis: int = 0, n: int | None = None, overwrite_x: bool = False):
+    """Counted complex FFT along ``axis``, zero-padded to ``n`` when given.
+    ``overwrite_x`` lets a complex input be transformed in place."""
     if COUNTER.enabled:
         _count(x, axis)
-    return _sfft.fft(x, axis=axis, workers=_WORKERS)
+    return _sfft.fft(x, n=n, axis=axis, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
-def cifft(x, axis: int = 0):
+def cifft(x, axis: int = 0, overwrite_x: bool = False):
     """Counted complex inverse FFT along ``axis``."""
     if COUNTER.enabled:
         _count(x, axis)
-    return _sfft.ifft(x, axis=axis, workers=_WORKERS)
+    return _sfft.ifft(x, axis=axis, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
-def rfft(x, axis: int = 0):
-    return _sfft.rfft(x, axis=axis, workers=_WORKERS)
+def rfft(x, axis: int = 0, n: int | None = None):
+    """Real FFT along ``axis``, zero-padded to ``n`` when given."""
+    return _sfft.rfft(x, n=n, axis=axis, workers=_WORKERS)
 
 
 def irfft(x, n: int, axis: int = 0):
@@ -80,10 +82,6 @@ def irfft(x, n: int, axis: int = 0):
 
 def rfft2(x):
     return _sfft.rfft2(x, workers=_WORKERS)
-
-
-def irfft2(x, s):
-    return _sfft.irfft2(x, s=s, workers=_WORKERS)
 
 
 def dctn_type1(x):

@@ -35,7 +35,7 @@ from .stepper import (
     sadi_first_step,
     sadi_step,
 )
-from .structured import SymToeplitz, dst1, gs_precompute, gs_solve, toeplitz_matvec
+from .structured import SymToeplitz, dst1, gs_precompute, gs_solve
 
 __all__ = ["run_selftest", "FAULT_NAMES"]
 
@@ -99,7 +99,7 @@ def _check_classical_stencil() -> None:
     col = np.zeros(10)
     col[0], col[1] = 2.0, -1.0
     v = np.ones(10)
-    out = toeplitz_matvec(col, v)
+    out = SymToeplitz(col).matvec(v)
     expected = np.zeros(10)
     expected[0] = expected[-1] = 1.0
     _require(np.max(np.abs(out - expected)) < 1e-13,

@@ -208,6 +208,10 @@ def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
     delta_x couples along axis 0, so the column sweep solves H X = B on the
     columns of B; transposing swaps the roles and the second sweep handles
     axis 1. Both sweeps batch all N columns into single four-FFT solves.
+    Each sweep makes one copy, the complex working array whose contiguous
+    rows its transforms run along: the columns of B for the first, the
+    rows of X for the second, whose result transposed back is C-ordered.
+    Eight counted FFT calls in all.
     """
     x_swept = gs_solve(ops.gs, np.asarray(b, dtype=float))
     return gs_solve(ops.gs, x_swept.T).T

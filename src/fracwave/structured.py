@@ -10,6 +10,10 @@ Everything the time steppers need reduces to four structured-matrix tools:
   skew-circulant built from c, and every subsequent solve costs exactly
   four size-N FFTs,
 * a block-Toeplitz-Toeplitz-block (BTTB) matvec via 2D circulant embedding,
+  applied by pruned transforms (the N rows along axis 1, then axis 0, each
+  zero-padded to L by the transform itself; the inverse passes in the
+  opposite order, keeping N rows before the last one), so no L x L
+  zero-padded field is built,
   plus a 2D sine-transform (tau algebra) preconditioner and a PCG loop
   for the systems that are BTTB but not factorable.
 
@@ -37,7 +41,6 @@ __all__ = [
     "PcgReport",
     "circulant_matvec",
     "skew_circulant_matvec",
-    "toeplitz_matvec",
     "gs_precompute",
     "gs_solve",
     "bttb_build",
@@ -126,22 +129,19 @@ class SymToeplitz:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Multiply by the Toeplitz matrix; columns of a matrix input are
-        treated as independent vectors."""
+        treated as independent vectors.
+
+        The columns are transformed as the contiguous rows of v.T (copied
+        unless v is F-ordered), zero-padded to the embedding length by the
+        transform itself.
+        """
         v = np.asarray(v, dtype=float)
         n = self.n
         if v.shape[0] != n:
             raise ValidationError(f"length mismatch: matrix {n}, vector {v.shape[0]}")
-        shape = (self._length,) + v.shape[1:]
-        padded = np.zeros(shape)
-        padded[:n] = v
-        spec = self._spectrum if v.ndim == 1 else self._spectrum[:, None]
-        out = _fft.irfft(spec * _fft.rfft(padded, axis=0), n=self._length, axis=0)
-        return out[:n]
-
-
-def toeplitz_matvec(first_col: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One-shot symmetric Toeplitz multiply (embedding built per call)."""
-    return SymToeplitz(np.asarray(first_col, dtype=float)).matvec(v)
+        spec = _fft.rfft(np.ascontiguousarray(v.T), axis=-1, n=self._length)
+        spec *= self._spectrum
+        return _fft.irfft(spec, n=self._length, axis=-1)[..., :n].T
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +161,15 @@ class GSData:
 
     where J is the index-reversal. Both structured factors are diagonal in
     Fourier space, so one solve costs exactly four size-N FFTs.
+    ``q_scaled`` = Q / (2 p_1) folds the scale of v1 into the first
+    skew-circulant diagonal.
     """
 
     p1: float
     lambda_c: np.ndarray
     lambda_s: np.ndarray
     q_diag: np.ndarray
+    q_scaled: np.ndarray
 
     @property
     def n(self) -> int:
@@ -207,6 +210,7 @@ def gs_precompute(first_col: np.ndarray) -> GSData:
         lambda_c=np.fft.fft(c),
         lambda_s=np.fft.fft(q_diag * s),
         q_diag=q_diag,
+        q_scaled=q_diag / (2.0 * p1),
     )
 
 
@@ -215,16 +219,30 @@ def gs_solve(data: GSData, v: np.ndarray) -> np.ndarray:
 
     ``v`` may be a vector or an N x k matrix of right-hand-side columns; the
     batched form still performs four (batched) FFT calls in total, keeping
-    the four-transforms-per-column budget.
+    the four-transforms-per-column budget. The columns are swept as the
+    contiguous rows of one complex k x N working copy of v.T (length-N
+    transforms over strided columns are markedly slower), which the four
+    transforms and the diagonals Q / (2 p_1), lambda_s, Q*, lambda_c
+    update in place; the result is the transpose of a k x N array.
     """
     v = np.asarray(v, dtype=float)
     n = data.n
     if v.shape[0] != n:
         raise ValidationError(f"length mismatch: solver {n}, vector {v.shape[0]}")
-    v1 = (v + 1j * v[::-1]) / (2.0 * data.p1)
-    v2 = skew_circulant_matvec(data.lambda_s, data.q_diag, v1)
-    v3 = circulant_matvec(data.lambda_c, v2)
-    return v3.real + v3.imag[::-1]
+    rows = v.T
+    # Q v1 = Q (v + i J v) / (2 p_1), with J reversing each row
+    w = np.empty(rows.shape, dtype=complex)
+    w.real = rows
+    w.imag = rows[..., ::-1]
+    w *= data.q_scaled
+    w = _fft.cfft(w, axis=-1, overwrite_x=True)
+    w *= data.lambda_s
+    w = _fft.cifft(w, axis=-1, overwrite_x=True)
+    w *= data.q_diag.conj()
+    w = _fft.cfft(w, axis=-1, overwrite_x=True)
+    w *= data.lambda_c
+    w = _fft.cifft(w, axis=-1, overwrite_x=True)
+    return (w.real + w.imag[..., ::-1]).T
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +256,13 @@ class BttbOperator:
     The doubly Toeplitz matrix with entries scale * a_{|i-p|, |j-q|} embeds
     into a block-circulant-circulant-block matrix on an L x L torus
     (L fast length >= 2N), where it is diagonal in 2D Fourier space. The
-    embedded kernel is real and even, so the spectrum is real and operator
-    applications (pad, transform, multiply, crop) return real fields.
+    embedded kernel is real and even, so the spectrum (L x (L/2 + 1), the
+    rfft2 half plane) is real and applications return real fields. An
+    application never builds the zero-padded L x L field: it transforms
+    the N rows along axis 1 and then axis 0, each pass padding to L
+    itself, multiplies by the spectrum, and runs the inverse passes in the
+    opposite order, keeping N rows before the last pass and N columns
+    after it.
     """
 
     n: int
@@ -269,15 +292,17 @@ def bttb_build(coeffs: Coeffs2D | np.ndarray, n: int, scale: float = 1.0) -> Btt
 
 
 def bttb_apply(op: BttbOperator, u: np.ndarray) -> np.ndarray:
-    """Apply the BTTB operator to an N x N field (two real 2D FFTs)."""
+    """Apply the BTTB operator to an N x N field by pruned 2D FFTs (the
+    pass order is in :class:`BttbOperator`)."""
     u = np.asarray(u, dtype=float)
     n, length = op.n, op.length
     if u.shape != (n, n):
         raise ValidationError(f"field shape {u.shape} does not match grid ({n}, {n})")
-    padded = np.zeros((length, length))
-    padded[:n, :n] = u
-    out = _fft.irfft2(_fft.rfft2(padded) * op.spectrum, s=(length, length))
-    return out[:n, :n]
+    spec = _fft.cfft(_fft.rfft(u, axis=1, n=length), axis=0, n=length,
+                     overwrite_x=True)
+    spec *= op.spectrum
+    rows = _fft.cifft(spec, axis=0, overwrite_x=True)[:n]
+    return _fft.irfft(rows, n=length, axis=1)[:, :n]
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,16 @@ def dense_cross_2d(quad: np.ndarray, n: int, scale: float = 1.0) -> np.ndarray:
     return full
 
 
+def padded_bttb_apply(op, u: np.ndarray) -> np.ndarray:
+    """BTTB apply in its unpruned form: zero-pad the field to the L x L
+    torus, one real 2D FFT, the spectrum product, one inverse, crop."""
+    n, length = op.n, op.length
+    padded = np.zeros((length, length))
+    padded[:n, :n] = u
+    out = np.fft.irfft2(np.fft.rfft2(padded) * op.spectrum, s=(length, length))
+    return out[:n, :n]
+
+
 def random_spd_toeplitz(n: int, rng: np.random.Generator) -> np.ndarray:
     """First column of a random symmetric positive definite Toeplitz matrix.
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from fracwave import _fft
 from fracwave.errors import BlowUpError
 from fracwave.problems import Grid2D, Problem, resolve_nonlinearity
 from fracwave.stepper import (
@@ -115,6 +116,20 @@ class TestSadiVsDense:
         want = np.outer(np.linalg.solve(hmat, f), np.linalg.solve(hmat, gvec))
         np.testing.assert_allclose(adi_solve(ops, np.outer(f, gvec)), want,
                                    atol=1e-11)
+
+    def test_adi_solve_costs_eight_ffts(self, rng):
+        # two sweeps of the four-FFT Gohberg-Semencul solve, nothing else
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=14)
+        ops = build_operators(problem, grid, 0.05)
+        _fft.COUNTER.reset()
+        _fft.COUNTER.enabled = True
+        try:
+            adi_solve(ops, rng.standard_normal((14, 14)))
+        finally:
+            _fft.COUNTER.enabled = False
+        assert _fft.COUNTER.calls == 8
+        assert _fft.COUNTER.transforms == 8 * 14
 
     def test_diagonal_matrix_entries_exceed_one(self):
         problem = gaussian_problem()

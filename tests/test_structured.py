@@ -28,7 +28,6 @@ from fracwave.structured import (
     skew_circulant_matvec,
     tau_apply,
     tau_spec_2d,
-    toeplitz_matvec,
 )
 
 
@@ -99,7 +98,7 @@ class TestSymToeplitz:
         # first col [2,-1,0,...] acting on all-ones leaves 1 at the ends only
         col = np.zeros(6)
         col[0], col[1] = 2.0, -1.0
-        out = toeplitz_matvec(col, np.ones(6))
+        out = SymToeplitz(col).matvec(np.ones(6))
         np.testing.assert_allclose(out, [1, 0, 0, 0, 0, 1], atol=1e-13)
 
     @given(hnp.arrays(np.float64, st.integers(2, 24),
@@ -174,6 +173,28 @@ class TestGsInverse:
             cols = 1 if width is None else width
             assert _fft.COUNTER.transforms == 4 * cols
 
+    def test_memory_layout_does_not_matter(self, rng):
+        # the solve copies its input into its own transposed working array,
+        # so C-ordered, F-ordered and transposed-view inputs give the same
+        # bits at the same four-call budget
+        n, k = 40, 7
+        col = _h_first_col(1.5, n, 0.9)
+        data = gs_precompute(col)
+        b = rng.standard_normal((n, k))
+        results = []
+        for v in (b, np.asfortranarray(b), np.ascontiguousarray(b.T).T):
+            _fft.COUNTER.reset()
+            _fft.COUNTER.enabled = True
+            try:
+                results.append(gs_solve(data, v))
+            finally:
+                _fft.COUNTER.enabled = False
+            assert _fft.COUNTER.calls == 4
+        for got in results[1:]:
+            np.testing.assert_array_equal(got, results[0])
+        want = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
+        np.testing.assert_allclose(results[0], want, atol=1e-12)
+
     def test_skew_spectrum_nonzero_and_matches_dense_eigs(self, rng):
         # the skew-circulant factor must be invertible; its spectrum is
         # checked against dense eigenvalues for every n up to 64
@@ -224,6 +245,17 @@ class TestBttb:
         got = bttb_apply(op, u)
         want = oracle.unvec_f(dense @ oracle.vec_f(u), n)
         np.testing.assert_allclose(got, want, atol=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+    def test_matches_padded_reference(self, n, rng):
+        # n = 7 and n = 33 embed into L = 15 and L = 72, both > 2n
+        coeffs = laplacian_coeffs_2d(1.5, n)
+        op = bttb_build(coeffs, n, scale=2.3)
+        u = rng.standard_normal((n, n))
+        want = oracle.padded_bttb_apply(op, u)
+        got = bttb_apply(op, u)
+        assert got.shape == (n, n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_classical_five_point(self):
         # alpha = 2: interior action is the negated 5-point Laplacian
