@@ -3,9 +3,9 @@
 The package is organized as a small stack:
 
 * :mod:`fracwave.coeffs`      difference coefficients (1D Riesz, 2D fractional
-  Laplacian, separable cross weights) and their quadrature oracle
-* :mod:`fracwave.structured`  circulant/Toeplitz/BTTB kernels, the structured
-  Toeplitz inverse, the 2D sine-transform preconditioner, PCG
+  Laplacian) and their quadrature oracle
+* :mod:`fracwave.structured`  Toeplitz/BTTB kernels, the structured Toeplitz
+  inverse, the 2D sine-transform preconditioner, PCG
 * :mod:`fracwave.problems`    problem statements, grids, nonlinearities
 * :mod:`fracwave.stepper`     the factored splitting scheme and the unfactored
   baseline
@@ -14,14 +14,7 @@ The package is organized as a small stack:
 * :mod:`fracwave.cli`         the ``fracwave`` command
 """
 
-from .coeffs import (
-    Coeffs1D,
-    Coeffs2D,
-    coeff_quadrature_oracle,
-    laplacian_coeffs_2d,
-    riesz_coeffs_1d,
-    riesz_sum_coeffs_2d,
-)
+from .coeffs import coeff_quadrature_oracle, laplacian_coeffs_2d, riesz_coeffs_1d
 from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
     EnergyTrace,
@@ -44,7 +37,6 @@ from .stepper import (
     build_operators,
     nonadi_first_step,
     nonadi_step,
-    rhs_first,
     rhs_general,
     run,
     sadi_first_step,
@@ -58,12 +50,10 @@ from .structured import (
     TauSpec,
     bttb_apply,
     bttb_build,
-    circulant_matvec,
     dst1,
     gs_precompute,
     gs_solve,
     pcg,
-    skew_circulant_matvec,
     tau_apply,
     tau_spec_2d,
 )
@@ -71,17 +61,15 @@ from .structured import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowUpError", "BttbOperator", "Coeffs1D", "Coeffs2D", "EnergyTrace",
-    "GSData", "Grid2D", "PcgReport", "Problem", "RunInfo", "SchemeState",
-    "SolverError", "StepOperators", "StudyRow", "StudySpec", "SymToeplitz",
-    "TauSpec", "ValidationError", "adi_solve", "apply_surface", "bttb_apply",
-    "bttb_build", "build_operators", "circulant_matvec",
-    "coeff_quadrature_oracle", "discrete_energy", "dst1",
-    "error_space_refinement", "error_time_refinement",
-    "example_problem", "gs_precompute", "gs_solve", "inner_product",
-    "laplacian_coeffs_2d", "nonadi_first_step", "nonadi_step", "pcg",
-    "rhs_first", "rhs_general", "riesz_coeffs_1d", "riesz_sum_coeffs_2d",
-    "run", "run_study", "sadi_first_step", "sadi_step", "sech",
-    "skew_circulant_matvec", "splitting_gap", "tau_apply", "tau_spec_2d",
-    "write_snapshot_csv", "write_snapshot_raw",
+    "BlowUpError", "BttbOperator", "EnergyTrace", "GSData", "Grid2D",
+    "PcgReport", "Problem", "RunInfo", "SchemeState", "SolverError",
+    "StepOperators", "StudyRow", "StudySpec", "SymToeplitz", "TauSpec",
+    "ValidationError", "adi_solve", "apply_surface", "bttb_apply",
+    "bttb_build", "build_operators", "coeff_quadrature_oracle",
+    "discrete_energy", "dst1", "error_space_refinement",
+    "error_time_refinement", "example_problem", "gs_precompute", "gs_solve",
+    "inner_product", "laplacian_coeffs_2d", "nonadi_first_step",
+    "nonadi_step", "pcg", "rhs_general", "riesz_coeffs_1d", "run",
+    "run_study", "sadi_first_step", "sadi_step", "sech", "splitting_gap",
+    "tau_apply", "tau_spec_2d", "write_snapshot_csv", "write_snapshot_raw",
 ]

@@ -11,9 +11,9 @@ Subcommands:
 Exit codes: 0 success, 2 validation error (argparse errors, non-finite
 numbers and thread counts below one included), 3 iterative-solver
 non-convergence, 4 solution blow-up, 5 I/O failure; ``selftest`` exits 1
-when a check fails. The output directory is the ``--out-dir`` flag when
-given, else the FRACWAVE_OUTDIR environment variable, else the current
-directory.
+when a check fails. The output directory of ``solve`` and the studies is
+the ``--out-dir`` flag when given, else the FRACWAVE_OUTDIR environment
+variable, else the current directory.
 
 All numeric flags accept plain decimals or p/q fractions (``--tau 1/100``).
 Runs are seed-free and deterministic: identical flags and thread count give
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _fft
-from .coeffs import laplacian_coeffs_2d, riesz_coeffs_1d, riesz_sum_coeffs_2d
+from .coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
     STUDY_FIELDS,
@@ -66,7 +66,7 @@ from .snapshots import (
     write_snapshot_csv,
     write_snapshot_raw,
 )
-from .stepper import SCHEME_NAMES, build_operators, run
+from .stepper import MAX_GRID_N, SCHEME_NAMES, build_operators, run
 
 log = logging.getLogger("fracwave")
 
@@ -219,21 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--alpha", type=_fraction, required=True,
                     help="fractional order in (1, 2]; 2 is the classical check case")
     co.add_argument("--count", type=int, required=True,
-                    help="weights per direction (offsets 0 .. count-1)")
-    co.add_argument("--kind", choices=("1d", "2d", "cross"), default="2d",
-                    help="1d Riesz weights, full 2d weights, or the cross-shaped "
-                         "separable-sum weights (default 2d)")
+                    help=f"weights per direction (offsets 0 .. count-1), at "
+                         f"most {MAX_GRID_N}")
+    co.add_argument("--kind", choices=("1d", "2d"), default="2d",
+                    help="1d Riesz weights or full 2d weights (default 2d)")
     co.add_argument("--oversampling", type=int, default=8)
     co.add_argument("--out", default="-",
                     help="output file, or '-' for stdout (default '-')")
-    _add_output_flags(co)
 
     selft = sub.add_parser(
         "selftest", help="run the built-in consistency suite",
         description="Run the deterministic built-in checks; exits 1 on failure.")
     selft.add_argument("--fault", choices=FAULT_NAMES, default=None,
                        help=argparse.SUPPRESS)
-    _add_output_flags(selft)
 
     return parser
 
@@ -398,18 +396,16 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.count < 1:
-        raise ValidationError(f"--count must be >= 1, got {args.count}")
+    if not 1 <= args.count <= MAX_GRID_N:
+        raise ValidationError(
+            f"--count must lie in [1, {MAX_GRID_N}], got {args.count}")
     rows: list[str] = ["i,j,value"]
     if args.kind == "1d":
-        weights = riesz_coeffs_1d(args.alpha, args.count).weights
+        weights = riesz_coeffs_1d(args.alpha, args.count)
         rows.extend(f"{i},0,{weights[i]:.17g}" for i in range(args.count))
     else:
-        if args.kind == "2d":
-            quad = laplacian_coeffs_2d(args.alpha, args.count,
-                                       oversampling=args.oversampling).quadrant
-        else:
-            quad = riesz_sum_coeffs_2d(args.alpha, args.count).quadrant
+        quad = laplacian_coeffs_2d(args.alpha, args.count,
+                                   oversampling=args.oversampling)
         for i in range(args.count):
             rows.extend(f"{i},{j},{quad[i, j]:.17g}" for j in range(args.count))
     text = "\n".join(rows) + "\n"

@@ -29,7 +29,6 @@ no error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -38,13 +37,10 @@ from . import _fft
 from .errors import ValidationError
 
 __all__ = [
-    "Coeffs1D",
-    "Coeffs2D",
     "QuadratureError",
     "validate_alpha",
     "riesz_coeffs_1d",
     "laplacian_coeffs_2d",
-    "riesz_sum_coeffs_2d",
     "coeff_quadrature_oracle",
 ]
 
@@ -71,41 +67,11 @@ def validate_alpha(alpha: float, allow_classical: bool = False) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class Coeffs1D:
-    """Riesz difference weights a_0 .. a_{L-1}; negative offsets by symmetry
-    a_{-k} = a_k. Sign pattern: a_0 > 0, a_k < 0 for k >= 1."""
+def riesz_coeffs_1d(alpha: float, count: int) -> np.ndarray:
+    """Generate the 1D Riesz difference weights a_0 .. a_{count-1}.
 
-    alpha: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-    @property
-    def count(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class Coeffs2D:
-    """One symmetry quadrant of 2D difference weights: quadrant[i, j] = a_ij
-    for i, j >= 0; the other quadrants follow from a_{|i|,|j|} = a_ij.
-    The quadrant is symmetric (a_ij = a_ji)."""
-
-    alpha: float
-    quadrant: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "quadrant", np.asarray(self.quadrant, dtype=float))
-
-    @property
-    def count(self) -> int:
-        return self.quadrant.shape[0]
-
-
-def riesz_coeffs_1d(alpha: float, count: int) -> Coeffs1D:
-    """Generate the first ``count`` 1D Riesz difference weights.
+    Negative offsets follow by symmetry, a_{-k} = a_k; the sign pattern is
+    a_0 > 0 and a_k < 0 for k >= 1.
 
     Uses the recurrence
 
@@ -125,7 +91,7 @@ def riesz_coeffs_1d(alpha: float, count: int) -> Coeffs1D:
     w[0] = math.gamma(alpha + 1.0) / math.gamma(half + 1.0) ** 2
     for k in range(count - 1):
         w[k + 1] = w[k] * (k - half) / (k + 1.0 + half)
-    return Coeffs1D(alpha, w)
+    return w
 
 
 def _sampling_size(count: int, oversampling: int, max_samples: int) -> int:
@@ -145,8 +111,11 @@ def laplacian_coeffs_2d(
     count: int,
     oversampling: int = 8,
     max_samples: int = DEFAULT_MAX_SAMPLES,
-) -> Coeffs2D:
+) -> np.ndarray:
     """Generate the quadrant a_ij, 0 <= i, j < count, of 2D weights.
+
+    The other quadrants follow from a_{|i|,|j|} = a_ij, and the quadrant is
+    symmetric (a_ij = a_ji).
 
     The weights are the discrete Fourier coefficients of the symbol sampled
     on an M x M uniform grid over the periodic cell, M = smallest power of
@@ -170,20 +139,7 @@ def laplacian_coeffs_2d(
     theta = np.pi * np.arange(k + 1) / k
     s = 4.0 * np.sin(theta / 2.0) ** 2
     samples = (s[:, None] + s[None, :]) ** (alpha / 2.0)
-    quad = _fft.dctn_type1(samples)[:count, :count] / (4.0 * k * k)
-    return Coeffs2D(alpha, quad)
-
-
-def riesz_sum_coeffs_2d(alpha: float, count: int) -> Coeffs2D:
-    """Quadrant of the cross-shaped weights of the separable operator
-    (1D Riesz in x) + (1D Riesz in y): entry (0,0) is 2 a_0, the two axes
-    carry the 1D weights, and everything off the axes is exactly zero."""
-    one_d = riesz_coeffs_1d(alpha, count)
-    quad = np.zeros((count, count))
-    quad[0, :] = one_d.weights
-    quad[:, 0] = one_d.weights
-    quad[0, 0] = 2.0 * one_d.weights[0]
-    return Coeffs2D(alpha, quad)
+    return _fft.dctn_type1(samples)[:count, :count] / (4.0 * k * k)
 
 
 def coeff_quadrature_oracle(alpha: float, i: int, j: int, tol: float = 1e-10) -> float:

@@ -153,9 +153,6 @@ class Problem:
             raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
         resolve_nonlinearity(self.nonlinearity)
 
-    def g(self, u: np.ndarray) -> np.ndarray:
-        return resolve_nonlinearity(self.nonlinearity)(u)
-
     def initial_fields(self, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
         """Sample (phi1, phi2) on the interior nodes."""
         xx, yy = grid.meshgrid()

@@ -17,16 +17,15 @@ columns, then the rows, of the right-hand side. The Toeplitz solves use
 the precomputed structured inverse (four FFTs per solve) from
 :mod:`fracwave.structured`.
 
-Update formulas implemented here, with hat{u} the increment solved for:
+Update formulas implemented here, with hat{u} the increment solved for and
+B(u) = -tau^2 kappa L u + tau^2 g(u) the right-hand side (rhs_general):
 
   general step (n >= 1):
-      (I + c delta_x)(I + c delta_y) hat{u} = B_n,
-      B_n = -tau^2 kappa L u^n + tau^2 g(u^n),
+      (I + c delta_x)(I + c delta_y) hat{u} = B(u^n),
       u^{n+1} = hat{u} + 2 u^n - u^{n-1};
 
   first step (n = 0), using u_t(0) = phi2:
-      (I + c delta_x)(I + c delta_y) hat{u} = B_0,
-      B_0 = tau phi2 - (tau^2 kappa / 2) L u^0 + (tau^2 / 2) g(u^0),
+      (I + c delta_x)(I + c delta_y) hat{u} = tau phi2 + B(u^0) / 2,
       u^1 = u^0 + hat{u}.
 
 The baseline scheme keeps the full operator implicit,
@@ -67,7 +66,6 @@ __all__ = [
     "RunInfo",
     "build_operators",
     "rhs_general",
-    "rhs_first",
     "adi_solve",
     "sadi_first_step",
     "sadi_step",
@@ -145,9 +143,9 @@ def build_operators(
     with np.errstate(over="ignore"):  # an overflow is rejected below
         h_alpha = float(np.float64(grid.h) ** -problem.alpha)
     factor = 0.5 * tau_step * tau_step * problem.kappa * h_alpha
-    riesz = riesz_coeffs_1d(problem.alpha, n)
-    riesz_col = h_alpha * riesz.weights
-    first_col = factor * riesz.weights
+    weights = riesz_coeffs_1d(problem.alpha, n)
+    riesz_col = h_alpha * weights
+    first_col = factor * weights
     # the sadi operator (I + factor T)(I + factor T) squares factor * T
     peak = float(np.max(np.abs(first_col)))
     if not (np.all(np.isfinite(riesz_col)) and np.isfinite(peak * peak)):
@@ -157,8 +155,8 @@ def build_operators(
             f"kappa={problem.kappa:g}) must keep the scaled Riesz weights "
             f"and their squares finite"
         )
-    coeff2d = laplacian_coeffs_2d(problem.alpha, n, oversampling=OVERSAMPLING)
-    lap = bttb_build(coeff2d, n, scale=h_alpha)
+    quadrant = laplacian_coeffs_2d(problem.alpha, n, oversampling=OVERSAMPLING)
+    lap = bttb_build(quadrant, n, scale=h_alpha)
 
     first_col[0] += 1.0
     gs = gs_precompute(first_col)
@@ -174,31 +172,16 @@ def build_operators(
 
 
 def rhs_general(
-    state: SchemeState,
+    u: np.ndarray,
     ops: StepOperators,
     g: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Right-hand side B_n = -tau^2 kappa L u^n + tau^2 g(u^n) for n >= 1."""
+    """Right-hand side B(u) = -tau^2 kappa L u + tau^2 g(u) of the general
+    step; the first step uses tau phi2 + B(u^0) / 2."""
     tau2 = ops.tau_step * ops.tau_step
-    u = state.u_curr
     out = tau2 * g(u)
     if ops.kappa != 0.0:
         out -= (tau2 * ops.kappa) * ops.lap.apply(u)
-    return out
-
-
-def rhs_first(
-    u0: np.ndarray,
-    ops: StepOperators,
-    g: Callable[[np.ndarray], np.ndarray],
-    phi2_field: np.ndarray,
-) -> np.ndarray:
-    """First-step right-hand side B_0 = tau phi2 - (tau^2 kappa/2) L u^0
-    + (tau^2/2) g(u^0), with phi2 the initial-velocity samples."""
-    tau = ops.tau_step
-    out = tau * phi2_field + (0.5 * tau * tau) * g(u0)
-    if ops.kappa != 0.0:
-        out -= (0.5 * tau * tau * ops.kappa) * ops.lap.apply(u0)
     return out
 
 
@@ -221,7 +204,7 @@ def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> Schem
     """Advance the initial data to the first time level."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(grid)
-    b0 = rhs_first(u0, ops, g, phi2_field)
+    b0 = 0.5 * rhs_general(u0, ops, g) + ops.tau_step * phi2_field
     u1 = u0 + adi_solve(ops, b0)
     return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=ops.tau_step)
 
@@ -232,7 +215,7 @@ def sadi_step(
     g: Callable[[np.ndarray], np.ndarray],
 ) -> SchemeState:
     """One general step: solve for the second difference and shift levels."""
-    hat_u = adi_solve(ops, rhs_general(state, ops, g))
+    hat_u = adi_solve(ops, rhs_general(state.u_curr, ops, g))
     u_next = hat_u + 2.0 * state.u_curr - state.u_prev
     return SchemeState(
         u_prev=state.u_curr,

@@ -1,14 +1,13 @@
 """Structured linear algebra kernels.
 
-Everything the time steppers need reduces to four structured-matrix tools:
+Everything the time steppers need reduces to three structured-matrix tools:
 
-* circulant and skew-circulant matvecs (FFT diagonalization),
 * symmetric Toeplitz matvec via circulant embedding,
 * a direct solver for symmetric positive definite Toeplitz systems based on
   the Gohberg-Semencul representation of the inverse: one Levinson solve
   gives c = H^{-1} e_1, H^{-1} then factorizes into one circulant and one
-  skew-circulant built from c, and every subsequent solve costs exactly
-  four size-N FFTs,
+  skew-circulant built from c, both diagonal in Fourier space and applied
+  in place, so every subsequent solve costs exactly four size-N FFTs,
 * a block-Toeplitz-Toeplitz-block (BTTB) matvec via 2D circulant embedding,
   applied by pruned transforms (the N rows along axis 1, then axis 0, each
   zero-padded to L by the transform itself; the inverse passes in the
@@ -30,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _fft
-from .coeffs import Coeffs2D, validate_alpha
+from .coeffs import validate_alpha
 from .errors import SolverError, ValidationError
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "BttbOperator",
     "TauSpec",
     "PcgReport",
-    "circulant_matvec",
-    "skew_circulant_matvec",
     "gs_precompute",
     "gs_solve",
     "bttb_build",
@@ -53,48 +50,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# circulant / skew-circulant / Toeplitz matvecs
+# Toeplitz matvec
 # ---------------------------------------------------------------------------
-
-def circulant_matvec(lambda_c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply by the circulant whose eigenvalues are ``lambda_c``.
-
-    C v = ifft(lambda_c * fft(v)); lambda_c = fft(first column of C).
-    ``v`` may be a vector or a matrix whose columns are independent
-    right-hand sides (one batched FFT call either way).
-    """
-    lambda_c = np.asarray(lambda_c)
-    v = np.asarray(v)
-    if v.shape[0] != lambda_c.shape[0]:
-        raise ValidationError(
-            f"length mismatch: eigenvalues {lambda_c.shape[0]}, vector {v.shape[0]}"
-        )
-    lam = lambda_c if v.ndim == 1 else lambda_c[:, None]
-    return _fft.cifft(lam * _fft.cfft(v, axis=0), axis=0)
-
-
-def skew_circulant_matvec(
-    lambda_s: np.ndarray, q_diag: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Multiply by the skew-circulant diagonalized as S = Q* F* diag(lambda_s) F Q.
-
-    Q = diag(exp(-i pi k / N)) conjugates the skew-circulant into an
-    ordinary circulant; lambda_s = fft(Q s) for first column s. Batched
-    columns are supported like in :func:`circulant_matvec`.
-    """
-    lambda_s = np.asarray(lambda_s)
-    q_diag = np.asarray(q_diag)
-    v = np.asarray(v)
-    if v.shape[0] != lambda_s.shape[0]:
-        raise ValidationError(
-            f"length mismatch: eigenvalues {lambda_s.shape[0]}, vector {v.shape[0]}"
-        )
-    if v.ndim == 1:
-        lam, q, qc = lambda_s, q_diag, q_diag.conj()
-    else:
-        lam, q, qc = lambda_s[:, None], q_diag[:, None], q_diag.conj()[:, None]
-    return qc * _fft.cifft(lam * _fft.cfft(q * v, axis=0), axis=0)
-
 
 @dataclass(frozen=True)
 class SymToeplitz:
@@ -273,9 +230,9 @@ class BttbOperator:
         return bttb_apply(self, u)
 
 
-def bttb_build(coeffs: Coeffs2D | np.ndarray, n: int, scale: float = 1.0) -> BttbOperator:
+def bttb_build(quadrant: np.ndarray, n: int, scale: float = 1.0) -> BttbOperator:
     """Build the BTTB operator for a coefficient quadrant and grid size n."""
-    quad = coeffs.quadrant if isinstance(coeffs, Coeffs2D) else np.asarray(coeffs, float)
+    quad = np.asarray(quadrant, dtype=float)
     if quad.shape[0] < n or quad.shape[1] < n:
         raise ValidationError(
             f"coefficient quadrant {quad.shape} too small for grid size {n}"

@@ -13,16 +13,6 @@ from scipy.linalg import toeplitz
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 
 
-def dense_circulant(first_col: np.ndarray) -> np.ndarray:
-    c = np.asarray(first_col, dtype=complex)
-    n = c.size
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = c[(i - j) % n]
-    return out
-
-
 def dense_skew_circulant(first_col: np.ndarray) -> np.ndarray:
     # wrap-around entries pick up a minus sign
     s = np.asarray(first_col, dtype=complex)
@@ -40,7 +30,7 @@ def dense_sym_toeplitz(first_col: np.ndarray) -> np.ndarray:
 
 
 def dense_riesz_1d(alpha: float, n: int, scale: float = 1.0) -> np.ndarray:
-    return scale * dense_sym_toeplitz(riesz_coeffs_1d(alpha, n).weights)
+    return scale * dense_sym_toeplitz(riesz_coeffs_1d(alpha, n))
 
 
 def vec_f(field: np.ndarray) -> np.ndarray:
@@ -55,19 +45,14 @@ def unvec_f(v: np.ndarray, n: int) -> np.ndarray:
 def dense_laplacian_2d(alpha: float, n: int, scale: float = 1.0,
                        oversampling: int = 8) -> np.ndarray:
     """(n^2, n^2) matrix of the 2D fractional stencil in vec_f ordering."""
-    quad = laplacian_coeffs_2d(alpha, n, oversampling=oversampling).quadrant
-    full = np.zeros((n * n, n * n))
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    cols = (ii + n * jj).ravel()
-    for i0 in range(n):
-        for j0 in range(n):
-            vals = quad[np.abs(ii - i0), np.abs(jj - j0)].ravel()
-            full[i0 + n * j0, cols] = scale * vals
-    return full
+    quad = laplacian_coeffs_2d(alpha, n, oversampling=oversampling)
+    return dense_cross_2d(quad, n, scale)
 
 
 def dense_cross_2d(quad: np.ndarray, n: int, scale: float = 1.0) -> np.ndarray:
-    """Same layout as :func:`dense_laplacian_2d` but for an arbitrary quadrant."""
+    """(n^2, n^2) matrix of the doubly Toeplitz stencil with coefficient
+    quadrant ``quad`` (entry scale * quad[|i - p|, |j - q|]) in vec_f
+    ordering."""
     full = np.zeros((n * n, n * n))
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     cols = (ii + n * jj).ravel()
@@ -76,6 +61,14 @@ def dense_cross_2d(quad: np.ndarray, n: int, scale: float = 1.0) -> np.ndarray:
             vals = quad[np.abs(ii - i0), np.abs(jj - j0)].ravel()
             full[i0 + n * j0, cols] = scale * vals
     return full
+
+
+def dense_riesz_sum_2d(alpha: float, n: int, scale: float = 1.0) -> np.ndarray:
+    """(n^2, n^2) matrix of delta_x + delta_y in vec_f ordering:
+    kron(I, T) + kron(T, I) with T the scaled 1D Riesz Toeplitz matrix."""
+    t1 = dense_riesz_1d(alpha, n, scale)
+    eye = np.eye(n)
+    return np.kron(eye, t1) + np.kron(t1, eye)
 
 
 def padded_bttb_apply(op, u: np.ndarray) -> np.ndarray:

@@ -163,6 +163,8 @@ class TestExitCodes:
         ["study-time", "--example", "zero", "--alphas", "", "--taus",
          "1/5,1/10", "--h", "1", "--t-final", "0.4"],
         ["study-time", "--spec", "{empty_alphas}"],
+        ["coeffs", "--kind", "1d", "--alpha", "1.5", "--count",
+         "1000000000000"],
     ], ids=["tau-nan", "tau-zero", "tau-negative", "t-final-inf",
             "snapshot-nan", "threads-zero", "spec-threads-abc",
             "study-threads-zero", "study-tau-list-zero", "tau-tiny",
@@ -172,7 +174,7 @@ class TestExitCodes:
             "kappa-tau2-squared-overflow", "t-final-too-many-steps",
             "h-alpha-overflow", "solver-factor-overflow",
             "solver-factor-overflow-nonadi", "study-alphas-empty",
-            "spec-alphas-empty"])
+            "spec-alphas-empty", "coeffs-count-huge"])
     def test_bad_numeric_input_exits_two(self, argv, tmp_path, capsys):
         spec = tmp_path / "bad.txt"
         spec.write_text("threads = abc\n")
@@ -180,8 +182,10 @@ class TestExitCodes:
         empty_alphas.write_text("alphas =\ntaus = 1/5\nhs = 1\nt-final = 0.4\n")
         argv = [a.replace("{spec}", str(spec))
                  .replace("{empty_alphas}", str(empty_alphas)) for a in argv]
+        if argv[0] != "coeffs":  # coeffs writes to --out, not a directory
+            argv = argv + ["--out-dir", str(tmp_path)]
         try:
-            rc = main(argv + ["--out-dir", str(tmp_path)])
+            rc = main(argv)
         except SystemExit as exc:  # argparse rejects the flag itself
             rc = exc.code
         assert rc == 2
@@ -257,7 +261,7 @@ class TestCoeffsCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "i,j,value"
         assert len(lines) == 4
-        w = riesz_coeffs_1d(1.5, 3).weights
+        w = riesz_coeffs_1d(1.5, 3)
         for k, line in enumerate(lines[1:]):
             i, j, v = line.split(",")
             assert (int(i), int(j)) == (k, 0)
@@ -283,6 +287,18 @@ class TestCoeffsCommand:
     def test_bad_count_rejected(self):
         assert main(["coeffs", "--alpha", "1.5", "--count", "0",
                      "--kind", "1d", "--out", "-"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--alpha", "1.5", "--count", "3", "--out-dir", "d"],
+        ["coeffs", "--alpha", "1.5", "--count", "3", "--verbose"],
+        ["coeffs", "--alpha", "1.5", "--count", "3", "--kind", "cross"],
+        ["selftest", "--out-dir", "d"],
+    ], ids=["coeffs-out-dir", "coeffs-verbose", "coeffs-kind-cross",
+            "selftest-out-dir"])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestSelftestCommand:

@@ -18,7 +18,6 @@ from fracwave.coeffs import (
     coeff_quadrature_oracle,
     laplacian_coeffs_2d,
     riesz_coeffs_1d,
-    riesz_sum_coeffs_2d,
     validate_alpha,
 )
 from fracwave.errors import ValidationError
@@ -73,18 +72,18 @@ def direct_gamma(alpha: float, k: int) -> float:
 class TestRiesz1D:
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_matches_gamma_formula(self, alpha):
-        w = riesz_coeffs_1d(alpha, 21).weights
+        w = riesz_coeffs_1d(alpha, 21)
         for k in range(21):
             assert w[k] == pytest.approx(direct_gamma(alpha, k), abs=1e-13)
 
     def test_frozen_values(self):
         for (alpha, k), ref in GAMMA_1D.items():
-            w = riesz_coeffs_1d(alpha, k + 1).weights
+            w = riesz_coeffs_1d(alpha, k + 1)
             assert w[k] == pytest.approx(ref, rel=1e-13)
 
     def test_classical_limit(self):
         # alpha = 2 must collapse to the second-difference stencil
-        w = riesz_coeffs_1d(2.0, 6).weights
+        w = riesz_coeffs_1d(2.0, 6)
         assert w[0] == pytest.approx(2.0, abs=1e-14)
         assert w[1] == pytest.approx(-1.0, abs=1e-14)
         assert np.all(np.abs(w[2:]) < 1e-14)
@@ -93,7 +92,7 @@ class TestRiesz1D:
            count=st.integers(2, 200))
     @settings(max_examples=60, deadline=None)
     def test_sign_pattern(self, alpha, count):
-        w = riesz_coeffs_1d(alpha, count).weights
+        w = riesz_coeffs_1d(alpha, count)
         assert w[0] > 0
         assert np.all(w[1:] < 0)
         assert np.all(np.isfinite(w))
@@ -105,7 +104,7 @@ class TestRiesz1D:
         for alpha in (1.1, 1.5, 1.9):
             prev = None
             for count in (256, 1024, 4096):
-                w = riesz_coeffs_1d(alpha, count).weights
+                w = riesz_coeffs_1d(alpha, count)
                 s = abs(w[0] + 2.0 * w[1:].sum())
                 if prev is not None:
                     assert s < prev
@@ -113,28 +112,26 @@ class TestRiesz1D:
             assert prev < 1e-4
 
     def test_count_property(self):
-        c = riesz_coeffs_1d(1.5, 7)
-        assert c.count == 7
-        assert c.weights.shape == (7,)
+        assert riesz_coeffs_1d(1.5, 7).shape == (7,)
 
 
 class TestLaplacian2D:
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_matches_quadrature_fixture(self, alpha):
-        quad = laplacian_coeffs_2d(alpha, 5, oversampling=64).quadrant
+        quad = laplacian_coeffs_2d(alpha, 5, oversampling=64)
         for (a, i, j), ref in QUAD_2D.items():
             if a == alpha:
                 assert quad[i, j] == pytest.approx(ref, abs=1e-8)
 
     def test_live_quadrature_agreement(self):
         # spot-check the transform against live adaptive quadrature
-        quad = laplacian_coeffs_2d(1.5, 3, oversampling=64).quadrant
+        quad = laplacian_coeffs_2d(1.5, 3, oversampling=64)
         for i, j in ((0, 0), (2, 1)):
             ref = coeff_quadrature_oracle(1.5, i, j, tol=1e-10)
             assert quad[i, j] == pytest.approx(ref, abs=1e-8)
 
     def test_classical_limit_is_five_point(self):
-        quad = laplacian_coeffs_2d(2.0, 4, oversampling=16).quadrant
+        quad = laplacian_coeffs_2d(2.0, 4, oversampling=16)
         assert quad[0, 0] == pytest.approx(4.0, abs=1e-12)
         assert quad[1, 0] == pytest.approx(-1.0, abs=1e-12)
         assert quad[0, 1] == pytest.approx(-1.0, abs=1e-12)
@@ -143,7 +140,7 @@ class TestLaplacian2D:
         assert np.all(np.abs(quad[mask]) < 1e-12)
 
     def test_symmetry_and_signs(self):
-        quad = laplacian_coeffs_2d(1.3, 6, oversampling=16).quadrant
+        quad = laplacian_coeffs_2d(1.3, 6, oversampling=16)
         assert np.allclose(quad, quad.T, atol=1e-14)
         assert quad[0, 0] > 0
         off = quad.copy()
@@ -151,31 +148,17 @@ class TestLaplacian2D:
         assert np.all(off <= 1e-12)
 
     def test_oversampling_refines(self):
-        ref = laplacian_coeffs_2d(1.1, 5, oversampling=256).quadrant
-        errs = [np.max(np.abs(laplacian_coeffs_2d(1.1, 5, oversampling=o).quadrant - ref))
+        ref = laplacian_coeffs_2d(1.1, 5, oversampling=256)
+        errs = [np.max(np.abs(laplacian_coeffs_2d(1.1, 5, oversampling=o) - ref))
                 for o in (8, 32, 128)]
         assert errs[0] > errs[1] > errs[2]
 
     def test_count_and_shape(self):
-        c = laplacian_coeffs_2d(1.5, 9)
-        assert c.count == 9
-        assert c.quadrant.shape == (9, 9)
+        assert laplacian_coeffs_2d(1.5, 9).shape == (9, 9)
 
     def test_sampling_budget_enforced(self):
         with pytest.raises(ValidationError):
             laplacian_coeffs_2d(1.5, 9000, oversampling=8)
-
-
-class TestCrossCoeffs:
-    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
-    def test_structure(self, alpha):
-        n = 8
-        w = riesz_coeffs_1d(alpha, n).weights
-        cross = riesz_sum_coeffs_2d(alpha, n).quadrant
-        assert cross[0, 0] == pytest.approx(2.0 * w[0], rel=1e-14)
-        assert np.allclose(cross[1:, 0], w[1:], rtol=1e-14)
-        assert np.allclose(cross[0, 1:], w[1:], rtol=1e-14)
-        assert np.all(cross[1:, 1:] == 0.0)
 
 
 class TestValidation:

@@ -5,7 +5,6 @@ import pytest
 
 import _oracles as oracle
 from fracwave import structured
-from fracwave.coeffs import riesz_sum_coeffs_2d
 from fracwave.errors import ValidationError
 from fracwave.harness import (
     CSV_HEADER,
@@ -89,8 +88,7 @@ class TestInnerProduct:
         assert inner_product("A", w, w, ops) == pytest.approx(
             h2 * v @ lap @ v, rel=1e-11)
 
-        cross = oracle.dense_cross_2d(riesz_sum_coeffs_2d(alpha, n).quadrant,
-                                      n, sc)
+        cross = oracle.dense_riesz_sum_2d(alpha, n, sc)
         assert inner_product("A_tilde", w, w, ops) == pytest.approx(
             h2 * v @ cross @ v, rel=1e-11)
 
@@ -154,8 +152,7 @@ class TestEnergy:
         n, h2, sc = grid.n, grid.h ** 2, grid.h ** (-alpha)
         kappa, c = problem.kappa, 0.5 * tau * tau * problem.kappa
         lap = oracle.dense_laplacian_2d(alpha, n, sc)
-        cross = oracle.dense_cross_2d(riesz_sum_coeffs_2d(alpha, n).quadrant,
-                                      n, sc)
+        cross = oracle.dense_riesz_sum_2d(alpha, n, sc)
         t1 = oracle.dense_riesz_1d(alpha, n, sc)
         tensor = np.kron(t1, t1)
         for _ in range(5):
