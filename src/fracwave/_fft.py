@@ -84,8 +84,10 @@ def rfft2(x):
     return _sfft.rfft2(x, workers=_WORKERS)
 
 
-def dctn_type1(x):
-    return _sfft.dctn(x, type=1, workers=_WORKERS)
+def dct_type1_inplace(x, axis: int = -1):
+    """Unnormalized DCT-I along ``axis``; a contiguous float64 ``x`` is
+    overwritten with the result, which is also returned."""
+    return _sfft.dct(x, type=1, axis=axis, overwrite_x=True, workers=_WORKERS)
 
 
 def dst_type1_ortho(x, axes):

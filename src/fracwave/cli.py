@@ -399,21 +399,25 @@ def _cmd_coeffs(args) -> int:
     if not 1 <= args.count <= MAX_GRID_N:
         raise ValidationError(
             f"--count must lie in [1, {MAX_GRID_N}], got {args.count}")
-    rows: list[str] = ["i,j,value"]
     if args.kind == "1d":
-        weights = riesz_coeffs_1d(args.alpha, args.count)
-        rows.extend(f"{i},0,{weights[i]:.17g}" for i in range(args.count))
+        table = riesz_coeffs_1d(args.alpha, args.count)[:, None]
     else:
-        quad = laplacian_coeffs_2d(args.alpha, args.count,
-                                   oversampling=args.oversampling)
-        for i in range(args.count):
-            rows.extend(f"{i},{j},{quad[i, j]:.17g}" for j in range(args.count))
-    text = "\n".join(rows) + "\n"
+        table = laplacian_coeffs_2d(args.alpha, args.count,
+                                    oversampling=args.oversampling)
     if args.out == "-":
-        sys.stdout.write(text)
+        _write_coeff_rows(sys.stdout, table)
     else:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            _write_coeff_rows(fh, table)
     return EXIT_OK
+
+
+def _write_coeff_rows(fh, table) -> None:
+    # one offset row per write: a count-2048 table as a single string would
+    # take hundreds of MiB
+    fh.write("i,j,value\n")
+    for i, row in enumerate(table):
+        fh.write("".join(f"{i},{j},{v:.17g}\n" for j, v in enumerate(row)))
 
 
 def _cmd_selftest(args) -> int:

@@ -48,9 +48,15 @@ __all__ = [
 class QuadratureError(RuntimeError):
     """The coefficient quadrature oracle failed to reach its tolerance."""
 
-# Upper bound on the symbol sampling grid M (per dimension). M = 16384 keeps
-# the sample array around 0.5 GB transient, well inside a small container.
+# Upper bound on the symbol sampling grid M (per dimension). The largest
+# transient is the count x (M/2 + 1) first-pass array of
+# laplacian_coeffs_2d: at most 2048 x 8193 doubles (128 MiB) for the
+# counts a solve may ask for.
 DEFAULT_MAX_SAMPLES = 16384
+
+# Sample rows built and transformed at a time by laplacian_coeffs_2d
+# (4 MiB per block at M = 8192).
+_ROW_BLOCK = 128
 
 
 def validate_alpha(alpha: float, allow_classical: bool = False) -> float:
@@ -120,9 +126,13 @@ def laplacian_coeffs_2d(
     The weights are the discrete Fourier coefficients of the symbol sampled
     on an M x M uniform grid over the periodic cell, M = smallest power of
     two >= oversampling * count. Because the symbol is real and even in each
-    variable, the full-cell inverse FFT collapses to a type-I cosine
-    transform of the (M/2 + 1)^2 samples on [0, pi]^2, which is what is
-    computed here (identical values, a quarter of the memory). Sampling
+    variable, the full-cell inverse FFT collapses to a 2D type-I cosine
+    transform of the (M/2 + 1)^2 samples on [0, pi]^2. Only its count x
+    count corner is kept, so the transform runs in two pruned passes and
+    the full sample grid is never held: sample rows are built a fixed block
+    at a time and each row is transformed in place, keeping its first
+    ``count`` outputs; a second pass transforms the resulting
+    count x (M/2 + 1) array along its rows and crops it. Sampling
     instead of integrating makes this an aliased version of the exact
     coefficients; the alias terms are coefficients at offsets >= M - count,
     which decay like |offset|^{-2-alpha}, so the error shrinks rapidly as
@@ -138,8 +148,20 @@ def laplacian_coeffs_2d(
     k = m // 2
     theta = np.pi * np.arange(k + 1) / k
     s = 4.0 * np.sin(theta / 2.0) ** 2
-    samples = (s[:, None] + s[None, :]) ** (alpha / 2.0)
-    return _fft.dctn_type1(samples)[:count, :count] / (4.0 * k * k)
+    # first pass: partial[q, p] = DCT-I of sample row p at frequency q < count
+    partial = np.empty((count, k + 1))
+    block = np.empty((min(_ROW_BLOCK, k + 1), k + 1))
+    for start in range(0, k + 1, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, k + 1)
+        rows = block[: stop - start]
+        np.add.outer(s[start:stop], s, out=rows)
+        np.power(rows, alpha / 2.0, out=rows)
+        partial[:, start:stop] = _fft.dct_type1_inplace(rows, axis=1)[:, :count].T
+    # second pass along the contiguous axis, then crop; the samples are
+    # exactly symmetric (s_p + s_q == s_q + s_p), so this is the corner of the
+    # one-shot 2D transform as it stands, with no transpose back
+    partial = _fft.dct_type1_inplace(partial, axis=1)
+    return partial[:, :count] / (4.0 * k * k)
 
 
 def coeff_quadrature_oracle(alpha: float, i: int, j: int, tol: float = 1e-10) -> float:

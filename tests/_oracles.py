@@ -7,8 +7,12 @@ and compare against the FFT-based implementations in :mod:`fracwave`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.fft
 from scipy.linalg import toeplitz
+from scipy.special import hyp1f1
 
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 
@@ -69,6 +73,28 @@ def dense_riesz_sum_2d(alpha: float, n: int, scale: float = 1.0) -> np.ndarray:
     t1 = dense_riesz_1d(alpha, n, scale)
     eye = np.eye(n)
     return np.kron(eye, t1) + np.kron(t1, eye)
+
+
+def one_shot_laplacian_coeffs_2d(alpha: float, count: int,
+                                 oversampling: int = 8) -> np.ndarray:
+    """2D weight quadrant in its unpruned form: the symbol on the full
+    (M/2 + 1)^2 grid over [0, pi]^2, M the smallest power of two >=
+    oversampling * count, one 2D DCT-I, then the count x count corner."""
+    m = 1
+    while m < oversampling * count:
+        m *= 2
+    k = m // 2
+    theta = np.pi * np.arange(k + 1) / k
+    s = 4.0 * np.sin(theta / 2.0) ** 2
+    samples = (s[:, None] + s[None, :]) ** (alpha / 2.0)
+    return scipy.fft.dctn(samples, type=1)[:count, :count] / (4.0 * k * k)
+
+
+def frac_laplacian_of_gaussian(alpha: float, r2: np.ndarray) -> np.ndarray:
+    """Exact 2D (-Delta)^s exp(-|x|^2) at squared radius r2, s = alpha/2:
+    4^s Gamma(1 + s) 1F1(1 + s; 1; -|x|^2)."""
+    s = alpha / 2.0
+    return 4.0**s * math.gamma(1.0 + s) * hyp1f1(1.0 + s, 1.0, -r2)
 
 
 def padded_bttb_apply(op, u: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Command-line interface: files written, exit codes, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fracwave.cli as cli
 from fracwave.cli import main
-from fracwave.coeffs import riesz_coeffs_1d
+from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError
 from fracwave.snapshots import read_snapshot_raw
 
@@ -283,6 +285,39 @@ class TestCoeffsCommand:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[1].split(",")[2]) == pytest.approx(2.0, abs=1e-13)
+
+    @pytest.mark.parametrize("kind", ["1d", "2d"])
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    def test_streamed_rows_match_joined_table(self, kind, to_stdout, tmp_path,
+                                              capsys):
+        count = 7
+        rows = ["i,j,value"]
+        if kind == "1d":
+            w = riesz_coeffs_1d(1.5, count)
+            rows.extend(f"{i},0,{w[i]:.17g}" for i in range(count))
+        else:
+            quad = laplacian_coeffs_2d(1.5, count)
+            for i in range(count):
+                rows.extend(f"{i},{j},{quad[i, j]:.17g}" for j in range(count))
+        out = tmp_path / "c.csv"
+        rc = main(["coeffs", "--alpha", "1.5", "--count", str(count),
+                   "--kind", kind, "--out", "-" if to_stdout else str(out)])
+        assert rc == 0
+        text = capsys.readouterr().out if to_stdout else out.read_text()
+        assert text == "\n".join(rows) + "\n"
+
+    def test_streamed_output_stays_small(self, tmp_path):
+        # count 256: 65536 rows; joined into one string they peak near
+        # 10 MiB, written one offset row at a time under 4 MiB
+        tracemalloc.start()
+        try:
+            rc = main(["coeffs", "--alpha", "1.5", "--count", "256",
+                       "--out", str(tmp_path / "c.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 5 * 2**20
 
     def test_bad_count_rejected(self):
         assert main(["coeffs", "--alpha", "1.5", "--count", "0",

@@ -7,12 +7,14 @@ The frozen numbers below were produced by two independent routes and agree:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracle
 from fracwave.coeffs import (
     QuadratureError,
     coeff_quadrature_oracle,
@@ -152,6 +154,27 @@ class TestLaplacian2D:
         errs = [np.max(np.abs(laplacian_coeffs_2d(1.1, 5, oversampling=o) - ref))
                 for o in (8, 32, 128)]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.9, 2.0])
+    def test_matches_one_shot_transform(self, alpha):
+        # M/2 + 1 = 5, 17, 257, 257, 513, 1025, 1025 sample rows: one
+        # partial row block, then whole blocks plus a partial last one
+        for count in (1, 3, 63, 64, 65, 129, 130):
+            got = laplacian_coeffs_2d(alpha, count)
+            want = oracle.one_shot_laplacian_coeffs_2d(alpha, count)
+            assert got.shape == (count, count)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_never_holds_the_sample_grid(self):
+        # N = 799 samples a 4097 x 4097 grid (128 MiB, twice over in the
+        # one-shot form); the row-blocked transform holds a 799 x 4097 array
+        tracemalloc.start()
+        try:
+            laplacian_coeffs_2d(1.5, 799)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
     def test_count_and_shape(self):
         assert laplacian_coeffs_2d(1.5, 9).shape == (9, 9)

@@ -266,6 +266,29 @@ class TestBttb:
         assert op.length >= 2 * n
 
 
+class TestExactOperator:
+    """The BTTB stencil against the closed form of (-Delta)^{alpha/2} of a
+    Gaussian on (-10, 10)^2, where the paper claims O(h^2)."""
+
+    # max error at h = 1/16
+    FINEST_ERROR = {1.1: 1.586e-3, 1.5: 3.329e-3, 1.9: 6.608e-3}
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_second_order_on_gaussian(self, alpha):
+        errors = []
+        for per_unit in (2, 4, 8, 16):
+            h = 1.0 / per_unit
+            n = 20 * per_unit - 1
+            x = -10.0 + h * np.arange(1, n + 1)
+            r2 = x[:, None] ** 2 + x[None, :] ** 2
+            op = bttb_build(laplacian_coeffs_2d(alpha, n), n, h ** -alpha)
+            exact = oracle.frac_laplacian_of_gaussian(alpha, r2)
+            errors.append(np.max(np.abs(op.apply(np.exp(-r2)) - exact)))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 1.9), orders
+        assert errors[-1] == pytest.approx(self.FINEST_ERROR[alpha], rel=0.01)
+
+
 class TestSineTransform:
     def test_involution(self, rng):
         for n in (1, 2, 9, 32):
