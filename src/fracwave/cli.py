@@ -417,7 +417,8 @@ def _write_coeff_rows(fh, table) -> None:
     # take hundreds of MiB
     fh.write("i,j,value\n")
     for i, row in enumerate(table):
-        fh.write("".join(f"{i},{j},{v:.17g}\n" for j, v in enumerate(row)))
+        fh.write("".join(["%d,%d,%.17g\n" % (i, j, v)
+                          for j, v in enumerate(row.tolist())]))
 
 
 def _cmd_selftest(args) -> int:

@@ -30,8 +30,11 @@ and I + c Atilde + c^2 B = (I + c delta_x)(I + c delta_y), both reduce to
     (M dt, dt) + kappa (A w^{n+1}, w^n),
 
 M the scheme's implicit operator: (I + c delta_x)(I + c delta_y) for sadi,
-I + c L for nonadi. ``discrete_energy`` evaluates this form, at one BTTB
-apply and two 1D Toeplitz sweeps for sadi and two BTTB applies for nonadi.
+I + c L for nonadi. ``discrete_energy`` evaluates this form. The pairing
+h^2 (A w^n, w^{n+1}) comes with the states of a run (``SchemeState.a_pair``,
+from the apply the step made), so a call costs two 1D Toeplitz sweeps and
+no BTTB apply for sadi, and one BTTB apply for nonadi. On a state built by
+hand it costs one more apply for the pairing; kappa = 0 needs no apply.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ def discrete_energy(
 ) -> float:
     """Evaluate the energy ``scheme`` conserves for g = 0 on the level pair
     held by ``state``: H_n^2 for sadi, E_n for nonadi, both as
-    (M dt, dt) + kappa (A u^{n+1}, u^n) with M the scheme's implicit operator."""
+    (M dt, dt) + kappa (A u^{n+1}, u^n) with M the scheme's implicit operator.
+    The pairing is the state's ``a_pair`` when it carries one."""
     if scheme not in SCHEME_NAMES:
         raise ValidationError(
             f"unknown scheme {scheme!r}; available: {', '.join(SCHEME_NAMES)}"
@@ -124,10 +128,17 @@ def discrete_energy(
     if scheme == "sadi":
         w = dt + c * ops.delta_y(dt)
         m_dt = w + c * ops.delta_x(w)
-    else:
+    elif ops.kappa != 0.0:
         m_dt = dt + c * ops.lap.apply(dt)
-    return (inner_product("l2", m_dt, dt, ops)
-            + ops.kappa * inner_product("A", state.u_curr, state.u_prev, ops))
+    else:
+        m_dt = dt
+    energy = inner_product("l2", m_dt, dt, ops)
+    if ops.kappa == 0.0:
+        return energy
+    a_pair = state.a_pair
+    if a_pair is None:
+        a_pair = inner_product("A", state.u_prev, state.u_curr, ops)
+    return energy + ops.kappa * a_pair
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,14 @@ class SchemeState:
 
     ``pcg_iterations`` counts the iterations of the baseline solve that
     produced u_curr (zero is a valid count); it is None for sadi steps.
+
+    The steps hand on the fractional-Laplacian apply they made of u_prev,
+    so that its consumers need not repeat it. ``a_pair`` is
+    h^2 (L u_prev, u_curr), the pairing term of the conserved energy, set
+    by every step. ``lap_prev`` is L u_prev itself, a compact N x N field
+    that only the baseline steps carry: the next baseline step's
+    right-hand side needs it. Both are None on states built by hand and
+    when kappa = 0 (no apply is made); consumers then apply L themselves.
     """
 
     u_prev: np.ndarray
@@ -98,6 +106,8 @@ class SchemeState:
     step_index: int
     time: float
     pcg_iterations: int | None = None
+    a_pair: float | None = None
+    lap_prev: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +120,13 @@ class StepOperators:
     equal spacing, so the same inverse serves the column and row sweeps.
     ``lap`` applies the plain discrete fractional Laplacian h^{-alpha}
     scaling included, kappa NOT included (kappa enters at the use sites).
-    ``tau2d`` preconditions the unfactored baseline system.
+    ``tau2d`` preconditions the unfactored baseline system. ``alpha``,
+    ``kappa``, ``grid`` and ``tau_step`` record what the operators were
+    built for.
     """
 
     tau_step: float
+    alpha: float
     kappa: float
     grid: Grid2D
     riesz: SymToeplitz
@@ -162,6 +175,7 @@ def build_operators(
     gs = gs_precompute(first_col)
     return StepOperators(
         tau_step=tau_step,
+        alpha=problem.alpha,
         kappa=problem.kappa,
         grid=grid,
         riesz=SymToeplitz(riesz_col),
@@ -175,14 +189,34 @@ def rhs_general(
     u: np.ndarray,
     ops: StepOperators,
     g: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Right-hand side B(u) = -tau^2 kappa L u + tau^2 g(u) of the general
-    step; the first step uses tau phi2 + B(u^0) / 2."""
+    step, and the L u it applied (None when kappa = 0, which needs none);
+    the first step uses tau phi2 + B(u^0) / 2."""
     tau2 = ops.tau_step * ops.tau_step
     out = tau2 * g(u)
-    if ops.kappa != 0.0:
-        out -= (tau2 * ops.kappa) * ops.lap.apply(u)
-    return out
+    if ops.kappa == 0.0:
+        return out, None
+    lap_u = _compact_apply(ops, u)
+    out -= (tau2 * ops.kappa) * lap_u
+    return out, lap_u
+
+
+def _compact_apply(ops: StepOperators, u: np.ndarray) -> np.ndarray:
+    """L u as a C-contiguous N x N array. The apply crops a view out of an
+    N x L array; a field that outlives the call must not pin that buffer,
+    and the copy costs what the view's first flattening would."""
+    return np.ascontiguousarray(ops.lap.apply(u))
+
+
+def _a_pair(
+    ops: StepOperators, lap_prev: np.ndarray | None, u_curr: np.ndarray
+) -> float | None:
+    """h^2 (L u_prev, u_curr) from the L u_prev a step made, or None."""
+    if lap_prev is None:
+        return None
+    h = ops.grid.h
+    return h * h * float(np.vdot(lap_prev, u_curr).real)
 
 
 def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
@@ -204,9 +238,10 @@ def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> Schem
     """Advance the initial data to the first time level."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(grid)
-    b0 = 0.5 * rhs_general(u0, ops, g) + ops.tau_step * phi2_field
-    u1 = u0 + adi_solve(ops, b0)
-    return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=ops.tau_step)
+    b0, lap_u0 = rhs_general(u0, ops, g)
+    u1 = u0 + adi_solve(ops, 0.5 * b0 + ops.tau_step * phi2_field)
+    return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=ops.tau_step,
+                       a_pair=_a_pair(ops, lap_u0, u1))
 
 
 def sadi_step(
@@ -215,13 +250,14 @@ def sadi_step(
     g: Callable[[np.ndarray], np.ndarray],
 ) -> SchemeState:
     """One general step: solve for the second difference and shift levels."""
-    hat_u = adi_solve(ops, rhs_general(state.u_curr, ops, g))
-    u_next = hat_u + 2.0 * state.u_curr - state.u_prev
+    b, lap_curr = rhs_general(state.u_curr, ops, g)
+    u_next = adi_solve(ops, b) + 2.0 * state.u_curr - state.u_prev
     return SchemeState(
         u_prev=state.u_curr,
         u_curr=u_next,
         step_index=state.step_index + 1,
         time=(state.step_index + 1) * ops.tau_step,
+        a_pair=_a_pair(ops, lap_curr, u_next),
     )
 
 
@@ -231,25 +267,29 @@ def sadi_step(
 
 def _nonadi_solve(
     ops: StepOperators, b: np.ndarray, x0: np.ndarray, tol: float
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Solve (I + (tau^2 kappa/2) L) x = b by PCG with the 2D sine-transform
-    preconditioner, warm-started from the previous level. Returns x and the
-    iteration count."""
+    preconditioner, warm-started from the previous level. Returns x, the
+    iteration count and L x0, the apply the warm-start residual is made
+    from (None when kappa = 0: the system is then I x = b, and no step of
+    the solve applies L)."""
     c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
+    lap_x0 = None if ops.kappa == 0.0 else _compact_apply(ops, x0)
 
     def apply_a(v: np.ndarray) -> np.ndarray:
-        return v + c * ops.lap.apply(v)
+        return v if lap_x0 is None else v + c * ops.lap.apply(v)
 
     def apply_m(r: np.ndarray) -> np.ndarray:
         return tau_apply(ops.tau2d, r)
 
-    x, report = pcg(apply_a, apply_m, b, tol=tol, max_iter=400, x0=x0)
+    x, report = pcg(apply_a, apply_m, b, tol=tol, max_iter=400, x0=x0,
+                    ax0=None if lap_x0 is None else x0 + c * lap_x0)
     if not report.converged:
         raise SolverError(
             f"step solve did not converge: {report.iterations} iterations, "
             f"relative residual {report.final_relative_residual:.2e}"
         )
-    return x, report.iterations
+    return x, report.iterations, lap_x0
 
 
 def nonadi_first_step(
@@ -264,9 +304,10 @@ def nonadi_first_step(
     u0, phi2_field = problem.initial_fields(grid)
     tau = ops.tau_step
     b = u0 + tau * phi2_field + (0.5 * tau * tau) * g(u0)
-    u1, iterations = _nonadi_solve(ops, b, x0=u0, tol=tol)
+    u1, iterations, lap_u0 = _nonadi_solve(ops, b, x0=u0, tol=tol)
     return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=tau,
-                       pcg_iterations=iterations)
+                       pcg_iterations=iterations,
+                       a_pair=_a_pair(ops, lap_u0, u1), lap_prev=lap_u0)
 
 
 def nonadi_step(
@@ -276,19 +317,27 @@ def nonadi_step(
     tol: float = 1e-11,
 ) -> SchemeState:
     """General baseline step: (I + c L) u^{n+1} = 2 u^n - u^{n-1}
-    - c L u^{n-1} + tau^2 g(u^n)."""
+    - c L u^{n-1} + tau^2 g(u^n). L u^{n-1} is the state's ``lap_prev``
+    when it carries one (the previous solve's warm-start apply), so the
+    step applies L once plus once per PCG iteration."""
     tau = ops.tau_step
     c = 0.5 * tau * tau * ops.kappa
     b = 2.0 * state.u_curr - state.u_prev + tau * tau * g(state.u_curr)
     if ops.kappa != 0.0:
-        b -= c * ops.lap.apply(state.u_prev)
-    u_next, iterations = _nonadi_solve(ops, b, x0=state.u_curr, tol=tol)
+        lap_prev = state.lap_prev
+        if lap_prev is None:
+            lap_prev = ops.lap.apply(state.u_prev)
+        b -= c * lap_prev
+    u_next, iterations, lap_curr = _nonadi_solve(ops, b, x0=state.u_curr,
+                                                 tol=tol)
     return SchemeState(
         u_prev=state.u_curr,
         u_curr=u_next,
         step_index=state.step_index + 1,
         time=(state.step_index + 1) * tau,
         pcg_iterations=iterations,
+        a_pair=_a_pair(ops, lap_curr, u_next),
+        lap_prev=lap_curr,
     )
 
 
@@ -335,7 +384,8 @@ def run(
     first) with the current state; snapshot selection is the recorder's
     business. Blow-up (non-finite values or |u| beyond 1e12) aborts with a
     diagnostic. Passing a prebuilt ``ops`` skips operator setup, which is
-    useful when several runs share a (grid, tau) configuration.
+    useful when several runs share a (grid, tau) configuration; operators
+    built for another grid, alpha, kappa or tau are refused.
     """
     if m_steps < 1:
         raise ValidationError(f"m_steps must be >= 1, got {m_steps}")
@@ -349,6 +399,12 @@ def run(
         ops = build_operators(problem, grid, tau_step)
     elif abs(ops.tau_step - tau_step) > 1e-15 * max(1.0, tau_step):
         raise ValidationError("prebuilt operators were made for a different tau")
+    elif (ops.grid, ops.alpha, ops.kappa) != (grid, problem.alpha, problem.kappa):
+        raise ValidationError(
+            f"prebuilt operators were made for alpha={ops.alpha:g}, "
+            f"kappa={ops.kappa:g} on {ops.grid}, not alpha={problem.alpha:g}, "
+            f"kappa={problem.kappa:g} on {grid}"
+        )
     info.setup_seconds = time.perf_counter() - t0
 
     if scheme == "sadi":

@@ -323,6 +323,7 @@ def pcg(
     tol: float = 1e-11,
     max_iter: int = 500,
     x0: np.ndarray | None = None,
+    ax0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PcgReport]:
     """Preconditioned conjugate gradients on an SPD operator.
 
@@ -331,7 +332,10 @@ def pcg(
     norm sqrt(<r, M^{-1} r>) drops below tol times its value for the zero
     initial guess, i.e. tol * sqrt(<b, M^{-1} b>), making the criterion
     independent of the (possibly warm) starting point. A zero right-hand
-    side returns zeros immediately with 0 iterations.
+    side returns zeros immediately with 0 iterations. ``ax0``, when given
+    with ``x0``, is A x0 already computed by the caller: the warm-start
+    residual b - ax0 then costs no application of A, and each iteration
+    costs one.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -342,7 +346,11 @@ def pcg(
         return np.zeros_like(b), PcgReport(0, 0.0, True)
 
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float, copy=True)
-    r = b - apply_a(x) if x0 is not None else b.copy()
+    if x0 is None:
+        r = b.copy()
+    else:
+        r = b - (apply_a(x) if ax0 is None else ax0)
+        del ax0  # the caller's A x0 need not live through the iterations
     z = apply_m_inv(r)
     rho = float(np.vdot(r, z).real)
     rel = np.sqrt(max(rho, 0.0)) / scale

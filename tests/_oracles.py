@@ -97,6 +97,24 @@ def frac_laplacian_of_gaussian(alpha: float, r2: np.ndarray) -> np.ndarray:
     return 4.0**s * math.gamma(1.0 + s) * hyp1f1(1.0 + s, 1.0, -r2)
 
 
+def semi_discrete_wave(lap: np.ndarray, kappa: float, u0: np.ndarray,
+                       v0: np.ndarray, t: float) -> np.ndarray:
+    """Exact solution at time t of U'' = -kappa L U, U(0) = u0, U'(0) = v0.
+
+    ``lap`` is the dense SPD matrix of L in vec_f ordering. With
+    L = V diag(lam) V^T and omega = sqrt(kappa lam), the solution is
+    U(t) = V [cos(omega t) c0 + sin(omega t) / omega c1] with c0 = V^T u0
+    and c1 = V^T v0.
+    """
+    lam, vec = np.linalg.eigh(lap)
+    assert lam[0] > 0.0, "L must be positive definite"
+    omega = np.sqrt(kappa * lam)
+    c0 = vec.T @ vec_f(u0)
+    c1 = vec.T @ vec_f(v0)
+    modes = np.cos(omega * t) * c0 + np.sin(omega * t) / omega * c1
+    return unvec_f(vec @ modes, u0.shape[0])
+
+
 def padded_bttb_apply(op, u: np.ndarray) -> np.ndarray:
     """BTTB apply in its unpruned form: zero-pad the field to the L x L
     torus, one real 2D FFT, the spectrum product, one inverse, crop."""

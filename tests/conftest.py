@@ -21,6 +21,22 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240814)
 
 
+@pytest.fixture
+def bttb_calls(monkeypatch) -> list:
+    """The operators of every BTTB apply made while the test runs, in order."""
+    from fracwave import structured
+
+    calls = []
+    real_apply = structured.bttb_apply
+
+    def counting_apply(op, u):
+        calls.append(op)
+        return real_apply(op, u)
+
+    monkeypatch.setattr(structured, "bttb_apply", counting_apply)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_LINES:
         return

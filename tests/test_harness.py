@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from fracwave import structured
 from fracwave.errors import ValidationError
 from fracwave.harness import (
     CSV_HEADER,
@@ -172,20 +171,45 @@ class TestEnergy:
 
     @pytest.mark.parametrize("scheme, applies", [("sadi", 1), ("nonadi", 2)])
     def test_bttb_applies_per_call(self, scheme, applies, ops6, rng,
-                                   monkeypatch):
+                                   bttb_calls):
+        # a state built by hand carries no pairing: one apply makes it
         _, _, ops = ops6
-        calls = []
-        real_apply = structured.bttb_apply
-
-        def counting_apply(op, u):
-            calls.append(op)
-            return real_apply(op, u)
-
-        monkeypatch.setattr(structured, "bttb_apply", counting_apply)
         u_prev, u_curr = rng.standard_normal((2, 6, 6))
         state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
         discrete_energy(state, ops, scheme)
-        assert len(calls) == applies
+        assert len(bttb_calls) == applies
+
+    @pytest.mark.parametrize("scheme, applies", [("sadi", 0), ("nonadi", 1)])
+    def test_bttb_applies_on_run_states(self, scheme, applies, ops6,
+                                        bttb_calls):
+        # the states of a run carry the pairing from the step's own apply
+        problem, grid, ops = ops6
+        counts = []
+
+        def recorder(state):
+            before = len(bttb_calls)
+            discrete_energy(state, ops, scheme)
+            counts.append(len(bttb_calls) - before)
+
+        run(problem, grid, ops.tau_step, 4, scheme=scheme, ops=ops,
+            recorder=recorder)
+        assert counts == [applies] * 4
+
+    @pytest.mark.parametrize("scheme", ["sadi", "nonadi"])
+    def test_carried_pairing_matches_inner_product(self, scheme):
+        problem = small_problem(alpha=1.7)
+        grid = Grid2D(a=-2.0, b=2.0, n=12)
+        ops = build_operators(problem, grid, 0.05)
+        states = []
+        run(problem, grid, 0.05, 5, scheme=scheme, ops=ops,
+            recorder=states.append)
+        for state in states:
+            pair = inner_product("A", state.u_curr, state.u_prev, ops)
+            assert state.a_pair == pytest.approx(pair, rel=1e-14, abs=0.0)
+            by_hand = SchemeState(u_prev=state.u_prev, u_curr=state.u_curr,
+                                  step_index=state.step_index, time=state.time)
+            assert discrete_energy(state, ops, scheme) == pytest.approx(
+                discrete_energy(by_hand, ops, scheme), rel=1e-14, abs=0.0)
 
     def test_trace_drift_metric(self):
         t = EnergyTrace(values=np.array([2.0, 2.0, 2.0]))

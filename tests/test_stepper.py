@@ -6,14 +6,18 @@ and advances the same recurrences with ``numpy.linalg.solve``. The fast
 stepper must match to solver tolerance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import _oracles as oracle
 from fracwave import _fft
-from fracwave.errors import BlowUpError
-from fracwave.problems import Grid2D, Problem, resolve_nonlinearity
+from fracwave.errors import BlowUpError, ValidationError
+from fracwave.harness import EnergyTrace, discrete_energy
+from fracwave.problems import Grid2D, Problem, example_problem, resolve_nonlinearity
 from fracwave.stepper import (
+    SCHEME_NAMES,
     SchemeState,
     adi_solve,
     build_operators,
@@ -317,3 +321,128 @@ class TestRunLoop:
         grid = Grid2D(a=problem.a, b=problem.b, n=8)
         with pytest.raises(Exception):
             run(problem, grid, 0.1, 2, scheme="magic")
+
+    def test_operators_for_another_problem_refused(self):
+        # operators for alpha = 1.5, kappa = 1 on (-10, 10)^2 (h = 1.25)
+        # must not integrate alpha = 1.9, kappa = 3 on (-5, 5)^2 (h = 0.625)
+        built = example_problem("sine-gordon", 1.5)
+        built_grid = Grid2D(built.a, built.b, 15)
+        ops = build_operators(built, built_grid, 0.05)
+        other = Problem(a=-5.0, b=5.0, alpha=1.9, kappa=3.0,
+                        nonlinearity="sine_gordon", phi2=built.phi2)
+        other_grid = Grid2D(other.a, other.b, 15)
+        cases = [(other, other_grid), (built, other_grid),
+                 (replace(built, alpha=1.9), built_grid),
+                 (replace(built, kappa=3.0), built_grid)]
+        for problem, grid in cases:
+            with pytest.raises(ValidationError, match="prebuilt operators"):
+                run(problem, grid, 0.05, 2, ops=ops)
+        run(built, built_grid, 0.05, 2, ops=ops)
+
+
+class TestCarriedApplies:
+    """Each step hands on the fractional-Laplacian apply it made of u_prev:
+    the energy pairing a_pair from every step, the field lap_prev from the
+    baseline steps only."""
+
+    def test_nonadi_step_applies_once_plus_iterations(self, bttb_calls):
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=12)
+        ops = build_operators(problem, grid, 0.05)
+        g = resolve_nonlinearity(problem.nonlinearity)
+        state = nonadi_first_step(problem, grid, ops)
+        assert len(bttb_calls) == 1 + state.pcg_iterations
+        for _ in range(3):
+            del bttb_calls[:]
+            nxt = nonadi_step(state, ops, g)
+            assert len(bttb_calls) == 1 + nxt.pcg_iterations
+            # without the carried field the step applies L to u_prev itself
+            # and lands on the same bits
+            bare = nonadi_step(replace(state, lap_prev=None), ops, g)
+            assert np.array_equal(bare.u_curr, nxt.u_curr)
+            assert bare.pcg_iterations == nxt.pcg_iterations
+            assert len(bttb_calls) == 3 + 2 * nxt.pcg_iterations
+            state = nxt
+
+    def test_lap_prev_is_a_compact_apply_of_u_prev(self):
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=12)
+        ops = build_operators(problem, grid, 0.05)
+        states = []
+        run(problem, grid, 0.05, 3, scheme="nonadi", ops=ops,
+            recorder=states.append)
+        for state in states:
+            lap = state.lap_prev
+            # its own N x N memory, not a view of the apply's N x L buffer
+            assert lap.flags.c_contiguous and lap.base is None
+            np.testing.assert_array_equal(lap, ops.lap.apply(state.u_prev))
+        run(problem, grid, 0.05, 3, scheme="sadi", ops=ops,
+            recorder=states.append)
+        assert all(s.lap_prev is None and s.a_pair is not None
+                   for s in states[3:])
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_kappa_zero_makes_no_apply(self, scheme, bttb_calls):
+        problem = gaussian_problem(kappa=0.0, nonlinearity="zero")
+        grid = Grid2D(a=problem.a, b=problem.b, n=9)
+        ops = build_operators(problem, grid, 0.07)
+        states = []
+
+        def recorder(state):
+            states.append(state)
+            discrete_energy(state, ops, scheme)
+
+        run(problem, grid, 0.07, 4, scheme=scheme, ops=ops, recorder=recorder)
+        assert bttb_calls == []
+        assert all(s.a_pair is None and s.lap_prev is None for s in states)
+
+
+class TestExactTime:
+    """Both schemes against the exact solution of the semi-discrete system
+    U'' = -kappa L U at N = 39, from the eigendecomposition of the dense L:
+    second order in tau at t = 2."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_second_order_against_semi_discrete(self, alpha):
+        problem = Problem(
+            a=-10.0, b=10.0, alpha=alpha, kappa=1.0, nonlinearity="zero",
+            phi1=lambda x, y: np.exp(-(x ** 2 + y ** 2)),
+            phi2=lambda x, y: 1.0 / np.cosh(np.hypot(x, y)),
+        )
+        grid = Grid2D(problem.a, problem.b, 39)
+        u0, v0 = problem.initial_fields(grid)
+        lap = oracle.dense_laplacian_2d(alpha, grid.n, grid.h ** -alpha)
+        t_final = 2.0
+        exact = oracle.semi_discrete_wave(lap, problem.kappa, u0, v0, t_final)
+        taus = (0.1, 0.05, 0.025, 0.0125)
+        for scheme in SCHEME_NAMES:
+            errors = []
+            for tau in taus:
+                state, _ = run(problem, grid, tau, round(t_final / tau),
+                               scheme=scheme)
+                errors.append(grid.h * np.linalg.norm(state.u_curr - exact))
+            orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+            assert np.all(orders >= 1.95), (scheme, errors, orders)
+            assert errors[-1] < 5e-4, (scheme, errors)
+
+
+class TestUnconditionalStability:
+    """g = 0 runs far beyond any explicit step limit (alpha = 1.9, h = 1/4,
+    so tau h^{-alpha/2} is about 3.7 and 37) keep their energy: each
+    scheme's energy is a norm of the level pair, so the levels stay
+    bounded."""
+
+    @pytest.mark.parametrize("scheme, bound", [("sadi", 1e-13),
+                                               ("nonadi", 1e-11)])
+    @pytest.mark.parametrize("tau", [1.0, 10.0])
+    def test_energy_held_over_fifty_large_steps(self, scheme, bound, tau):
+        problem = example_problem("zero", 1.9)
+        grid = Grid2D.from_spacing(problem.a, problem.b, 0.25)
+        ops = build_operators(problem, grid, tau)
+        values = []
+        state, _ = run(problem, grid, tau, 50, scheme=scheme, ops=ops,
+                       recorder=lambda s: values.append(
+                           discrete_energy(s, ops, scheme)))
+        assert values[0] > 0.0
+        assert EnergyTrace(np.asarray(values)).relative_drift() <= bound
+        assert np.all(np.isfinite(state.u_curr))
