@@ -5,7 +5,8 @@ Two concerns are centralized here:
 * a process-wide worker count so the CLI ``--threads`` flag reaches every
   transform without threading state through each call site, and
 * an optional transform counter used by tests to assert FFT budgets
-  (the fast Toeplitz solve must cost exactly four size-N FFTs).
+  (the fast Toeplitz solve must cost exactly four FFTs of length
+  next_fast_len(N)).
 
 Convention used throughout the project: the forward transform is
 unnormalized and the inverse carries the 1/N factor (numpy/scipy default).
@@ -34,7 +35,7 @@ def set_fft_workers(workers: int) -> None:
 class FftCounter:
     """Counts 1D complex transforms executed through this module.
 
-    ``calls`` counts invocations; ``transforms`` counts individual length-N
+    ``calls`` counts invocations; ``transforms`` counts individual 1D
     transforms (a batched call over k columns adds k). Disabled by default
     so the hot path pays only an attribute check.
     """
@@ -92,6 +93,11 @@ def dct_type1_inplace(x, axis: int = -1):
 
 def dst_type1_ortho(x, axes):
     return _sfft.dstn(x, type=1, norm="ortho", axes=axes, workers=_WORKERS)
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest FFT-friendly length >= target for complex transforms."""
+    return _sfft.next_fast_len(target)
 
 
 def next_fast_real_len(target: int) -> int:

@@ -107,20 +107,22 @@ def _check_dst_transform() -> None:
 
 
 def _check_gs_inverse() -> None:
+    # n = 31 sweeps at the fast length 32 with its rank-1 correction
     rng = np.random.default_rng(13)
-    col = -np.abs(rng.standard_normal(32))
-    col[0] = np.abs(col).sum() + 1.0
-    h_matrix = SymToeplitz(col)
-    data = gs_precompute(col)
-    v = rng.standard_normal(32)
-    _fft.COUNTER.enabled = True
-    _fft.COUNTER.reset()
-    x = gs_solve(data, h_matrix.matvec(v))
-    calls = _fft.COUNTER.calls
-    _fft.COUNTER.enabled = False
-    _require(calls == 4, f"structured solve used {calls} FFTs instead of 4")
-    _require(np.linalg.norm(x - v) <= 1e-10 * np.linalg.norm(v),
-             "solve(matvec(v)) does not return v")
+    for n in (32, 31):
+        col = -np.abs(rng.standard_normal(n))
+        col[0] = np.abs(col).sum() + 1.0
+        h_matrix = SymToeplitz(col)
+        data = gs_precompute(col)
+        v = rng.standard_normal(n)
+        _fft.COUNTER.enabled = True
+        _fft.COUNTER.reset()
+        x = gs_solve(data, h_matrix.matvec(v))
+        calls = _fft.COUNTER.calls
+        _fft.COUNTER.enabled = False
+        _require(calls == 4, f"structured solve at n={n} used {calls} FFTs instead of 4")
+        _require(np.linalg.norm(x - v) <= 1e-10 * np.linalg.norm(v),
+                 f"solve(matvec(v)) does not return v at n={n}")
 
 
 def _small_ops(n: int = 12, tau: float = 0.05):

@@ -14,8 +14,8 @@ That cross term is exactly what makes the implicit operator factor into
 
 so each time level is obtained by sweeping 1D Toeplitz solves over the
 columns, then the rows, of the right-hand side. The Toeplitz solves use
-the precomputed structured inverse (four FFTs per solve) from
-:mod:`fracwave.structured`.
+the precomputed structured inverse (four FFTs of length next_fast_len(N)
+per solve) from :mod:`fracwave.structured`.
 
 Update formulas implemented here, with hat{u} the increment solved for and
 B(u) = -tau^2 kappa L u + tau^2 g(u) the right-hand side (rhs_general):
@@ -224,11 +224,11 @@ def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
 
     delta_x couples along axis 0, so the column sweep solves H X = B on the
     columns of B; transposing swaps the roles and the second sweep handles
-    axis 1. Both sweeps batch all N columns into single four-FFT solves.
-    Each sweep makes one copy, the complex working array whose contiguous
-    rows its transforms run along: the columns of B for the first, the
-    rows of X for the second, whose result transposed back is C-ordered.
-    Eight counted FFT calls in all.
+    axis 1. Both sweeps batch all N columns into single solves of four FFTs
+    of length next_fast_len(N). Each sweep makes one copy, the complex
+    working array whose contiguous rows its transforms run along: the
+    columns of B for the first, the rows of X for the second, whose result
+    transposed back is C-ordered. Eight counted FFT calls in all.
     """
     x_swept = gs_solve(ops.gs, np.asarray(b, dtype=float))
     return gs_solve(ops.gs, x_swept.T).T

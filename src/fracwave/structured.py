@@ -7,7 +7,9 @@ Everything the time steppers need reduces to three structured-matrix tools:
   the Gohberg-Semencul representation of the inverse: one Levinson solve
   gives c = H^{-1} e_1, H^{-1} then factorizes into one circulant and one
   skew-circulant built from c, both diagonal in Fourier space and applied
-  in place, so every subsequent solve costs exactly four size-N FFTs,
+  in place, so every subsequent solve costs exactly four FFTs of length
+  next_fast_len(N) (a bad N is embedded in a larger Toeplitz system and
+  corrected by a rank-k update, k = next_fast_len(N) - N),
 * a block-Toeplitz-Toeplitz-block (BTTB) matvec via 2D circulant embedding,
   applied by pruned transforms (the N rows along axis 1, then axis 0, each
   zero-padded to L by the transform itself; the inverse passes in the
@@ -22,11 +24,12 @@ matrix-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from . import _fft
 from .coeffs import validate_alpha
@@ -109,27 +112,39 @@ class SymToeplitz:
 class GSData:
     """Precomputed data representing the inverse of an SPD Toeplitz matrix.
 
-    With c = H^{-1} e_1 and p_k = c_{k-1} (1-based), the inverse acts as
+    With c = H^{-1} e_1 and p_k = c_{k-1} (1-based), the inverse of an
+    order-m symmetric Toeplitz matrix acts as
 
         H^{-1} v = Re(v3) + J Im(v3),
         v1 = (v + i J v) / (2 p_1),
-        v2 = S v1   (skew-circulant with first column s = [p_1, -p_N, .., -p_2]),
+        v2 = S v1   (skew-circulant with first column s = [p_1, -p_m, .., -p_2]),
         v3 = C v2   (circulant with first column c),
 
     where J is the index-reversal. Both structured factors are diagonal in
-    Fourier space, so one solve costs exactly four size-N FFTs.
-    ``q_scaled`` = Q / (2 p_1) folds the scale of v1 into the first
-    skew-circulant diagonal.
+    Fourier space, so one solve costs exactly four FFTs of length
+    m = next_fast_len(N). For N < m the factors are those of H', the
+    order-m SPD Toeplitz extension of H with zero reflection coefficients
+    beyond order N: the first column of H'^{-1} is c padded with k = m - N
+    zeros. With H'^{-1} = [[G11, G12], [G21, G22]] (G11 of order N), the
+    block-inverse identity gives
+
+        H^{-1} v = y1 - F y2,   [y1; y2] = H'^{-1} [v; 0],   F = G12 G22^{-1},
+
+    and ``correction`` stores F (N x k, F-ordered; N x 0 when N is a fast
+    length). ``q_scaled`` = Q / (2 p_1) folds the scale of v1 into the
+    first skew-circulant diagonal; ``q_conj`` is Q*.
     """
 
+    n: int
     p1: float
     lambda_c: np.ndarray
     lambda_s: np.ndarray
-    q_diag: np.ndarray
     q_scaled: np.ndarray
+    q_conj: np.ndarray
+    correction: np.ndarray
 
     @property
-    def n(self) -> int:
+    def length(self) -> int:
         return self.lambda_c.shape[0]
 
 
@@ -138,10 +153,14 @@ def gs_precompute(first_col: np.ndarray) -> GSData:
 
     H is the symmetric Toeplitz matrix with first column ``first_col``. The
     one-time solve is the direct Levinson recursion (O(N^2), exact up to
-    round-off), whose result the Gohberg-Semencul formula packages. A
-    positive p_1 = c_0 is a hard requirement: the (1,1) entry of the inverse
-    of an SPD matrix is positive, so p_1 <= 0 (or a singular leading minor)
-    signals a non-SPD input.
+    round-off), whose result the Gohberg-Semencul formula packages at the
+    fast length m (see :class:`GSData`). A positive p_1 = c_0 is a hard
+    requirement: the (1,1) entry of the inverse of an SPD matrix is
+    positive, so p_1 <= 0 (or a singular leading minor) signals a non-SPD
+    input. Each Schur complement of the extension H' is then 1/p_1 > 0, so
+    H' is SPD as well. For N < m the last k columns of H'^{-1}, which give
+    the correction F, come from one batched sweep of the k trailing unit
+    vectors.
     """
     col = np.asarray(first_col, dtype=float)
     if col.ndim != 1 or col.shape[0] < 1:
@@ -158,48 +177,86 @@ def gs_precompute(first_col: np.ndarray) -> GSData:
     if p1 <= 0.0:
         raise SolverError(f"first entry of the inverse column is {p1:.3e} <= 0; "
                           "matrix is not symmetric positive definite")
-    s = np.empty(n)
+    length = _fft.next_fast_len(n)
+    padded = np.zeros(length)
+    padded[:n] = c
+    s = np.empty(length)
     s[0] = p1
-    s[1:] = -c[1:][::-1]
-    q_diag = np.exp(-1j * np.pi * np.arange(n) / n)
-    return GSData(
+    s[1:] = -padded[1:][::-1]
+    q_diag = np.exp(-1j * np.pi * np.arange(length) / length)
+    data = GSData(
+        n=n,
         p1=p1,
-        lambda_c=np.fft.fft(c),
+        lambda_c=np.fft.fft(padded),
         lambda_s=np.fft.fft(q_diag * s),
-        q_diag=q_diag,
         q_scaled=q_diag / (2.0 * p1),
+        q_conj=q_diag.conj(),
+        correction=np.empty((n, 0), order="F"),
     )
+    k = length - n
+    if k == 0:
+        return data
+    w = np.zeros((k, length), dtype=complex)
+    w.real[:, n:] = np.eye(k)
+    w.imag = w.real[:, ::-1]
+    w = _gs_transforms(data, w)
+    # row j is column N + j of the symmetric H'^{-1}: [G21 G22] by rows
+    tail = w.real + w.imag[:, ::-1]
+    g22, g21 = tail[:, n:], tail[:, :n]
+    # F^T = G22^{-1} G21, stored C-ordered so that F = F^T.T is F-ordered
+    f_t = scipy.linalg.solve(g22, g21, assume_a="pos")
+    return replace(data, correction=np.ascontiguousarray(f_t).T)
+
+
+def _gs_transforms(data: GSData, w: np.ndarray) -> np.ndarray:
+    """The four transforms of the order-m inverse, in place on the rows of
+    w = x + i J x: Q / (2 p_1), lambda_s, Q* and lambda_c between them.
+    The rows of Re(w) + J Im(w) are then the solves."""
+    w *= data.q_scaled
+    w = _fft.cfft(w, axis=-1, overwrite_x=True)
+    w *= data.lambda_s
+    w = _fft.cifft(w, axis=-1, overwrite_x=True)
+    w *= data.q_conj
+    w = _fft.cfft(w, axis=-1, overwrite_x=True)
+    w *= data.lambda_c
+    return _fft.cifft(w, axis=-1, overwrite_x=True)
 
 
 def gs_solve(data: GSData, v: np.ndarray) -> np.ndarray:
     """Apply the structured inverse: returns H^{-1} v.
 
-    ``v`` may be a vector or an N x k matrix of right-hand-side columns; the
-    batched form still performs four (batched) FFT calls in total, keeping
-    the four-transforms-per-column budget. The columns are swept as the
-    contiguous rows of one complex k x N working copy of v.T (length-N
-    transforms over strided columns are markedly slower), which the four
-    transforms and the diagonals Q / (2 p_1), lambda_s, Q*, lambda_c
-    update in place; the result is the transpose of a k x N array.
+    ``v`` may be a vector or an N x cols matrix of right-hand sides; the
+    batched form still performs four (batched) FFT calls of length
+    m = next_fast_len(N) in total, keeping the four-transforms-per-column
+    budget. The columns are swept as the contiguous rows of one complex
+    working copy of v.T, zero-padded to m: v fills the first N real slots
+    of each row and J v the last N imaginary slots (transforms over
+    strided columns are markedly slower). The transforms and diagonals
+    update it in place; the result y1 - F y2 (see :class:`GSData`) is the
+    transpose of a C-ordered array, the rank-k correction applied to it in
+    place by one BLAS update.
     """
     v = np.asarray(v, dtype=float)
-    n = data.n
+    n, length = data.n, data.length
     if v.shape[0] != n:
         raise ValidationError(f"length mismatch: solver {n}, vector {v.shape[0]}")
     rows = v.T
-    # Q v1 = Q (v + i J v) / (2 p_1), with J reversing each row
-    w = np.empty(rows.shape, dtype=complex)
-    w.real = rows
-    w.imag = rows[..., ::-1]
-    w *= data.q_scaled
-    w = _fft.cfft(w, axis=-1, overwrite_x=True)
-    w *= data.lambda_s
-    w = _fft.cifft(w, axis=-1, overwrite_x=True)
-    w *= data.q_diag.conj()
-    w = _fft.cfft(w, axis=-1, overwrite_x=True)
-    w *= data.lambda_c
-    w = _fft.cifft(w, axis=-1, overwrite_x=True)
-    return (w.real + w.imag[..., ::-1]).T
+    # x + i J x for x = [v; 0], with J reversing each row of length m
+    w = np.zeros(rows.shape[:-1] + (length,), dtype=complex)
+    w.real[..., :n] = rows
+    w.imag[..., length - n:] = rows[..., ::-1]
+    w = _gs_transforms(data, w)
+    reversed_imag = w.imag[..., ::-1]
+    out = w.real[..., :n] + reversed_imag[..., :n]
+    if length > n:
+        y2 = w.real[..., n:] + reversed_imag[..., n:]
+        # out^T -= F y2^T; out^T is F-ordered N x cols, so BLAS updates it
+        # in place and returns it
+        corrected = scipy.linalg.blas.dgemm(
+            -1.0, data.correction, np.atleast_2d(y2).T, 1.0,
+            np.atleast_2d(out).T, overwrite_c=True)
+        out = corrected.T.reshape(out.shape)
+    return out.T
 
 
 # ---------------------------------------------------------------------------

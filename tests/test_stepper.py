@@ -135,6 +135,29 @@ class TestSadiVsDense:
         assert _fft.COUNTER.calls == 8
         assert _fft.COUNTER.transforms == 8 * 14
 
+    def test_adi_solve_non_fast_length(self, rng):
+        # N = 39 sweeps at next_fast_len(39) = 40 with the rank-1 correction:
+        # still the dense Kronecker solve, at eight counted calls
+        problem = gaussian_problem()
+        n, tau = 39, 0.05
+        grid = Grid2D(a=problem.a, b=problem.b, n=n)
+        ops = build_operators(problem, grid, tau)
+        assert ops.gs.length == 40
+        b = rng.standard_normal((n, n))
+        _fft.COUNTER.reset()
+        _fft.COUNTER.enabled = True
+        try:
+            got = adi_solve(ops, b)
+        finally:
+            _fft.COUNTER.enabled = False
+        assert _fft.COUNTER.calls == 8
+        assert _fft.COUNTER.transforms == 8 * n
+        _, _, ikh, hki = oracle.dense_sadi_system(problem.alpha, n, grid.h,
+                                                  tau, problem.kappa)
+        want = oracle.unvec_f(np.linalg.solve(ikh @ hki, oracle.vec_f(b)), n)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
     def test_diagonal_matrix_entries_exceed_one(self):
         problem = gaussian_problem()
         grid = Grid2D(a=problem.a, b=problem.b, n=20)

@@ -7,6 +7,7 @@ against an explicit dense matrix built entry by entry.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -102,12 +103,18 @@ class TestGsInverse:
         want = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
         np.testing.assert_allclose(gs_solve(data, b), want, atol=1e-11)
         # the paper's H (h = 1/10, tau = 1/20, N = 199): the column
-        # c = H^{-1} e_1 behind the inverse is exact up to round-off
+        # c = H^{-1} e_1 behind the inverse is exact up to round-off, and the
+        # spectrum is that of c padded with exact zeros to next_fast_len(N)
         n, h, tau = 199, 0.1, 0.05
         col = _h_first_col(alpha, n, 0.5 * tau * tau * h ** (-alpha))
-        c = np.fft.ifft(gs_precompute(col).lambda_c).real
+        data = gs_precompute(col)
+        assert data.length == 200
+        c = np.fft.ifft(data.lambda_c).real
         want = np.linalg.solve(oracle.dense_sym_toeplitz(col), np.eye(n)[:, 0])
-        assert np.linalg.norm(c - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.linalg.norm(c[:n] - want) <= 1e-14 * np.linalg.norm(want)
+        levinson = scipy.linalg.solve_toeplitz(col, np.eye(n)[:, 0])
+        padded = np.concatenate([levinson, np.zeros(data.length - n)])
+        np.testing.assert_array_equal(data.lambda_c, np.fft.fft(padded))
 
     def test_round_trip(self, rng):
         n = 33
@@ -128,9 +135,12 @@ class TestGsInverse:
                                        atol=1e-12)
 
     def test_exactly_four_ffts(self, rng):
+        # 64 is a fast length: no padding, no correction
         n = 64
         col = _h_first_col(1.5, n, 0.9)
         data = gs_precompute(col)
+        assert data.length == n
+        assert data.correction.shape == (n, 0)
         for width in (None, 3, 17):
             b = rng.standard_normal(n) if width is None else rng.standard_normal((n, width))
             _fft.COUNTER.reset()
@@ -167,20 +177,60 @@ class TestGsInverse:
 
     def test_skew_spectrum_nonzero_and_matches_dense_eigs(self, rng):
         # the skew-circulant factor must be invertible; its spectrum is
-        # checked against dense eigenvalues for every n up to 64
+        # checked against dense eigenvalues for every n up to 64. It is
+        # built at next_fast_len(n) from the zero-padded inverse column
+        # (n = 17 pads to 18)
         for n in (4, 17, 64):
             col = _h_first_col(1.7, n, 1.1)
             data = gs_precompute(col)
             assert np.min(np.abs(data.lambda_s)) > 1e-12
-            s = np.zeros(n)
+            m = data.length
+            s = np.zeros(m)
             s[0] = data.p1
             # remaining entries of the skew-circulant first column
-            c = np.linalg.solve(oracle.dense_sym_toeplitz(col), np.eye(n)[:, 0])
+            c = np.zeros(m)
+            c[:n] = np.linalg.solve(oracle.dense_sym_toeplitz(col), np.eye(n)[:, 0])
             s[1:] = -c[1:][::-1]
             dense = oracle.dense_skew_circulant(s)
             got = np.sort_complex(np.round(data.lambda_s, 9))
             want = np.sort_complex(np.round(np.linalg.eigvals(dense), 9))
             np.testing.assert_allclose(got, want, atol=1e-7)
+
+    @pytest.mark.parametrize("n", [61, 97, 199, 1021, 1816])
+    @pytest.mark.parametrize("kind", ["riesz-1.1", "riesz-1.5", "riesz-1.9",
+                                      "random"])
+    def test_non_fast_length_matches_dense(self, n, kind, rng):
+        # N is embedded at next_fast_len(N) > N (1816 pads by k = 32) and
+        # corrected by a rank-k update, still at four calls and 4 * cols
+        # transforms; the input layout does not change a bit of the result
+        if kind == "random":
+            col = oracle.random_spd_toeplitz(n, rng)
+        else:
+            col = _h_first_col(float(kind.split("-")[1]), n, 0.9)
+        data = gs_precompute(col)
+        assert data.length == _fft.next_fast_len(n) > n
+        assert data.correction.shape == (n, data.length - n)
+        cols = 5
+        b = rng.standard_normal((n, cols))
+        results = []
+        for v in (b, np.asfortranarray(b), np.ascontiguousarray(b.T).T):
+            _fft.COUNTER.reset()
+            _fft.COUNTER.enabled = True
+            try:
+                results.append(gs_solve(data, v))
+            finally:
+                _fft.COUNTER.enabled = False
+            assert _fft.COUNTER.calls == 4
+            assert _fft.COUNTER.transforms == 4 * cols
+        for got in results[1:]:
+            np.testing.assert_array_equal(got, results[0])
+        want = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
+        err = np.linalg.norm(results[0] - want) / np.linalg.norm(want)
+        assert err <= 1e-12
+        single = gs_solve(data, b[:, 0])
+        assert single.shape == (n,)
+        np.testing.assert_allclose(single, results[0][:, 0], rtol=0, atol=1e-14
+                                   * np.abs(results[0][:, 0]).max())
 
     def test_first_unit_solve_positive(self):
         col = _h_first_col(1.2, 40, 2.0)
