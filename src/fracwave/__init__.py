@@ -50,7 +50,6 @@ from .structured import (
     TauSpec,
     bttb_apply,
     bttb_build,
-    dst1,
     gs_precompute,
     gs_solve,
     pcg,
@@ -66,7 +65,7 @@ __all__ = [
     "StepOperators", "StudyRow", "StudySpec", "SymToeplitz", "TauSpec",
     "ValidationError", "adi_solve", "apply_surface", "bttb_apply",
     "bttb_build", "build_operators", "coeff_quadrature_oracle",
-    "discrete_energy", "dst1", "error_space_refinement",
+    "discrete_energy", "error_space_refinement",
     "error_time_refinement", "example_problem", "gs_precompute", "gs_solve",
     "inner_product", "laplacian_coeffs_2d", "nonadi_first_step",
     "nonadi_step", "pcg", "rhs_general", "riesz_coeffs_1d", "run",

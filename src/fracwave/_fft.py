@@ -14,6 +14,7 @@ unnormalized and the inverse carries the 1/N factor (numpy/scipy default).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import scipy.fft as _sfft
@@ -26,8 +27,10 @@ _WORKERS: int = 1
 def set_fft_workers(workers: int) -> None:
     """Cap the number of threads scipy.fft may use for the heavy transforms."""
     global _WORKERS
-    if workers < 1:
-        raise ValidationError(f"FFT worker count must be >= 1, got {workers}")
+    cap = os.cpu_count() or 1
+    if not 1 <= workers <= cap:
+        raise ValidationError(
+            f"FFT worker count must lie in [1, {cap}] (the CPU count), got {workers}")
     _WORKERS = int(workers)
 
 

@@ -12,6 +12,8 @@ and the comparison needs no interpolation. Both studies run through one
 driver, ``_refinement_rows``: it takes the list of (grid, tau) runs and a
 restriction of the finer final field onto the coarser grid (identity for
 time, every other node for space) and turns consecutive runs into rows.
+Each run builds its own operators and, in its set-up, only its scheme's
+solver.
 
 The linear (g = 0) schemes conserve discrete energies. For the level pair
 (w^n, w^{n+1}), dt = (w^{n+1} - w^n)/tau and c = tau^2 kappa / 2, the paper
@@ -30,25 +32,29 @@ and I + c Atilde + c^2 B = (I + c delta_x)(I + c delta_y), both reduce to
     (M dt, dt) + kappa (A w^{n+1}, w^n),
 
 M the scheme's implicit operator: (I + c delta_x)(I + c delta_y) for sadi,
-I + c L for nonadi. ``discrete_energy`` evaluates this form. The pairing
-h^2 (A w^n, w^{n+1}) comes with the states of a run (``SchemeState.a_pair``,
-from the apply the step made), so a call costs two 1D Toeplitz sweeps and
-no BTTB apply for sadi, and one BTTB apply for nonadi. On a state built by
-hand it costs one more apply for the pairing; kappa = 0 needs no apply.
+I + c L for nonadi. ``discrete_energy`` evaluates this form with the M that
+``stepper.lookup_scheme`` gives for the scheme name, the operator nonadi's
+PCG solves with; it builds no solver. The pairing h^2 (A w^n, w^{n+1})
+comes with the states of a run (``SchemeState.a_pair``, from the apply the
+step made), so a call costs two 1D Toeplitz sweeps and no BTTB apply for
+sadi, and one BTTB apply for nonadi. On a state built by hand it costs one
+more apply for the pairing; kappa = 0 needs no apply.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import _fft
 from .errors import ValidationError
-from .problems import Grid2D, Problem, example_problem
-from .stepper import SCHEME_NAMES, RunInfo, SchemeState, StepOperators, run
+from .problems import EXAMPLE_DEFAULTS, Grid2D, Problem, example_problem
+from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
+                      lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
@@ -119,19 +125,8 @@ def discrete_energy(
     held by ``state``: H_n^2 for sadi, E_n for nonadi, both as
     (M dt, dt) + kappa (A u^{n+1}, u^n) with M the scheme's implicit operator.
     The pairing is the state's ``a_pair`` when it carries one."""
-    if scheme not in SCHEME_NAMES:
-        raise ValidationError(
-            f"unknown scheme {scheme!r}; available: {', '.join(SCHEME_NAMES)}"
-        )
-    c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
     dt = (state.u_curr - state.u_prev) / ops.tau_step
-    if scheme == "sadi":
-        w = dt + c * ops.delta_y(dt)
-        m_dt = w + c * ops.delta_x(w)
-    elif ops.kappa != 0.0:
-        m_dt = dt + c * ops.lap.apply(dt)
-    else:
-        m_dt = dt
+    m_dt = lookup_scheme(scheme).apply_m(ops, dt)
     energy = inner_product("l2", m_dt, dt, ops)
     if ops.kappa == 0.0:
         return energy
@@ -306,9 +301,6 @@ def error_space_refinement(
 # study specification and CSV output
 # ---------------------------------------------------------------------------
 
-SCHEME_CHOICES = ("sadi", "nonadi", "both")
-
-
 @dataclass(frozen=True)
 class StudySpec:
     """A batch of refinement studies over schemes and fractional orders.
@@ -332,10 +324,6 @@ class StudySpec:
 
 def _spec_defaults(spec: StudySpec) -> StudySpec:
     """Fill unset step lists / horizon with the benchmark configurations."""
-    from dataclasses import replace
-
-    from .problems import EXAMPLE_DEFAULTS
-
     tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(spec.example, (0.01, 0.025, 5.0))
     taus, hs = spec.taus, spec.hs
     if spec.axis == "time":
@@ -358,17 +346,11 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
     Cells run sequentially in declaration order (scheme, then alpha, then
-    step).
+    step). A scheme other than "both" is looked up by the first run.
     """
-    from . import _fft
-
     spec = _spec_defaults(spec)
-    if spec.scheme not in SCHEME_CHOICES:
-        raise ValidationError(
-            f"scheme must be one of {SCHEME_CHOICES}, got {spec.scheme!r}"
-        )
     _fft.set_fft_workers(spec.threads)
-    schemes = ("sadi", "nonadi") if spec.scheme == "both" else (spec.scheme,)
+    schemes = SCHEME_NAMES if spec.scheme == "both" else (spec.scheme,)
     if spec.axis == "time" and len(spec.hs) != 1:
         raise ValidationError("time study needs exactly one fixed h")
     if spec.axis == "space" and len(spec.taus) != 1:

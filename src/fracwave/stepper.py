@@ -32,6 +32,12 @@ The baseline scheme keeps the full operator implicit,
 (I + c L) u^{n+1} = 2 u^n - u^{n-1} - c L u^{n-1} + tau^2 g(u^n), and pays
 a preconditioned CG solve per step; it exists for accuracy and timing
 comparisons.
+
+``lookup_scheme``, the one place a scheme name is read, gives the scheme's
+steps, its implicit operator M and its solver of M (the GS inverse for
+sadi, the tau spectrum for nonadi), read from the module at each call so
+that a wrapper installed over one runs. ``run`` builds only that solver,
+in its set-up; ``build_operators`` builds what both schemes share.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import partial
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -112,17 +118,16 @@ class SchemeState:
 
 @dataclass(frozen=True, eq=False)
 class StepOperators:
-    """Every operator a step or a norm uses, built once per (problem, grid, tau).
+    """The operators of the steps and norms, built for one (problem, grid, tau).
 
     ``riesz`` is T, the h^{-alpha}-scaled symmetric Toeplitz matrix of 1D
     Riesz weights: delta_x applies it along axis 0, delta_y along axis 1.
-    ``gs`` inverts H = I + (tau^2 kappa / 2) T; the grid is square with
-    equal spacing, so the same inverse serves the column and row sweeps.
     ``lap`` applies the plain discrete fractional Laplacian h^{-alpha}
     scaling included, kappa NOT included (kappa enters at the use sites).
-    ``tau2d`` preconditions the unfactored baseline system. ``alpha``,
-    ``kappa``, ``grid`` and ``tau_step`` record what the operators were
-    built for.
+    ``factor`` is tau^2 kappa h^{-alpha} / 2 and ``sweep_col`` the first
+    column of H = I + (tau^2 kappa / 2) T. ``alpha``, ``kappa``, ``grid``
+    and ``tau_step`` record what the operators were built for. The two
+    schemes' solvers, ``gs`` and ``tau2d``, are built on first use.
     """
 
     tau_step: float
@@ -130,9 +135,19 @@ class StepOperators:
     kappa: float
     grid: Grid2D
     riesz: SymToeplitz
-    gs: GSData
     lap: BttbOperator
-    tau2d: TauSpec
+    factor: float
+    sweep_col: np.ndarray
+
+    @cached_property
+    def gs(self) -> GSData:
+        """sadi's solver, the inverse of H (square grid: one for both sweeps)."""
+        return gs_precompute(self.sweep_col)
+
+    @cached_property
+    def tau2d(self) -> TauSpec:
+        """nonadi's preconditioner for I + (tau^2 kappa / 2) L."""
+        return tau_spec_2d(self.alpha, self.grid.n, self.factor)
 
     def delta_x(self, w: np.ndarray) -> np.ndarray:
         return self.riesz.matvec(w)
@@ -144,7 +159,7 @@ class StepOperators:
 def build_operators(
     problem: Problem, grid: Grid2D, tau_step: float
 ) -> StepOperators:
-    """Generate coefficients and precompute the structured solvers."""
+    """Generate the coefficients and the operators both schemes use."""
     if not tau_step > 0:
         raise ValidationError(f"tau_step must be positive, got {tau_step}")
     n = grid.n
@@ -172,16 +187,15 @@ def build_operators(
     lap = bttb_build(quadrant, n, scale=h_alpha)
 
     first_col[0] += 1.0
-    gs = gs_precompute(first_col)
     return StepOperators(
         tau_step=tau_step,
         alpha=problem.alpha,
         kappa=problem.kappa,
         grid=grid,
         riesz=SymToeplitz(riesz_col),
-        gs=gs,
         lap=lap,
-        tau2d=tau_spec_2d(problem.alpha, n, factor),
+        factor=factor,
+        sweep_col=first_col,
     )
 
 
@@ -234,6 +248,13 @@ def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
     return gs_solve(ops.gs, x_swept.T).T
 
 
+def _sadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
+    """sadi's implicit operator: (I + c delta_x)(I + c delta_y) v."""
+    c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
+    w = v + c * ops.delta_y(v)
+    return w + c * ops.delta_x(w)
+
+
 def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> SchemeState:
     """Advance the initial data to the first time level."""
     g = resolve_nonlinearity(problem.nonlinearity)
@@ -265,6 +286,13 @@ def sadi_step(
 # unfactored baseline
 # ---------------------------------------------------------------------------
 
+def _nonadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
+    """nonadi's implicit operator: (I + c L) v, v itself when kappa = 0."""
+    if ops.kappa == 0.0:
+        return v
+    return v + (0.5 * ops.tau_step * ops.tau_step * ops.kappa) * ops.lap.apply(v)
+
+
 def _nonadi_solve(
     ops: StepOperators, b: np.ndarray, x0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, np.ndarray | None]:
@@ -275,14 +303,8 @@ def _nonadi_solve(
     the solve applies L)."""
     c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
     lap_x0 = None if ops.kappa == 0.0 else _compact_apply(ops, x0)
-
-    def apply_a(v: np.ndarray) -> np.ndarray:
-        return v if lap_x0 is None else v + c * ops.lap.apply(v)
-
-    def apply_m(r: np.ndarray) -> np.ndarray:
-        return tau_apply(ops.tau2d, r)
-
-    x, report = pcg(apply_a, apply_m, b, tol=tol, max_iter=400, x0=x0,
+    x, report = pcg(partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b,
+                    tol=tol, max_iter=400, x0=x0,
                     ax0=None if lap_x0 is None else x0 + c * lap_x0)
     if not report.converged:
         raise SolverError(
@@ -342,8 +364,32 @@ def nonadi_step(
 
 
 # ---------------------------------------------------------------------------
-# run loop
+# scheme lookup and run loop
 # ---------------------------------------------------------------------------
+
+class Scheme(NamedTuple):
+    """A scheme's first and general steps, its implicit operator
+    (``apply_m(ops, v)`` is M v) and ``solver(ops)``, its solver of M."""
+
+    first_step: Callable[[Problem, Grid2D, StepOperators], SchemeState]
+    step: Callable[[SchemeState, StepOperators, Callable], SchemeState]
+    apply_m: Callable[[StepOperators, np.ndarray], np.ndarray]
+    solver: Callable[[StepOperators], object]
+
+
+def lookup_scheme(name: str, step_tol: float = 1e-11) -> Scheme:
+    """The scheme called ``name``; the baseline's steps solve to ``step_tol``."""
+    schemes = dict(zip(SCHEME_NAMES, (
+        Scheme(sadi_first_step, sadi_step, _sadi_m, lambda ops: ops.gs),
+        Scheme(partial(nonadi_first_step, tol=step_tol),
+               partial(nonadi_step, tol=step_tol), _nonadi_m,
+               lambda ops: ops.tau2d),
+    )))
+    if name not in schemes:
+        raise ValidationError(f"unknown scheme {name!r}; "
+                              f"available: {', '.join(SCHEME_NAMES)}")
+    return schemes[name]
+
 
 @dataclass
 class RunInfo:
@@ -385,14 +431,12 @@ def run(
     business. Blow-up (non-finite values or |u| beyond 1e12) aborts with a
     diagnostic. Passing a prebuilt ``ops`` skips operator setup, which is
     useful when several runs share a (grid, tau) configuration; operators
-    built for another grid, alpha, kappa or tau are refused.
+    built for another grid, alpha, kappa or tau are refused. The set-up
+    time includes the build of the scheme's own solver.
     """
     if m_steps < 1:
         raise ValidationError(f"m_steps must be >= 1, got {m_steps}")
-    if scheme not in SCHEME_NAMES:
-        raise ValidationError(
-            f"unknown scheme {scheme!r}; available: {', '.join(SCHEME_NAMES)}"
-        )
+    impl = lookup_scheme(scheme, step_tol)
     info = RunInfo(scheme=scheme, steps=m_steps)
     t0 = time.perf_counter()
     if ops is None:
@@ -405,27 +449,19 @@ def run(
             f"kappa={ops.kappa:g} on {ops.grid}, not alpha={problem.alpha:g}, "
             f"kappa={problem.kappa:g} on {grid}"
         )
+    impl.solver(ops)
     info.setup_seconds = time.perf_counter() - t0
 
-    if scheme == "sadi":
-        first_step, step = sadi_first_step, sadi_step
-    else:
-        first_step = partial(nonadi_first_step, tol=step_tol)
-        step = partial(nonadi_step, tol=step_tol)
     g = resolve_nonlinearity(problem.nonlinearity)
-    iters: list[int] = []
     t1 = time.perf_counter()
     for n in range(m_steps):
-        state = first_step(problem, grid, ops) if n == 0 else step(state, ops, g)
+        state = impl.first_step(problem, grid, ops) if n == 0 else impl.step(state, ops, g)
         if state.pcg_iterations is not None:
-            iters.append(state.pcg_iterations)
+            info.pcg_solves += 1
+            info.pcg_total_iterations += state.pcg_iterations
+            info.pcg_max_iterations = max(info.pcg_max_iterations, state.pcg_iterations)
         _check_finite(state)
         if recorder is not None:
             recorder(state)
     info.loop_seconds = time.perf_counter() - t1
-
-    if iters:
-        info.pcg_solves = len(iters)
-        info.pcg_total_iterations = sum(iters)
-        info.pcg_max_iterations = max(iters)
     return state, info

@@ -47,7 +47,6 @@ __all__ = [
     "bttb_apply",
     "tau_spec_2d",
     "tau_apply",
-    "dst1",
     "pcg",
 ]
 
@@ -343,11 +342,6 @@ def tau_spec_2d(alpha: float, n: int, factor: float) -> TauSpec:
     theta = np.pi * np.arange(1, n + 1) / (n + 1)
     s = 4.0 * np.sin(theta / 2.0) ** 2
     return TauSpec(1.0 + factor * (s[:, None] + s[None, :]) ** (alpha / 2.0))
-
-
-def dst1(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Orthonormal type-I discrete sine transform (self-inverse)."""
-    return _fft.dst_type1_ortho(np.asarray(v, dtype=float), axes=(axis,))
 
 
 def tau_apply(spec: TauSpec, v: np.ndarray) -> np.ndarray:

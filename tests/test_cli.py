@@ -1,11 +1,14 @@
 """Command-line interface: files written, exit codes, determinism."""
 
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import fracwave.cli as cli
+from fracwave import _fft, stepper
 from fracwave.cli import main
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError
@@ -101,6 +104,28 @@ class TestSolve:
         assert len(setup) == 1
         assert float(setup[0].split("=")[1]) > 0.0
 
+    def test_setup_time_includes_solver_build(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the solver is built by run, after the CLI's own operator build
+        real = stepper.gs_precompute
+
+        def slow_precompute(col):
+            time.sleep(0.05)
+            return real(col)
+
+        monkeypatch.setattr(stepper, "gs_precompute", slow_precompute)
+        assert main(SOLVE_SMALL + ["--out-dir", str(tmp_path)]) == 0
+        setup = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("# timing setup_seconds")]
+        assert float(setup[0].split("=")[1]) >= 0.05
+
+    @pytest.mark.parametrize("value, want", [("-1e1", -10.0), ("-1/2", -0.5)])
+    def test_negative_value_joined_with_equals(self, value, want):
+        # the form the help names for values argparse would take for a flag
+        args = cli.build_parser().parse_args(
+            ["solve", "--alpha", "1.5", f"--a={value}"])
+        assert args.a == want
+
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envdir"))
         assert main(SOLVE_SMALL) == 0
@@ -192,6 +217,28 @@ class TestExitCodes:
             rc = exc.code
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [10 ** 20, (os.cpu_count() or 1) + 1],
+                             ids=["beyond-c-int", "cpu-count-plus-one"])
+    @pytest.mark.parametrize("where", ["solve-flag", "study-flag", "spec-key"])
+    def test_thread_count_beyond_cpus_exits_two(self, threads, where, tmp_path,
+                                                 capsys, monkeypatch):
+        # the count must be refused before any transform runs: with the
+        # transform library taken away, reaching one raises instead of
+        # starting that many threads
+        monkeypatch.setattr(_fft, "_sfft", None)
+        spec = tmp_path / "threads.txt"
+        spec.write_text(f"threads = {threads}\ntaus = 1/5\nhs = 1\n"
+                        "t-final = 0.4\n")
+        argv = {
+            "solve-flag": SOLVE_SMALL + ["--threads", str(threads)],
+            "study-flag": ["study-time", "--taus", "1/5", "--h", "1",
+                           "--t-final", "0.4", "--threads", str(threads)],
+            "spec-key": ["study-time", "--spec", str(spec)],
+        }[where]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "FFT worker count" in err and "Traceback" not in err
 
     def test_solver_failure_maps_to_three(self, tmp_path, monkeypatch):
         def boom(*a, **k):

@@ -449,6 +449,76 @@ class TestExactTime:
             assert errors[-1] < 5e-4, (scheme, errors)
 
 
+class TestExactTimeNonlinear:
+    """Both schemes against the semi-discrete system U'' = -kappa L U + g(U)
+    at N = 39, integrated to round-off with the dense L: second order in
+    tau at t = 2 for the sine-Gordon and Klein-Gordon benchmarks. The error
+    bounds at tau = 0.0125 sit 30-35% above the errors measured when the
+    test was written (8.0e-5 to 1.04e-4 sine-Gordon, 5.4e-4 Klein-Gordon)."""
+
+    @pytest.mark.parametrize("example, alpha, schemes, bound", [
+        ("sine-gordon", 1.1, SCHEME_NAMES, 1.4e-4),
+        ("sine-gordon", 1.5, SCHEME_NAMES, 1.4e-4),
+        ("sine-gordon", 1.9, SCHEME_NAMES, 1.4e-4),
+        ("klein-gordon", 1.5, ("sadi",), 7e-4),
+    ], ids=["sine-gordon-1.1", "sine-gordon-1.5", "sine-gordon-1.9",
+            "klein-gordon-1.5"])
+    def test_second_order_against_semi_discrete(self, example, alpha,
+                                                schemes, bound):
+        problem = example_problem(example, alpha)
+        grid = Grid2D(problem.a, problem.b, 39)
+        u0, v0 = problem.initial_fields(grid)
+        lap = oracle.dense_laplacian_2d(alpha, grid.n, grid.h ** -alpha)
+        t_final = 2.0
+        exact = oracle.semi_discrete_nonlinear(
+            lap, problem.kappa, resolve_nonlinearity(problem.nonlinearity),
+            u0, v0, t_final)
+        taus = (0.1, 0.05, 0.025, 0.0125)
+        for scheme in schemes:
+            errors = []
+            for tau in taus:
+                state, _ = run(problem, grid, tau, round(t_final / tau),
+                               scheme=scheme)
+                errors.append(grid.h * np.linalg.norm(state.u_curr - exact))
+            orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+            assert np.all(orders >= 1.95), (scheme, errors, orders)
+            assert errors[-1] < bound, (scheme, errors)
+
+
+class TestSchemeSolvers:
+    """Operators hold what both schemes share; a run builds its own
+    scheme's solver and not the other's."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from fracwave import stepper
+
+        counts = {"gs": 0, "tau": 0}
+        real_gs, real_tau = stepper.gs_precompute, stepper.tau_spec_2d
+
+        def gs_precompute(col):
+            counts["gs"] += 1
+            return real_gs(col)
+
+        def tau_spec_2d(alpha, n, factor):
+            counts["tau"] += 1
+            return real_tau(alpha, n, factor)
+
+        monkeypatch.setattr(stepper, "gs_precompute", gs_precompute)
+        monkeypatch.setattr(stepper, "tau_spec_2d", tau_spec_2d)
+        return counts
+
+    @pytest.mark.parametrize("scheme, want", [("sadi", {"gs": 1, "tau": 0}),
+                                              ("nonadi", {"gs": 0, "tau": 1})])
+    def test_run_builds_only_its_own_solver(self, scheme, want, builds):
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=10)
+        build_operators(problem, grid, 0.05)
+        assert builds == {"gs": 0, "tau": 0}
+        run(problem, grid, 0.05, 3, scheme=scheme)
+        assert builds == want
+
+
 class TestUnconditionalStability:
     """g = 0 runs far beyond any explicit step limit (alpha = 1.9, h = 1/4,
     so tau h^{-alpha/2} is about 3.7 and 37) keep their energy: each

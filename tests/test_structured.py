@@ -21,13 +21,17 @@ from fracwave.structured import (
     SymToeplitz,
     bttb_apply,
     bttb_build,
-    dst1,
     gs_precompute,
     gs_solve,
     pcg,
     tau_apply,
     tau_spec_2d,
 )
+
+
+def dst1(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of a vector: tau_apply's transform along one axis."""
+    return _fft.dst_type1_ortho(v, axes=(-1,))
 
 
 def _h_first_col(alpha: float, n: int, factor: float) -> np.ndarray:
