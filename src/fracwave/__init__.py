@@ -47,7 +47,6 @@ from .structured import (
     GSData,
     PcgReport,
     SymToeplitz,
-    TauSpec,
     bttb_apply,
     bttb_build,
     gs_precompute,
@@ -62,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "BttbOperator", "EnergyTrace", "GSData", "Grid2D",
     "PcgReport", "Problem", "RunInfo", "SchemeState", "SolverError",
-    "StepOperators", "StudyRow", "StudySpec", "SymToeplitz", "TauSpec",
+    "StepOperators", "StudyRow", "StudySpec", "SymToeplitz",
     "ValidationError", "adi_solve", "apply_surface", "bttb_apply",
     "bttb_build", "build_operators", "coeff_quadrature_oracle",
     "discrete_energy", "error_space_refinement",

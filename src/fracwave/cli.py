@@ -51,6 +51,7 @@ from .harness import (
     run_study,
 )
 from .problems import (
+    CUSTOM_DEFAULTS,
     EXAMPLE_DEFAULTS,
     EXAMPLE_NAMES,
     NONLINEARITY_NAMES,
@@ -63,6 +64,7 @@ from .selftest import FAULT_NAMES, run_selftest
 from .snapshots import (
     SURFACE_NAMES,
     apply_surface,
+    write_index_csv,
     write_snapshot_csv,
     write_snapshot_raw,
 )
@@ -103,7 +105,7 @@ def _add_common_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_fraction, default=None,
                    help="fractional order in (1, 2)")
     p.add_argument("--kappa", type=_fraction, default=1.0,
-                   help="diffusion strength kappa > 0 (default 1)")
+                   help="diffusion strength kappa >= 0 (default 1)")
 
 
 def _add_custom_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -264,7 +266,7 @@ def _build_problem(args) -> Problem:
 
 
 def _solve_defaults(args) -> tuple[float, float, float]:
-    tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(args.example or "", (0.01, 0.025, 5.0))
+    tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(args.example or "", CUSTOM_DEFAULTS)
     tau = args.tau if args.tau is not None else tau_d
     t_final = args.t_final if args.t_final is not None else t_d
     return tau, h_d, t_final
@@ -404,20 +406,11 @@ def _cmd_coeffs(args) -> int:
         table = laplacian_coeffs_2d(args.alpha, args.count,
                                     oversampling=args.oversampling)
     if args.out == "-":
-        _write_coeff_rows(sys.stdout, table)
+        write_index_csv(sys.stdout, table, base=0)
     else:
         with open(args.out, "w") as fh:
-            _write_coeff_rows(fh, table)
+            write_index_csv(fh, table, base=0)
     return EXIT_OK
-
-
-def _write_coeff_rows(fh, table) -> None:
-    # one offset row per write: a count-2048 table as a single string would
-    # take hundreds of MiB
-    fh.write("i,j,value\n")
-    for i, row in enumerate(table):
-        fh.write("".join(["%d,%d,%.17g\n" % (i, j, v)
-                          for j, v in enumerate(row.tolist())]))
 
 
 def _cmd_selftest(args) -> int:

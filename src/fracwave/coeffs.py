@@ -100,13 +100,13 @@ def riesz_coeffs_1d(alpha: float, count: int) -> np.ndarray:
     return w
 
 
-def _sampling_size(count: int, oversampling: int, max_samples: int) -> int:
+def _sampling_size(count: int, oversampling: int) -> int:
     m = 1
     while m < oversampling * count:
         m *= 2
-    if m > max_samples:
+    if m > DEFAULT_MAX_SAMPLES:
         raise ValidationError(
-            f"symbol sampling grid M={m} exceeds the budget {max_samples}; "
+            f"symbol sampling grid M={m} exceeds the budget {DEFAULT_MAX_SAMPLES}; "
             f"reduce count ({count}) or oversampling ({oversampling})"
         )
     return m
@@ -116,7 +116,6 @@ def laplacian_coeffs_2d(
     alpha: float,
     count: int,
     oversampling: int = 8,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
 ) -> np.ndarray:
     """Generate the quadrant a_ij, 0 <= i, j < count, of 2D weights.
 
@@ -144,7 +143,7 @@ def laplacian_coeffs_2d(
         raise ValidationError(f"count must be >= 1, got {count}")
     if oversampling < 2:
         raise ValidationError(f"oversampling must be >= 2, got {oversampling}")
-    m = _sampling_size(count, oversampling, max_samples)
+    m = _sampling_size(count, oversampling)
     k = m // 2
     theta = np.pi * np.arange(k + 1) / k
     s = 4.0 * np.sin(theta / 2.0) ** 2

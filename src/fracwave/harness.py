@@ -38,7 +38,7 @@ PCG solves with; it builds no solver. The pairing h^2 (A w^n, w^{n+1})
 comes with the states of a run (``SchemeState.a_pair``, from the apply the
 step made), so a call costs two 1D Toeplitz sweeps and no BTTB apply for
 sadi, and one BTTB apply for nonadi. On a state built by hand it costs one
-more apply for the pairing; kappa = 0 needs no apply.
+more apply for the pairing.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ import numpy as np
 
 from . import _fft
 from .errors import ValidationError
-from .problems import EXAMPLE_DEFAULTS, Grid2D, Problem, example_problem
+from .problems import (CUSTOM_DEFAULTS, EXAMPLE_DEFAULTS, Grid2D, Problem,
+                       example_problem)
 from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
                       lookup_scheme, run)
 
@@ -128,8 +129,6 @@ def discrete_energy(
     dt = (state.u_curr - state.u_prev) / ops.tau_step
     m_dt = lookup_scheme(scheme).apply_m(ops, dt)
     energy = inner_product("l2", m_dt, dt, ops)
-    if ops.kappa == 0.0:
-        return energy
     a_pair = state.a_pair
     if a_pair is None:
         a_pair = inner_product("A", state.u_prev, state.u_curr, ops)
@@ -238,7 +237,11 @@ def _refinement_rows(
     prev_error: float | None = None
     for k, step in enumerate(steps):
         err = _l2h_diff(runs[k][0].h, finals[k], restrict(finals[k + 1]))
-        order = None if prev_error is None else float(np.log2(prev_error / err))
+        order = None
+        if prev_error is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a zero error has no order: inf or nan, not a crash
+                order = float(np.log2(np.float64(prev_error) / err))
         rows.append(StudyRow(
             scheme=scheme, alpha=problem.alpha, step=step, error=err, order=order,
             cpu_setup=infos[k].setup_seconds, cpu_loop=infos[k].loop_seconds,
@@ -324,7 +327,7 @@ class StudySpec:
 
 def _spec_defaults(spec: StudySpec) -> StudySpec:
     """Fill unset step lists / horizon with the benchmark configurations."""
-    tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(spec.example, (0.01, 0.025, 5.0))
+    tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(spec.example, CUSTOM_DEFAULTS)
     taus, hs = spec.taus, spec.hs
     if spec.axis == "time":
         if not taus:

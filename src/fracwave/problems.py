@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+# Relative slack within which (b - a) / h counts as an integral interval count.
+_SPACING_RTOL = 1e-9
+
+
 def sech(z: np.ndarray) -> np.ndarray:
     """Overflow-safe hyperbolic secant: 2 e^{-|z|} / (1 + e^{-2|z|})."""
     z = np.abs(np.asarray(z, dtype=float))
@@ -73,7 +77,7 @@ class Grid2D:
         return np.meshgrid(x, x, indexing="ij")
 
     @classmethod
-    def from_spacing(cls, a: float, b: float, h: float, rtol: float = 1e-9) -> "Grid2D":
+    def from_spacing(cls, a: float, b: float, h: float) -> "Grid2D":
         """Build a grid from a target spacing; h must divide (b - a) into an
         integral number of intervals (h = (b - a)/(N + 1) with integer N)."""
         if not h > 0:
@@ -84,7 +88,8 @@ class Grid2D:
                 f"spacing h={h} gives no finite interval count on ({a}, {b})"
             )
         n_intervals = round(ratio)
-        if n_intervals < 2 or abs(ratio - n_intervals) > rtol * max(1.0, ratio):
+        if (n_intervals < 2
+                or abs(ratio - n_intervals) > _SPACING_RTOL * max(1.0, ratio)):
             raise ValidationError(
                 f"spacing h={h} does not divide the domain ({a}, {b}) into an "
                 f"integral interval count (got {ratio})"
@@ -193,6 +198,8 @@ EXAMPLE_DEFAULTS = {
     "klein-gordon": (1.0 / 100.0, 1.0 / 40.0, 8.0),
     "zero": (1.0 / 100.0, 1.0 / 40.0, 5.0),
 }
+# The same for a custom problem (no --example).
+CUSTOM_DEFAULTS = (0.01, 0.025, 5.0)
 
 
 def example_problem(name: str, alpha: float, kappa: float = 1.0) -> Problem:

@@ -4,7 +4,9 @@ Formats (both bit-exact and documented so external tools can read them):
 
 * CSV: header ``i,j,value``; one row per node in row-major order; i and j
   are 1-based interior node indices (node coordinate = a + i h); values
-  carry 17 significant digits, enough to round-trip a float64.
+  carry 17 significant digits, enough to round-trip a float64. The
+  ``coeffs`` command writes its weight tables in the same format with
+  0-based offsets.
 * raw: ``<name>.f64`` holds the N x N field as little-endian float64 in
   row-major order (i outer, j inner), and ``<name>.meta`` is a small
   ``key = value`` text sidecar with n, h, t, alpha, kappa, nonlinearity,
@@ -27,6 +29,7 @@ from .errors import ValidationError
 __all__ = [
     "SURFACE_NAMES",
     "apply_surface",
+    "write_index_csv",
     "write_snapshot_csv",
     "write_snapshot_raw",
     "read_snapshot_raw",
@@ -47,14 +50,21 @@ def apply_surface(surface: str, u: np.ndarray) -> np.ndarray:
     )
 
 
+def write_index_csv(fh, table: np.ndarray, base: int) -> None:
+    """Write a 2D table to the text stream ``fh`` as ``i,j,value`` CSV rows,
+    indices counted from ``base``. One table row per write, so the text is
+    never held whole: a 2048 x 2048 table as one string takes hundreds of
+    MiB."""
+    fh.write("i,j,value\n")
+    for i, row in enumerate(np.asarray(table, dtype=float), start=base):
+        fh.write("".join(["%d,%d,%.17g\n" % (i, j, v)
+                          for j, v in enumerate(row.tolist(), start=base)]))
+
+
 def write_snapshot_csv(path, field: np.ndarray) -> None:
-    field = np.asarray(field, dtype=float)
-    n = field.shape[0]
-    lines = ["i,j,value"]
-    for i in range(n):
-        row = field[i]
-        lines.extend(f"{i + 1},{j + 1},{row[j]:.17g}" for j in range(field.shape[1]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``field`` to ``path`` in the CSV format, 1-based node indices."""
+    with open(path, "w") as fh:
+        write_index_csv(fh, field, base=1)
 
 
 def write_snapshot_raw(

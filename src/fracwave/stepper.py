@@ -57,7 +57,6 @@ from .structured import (
     BttbOperator,
     GSData,
     SymToeplitz,
-    TauSpec,
     bttb_build,
     gs_precompute,
     gs_solve,
@@ -103,8 +102,8 @@ class SchemeState:
     h^2 (L u_prev, u_curr), the pairing term of the conserved energy, set
     by every step. ``lap_prev`` is L u_prev itself, a compact N x N field
     that only the baseline steps carry: the next baseline step's
-    right-hand side needs it. Both are None on states built by hand and
-    when kappa = 0 (no apply is made); consumers then apply L themselves.
+    right-hand side needs it. Both are None on states built by hand;
+    consumers then apply L themselves.
     """
 
     u_prev: np.ndarray
@@ -145,8 +144,9 @@ class StepOperators:
         return gs_precompute(self.sweep_col)
 
     @cached_property
-    def tau2d(self) -> TauSpec:
-        """nonadi's preconditioner for I + (tau^2 kappa / 2) L."""
+    def tau2d(self) -> np.ndarray:
+        """nonadi's preconditioner for I + (tau^2 kappa / 2) L: its
+        eigenvalues in the 2D sine basis."""
         return tau_spec_2d(self.alpha, self.grid.n, self.factor)
 
     def delta_x(self, w: np.ndarray) -> np.ndarray:
@@ -203,14 +203,11 @@ def rhs_general(
     u: np.ndarray,
     ops: StepOperators,
     g: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side B(u) = -tau^2 kappa L u + tau^2 g(u) of the general
-    step, and the L u it applied (None when kappa = 0, which needs none);
-    the first step uses tau phi2 + B(u^0) / 2."""
+    step, and the L u it applied; the first step uses tau phi2 + B(u^0) / 2."""
     tau2 = ops.tau_step * ops.tau_step
     out = tau2 * g(u)
-    if ops.kappa == 0.0:
-        return out, None
     lap_u = _compact_apply(ops, u)
     out -= (tau2 * ops.kappa) * lap_u
     return out, lap_u
@@ -223,12 +220,8 @@ def _compact_apply(ops: StepOperators, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(ops.lap.apply(u))
 
 
-def _a_pair(
-    ops: StepOperators, lap_prev: np.ndarray | None, u_curr: np.ndarray
-) -> float | None:
-    """h^2 (L u_prev, u_curr) from the L u_prev a step made, or None."""
-    if lap_prev is None:
-        return None
+def _a_pair(ops: StepOperators, lap_prev: np.ndarray, u_curr: np.ndarray) -> float:
+    """h^2 (L u_prev, u_curr) from the L u_prev a step made."""
     h = ops.grid.h
     return h * h * float(np.vdot(lap_prev, u_curr).real)
 
@@ -287,25 +280,21 @@ def sadi_step(
 # ---------------------------------------------------------------------------
 
 def _nonadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
-    """nonadi's implicit operator: (I + c L) v, v itself when kappa = 0."""
-    if ops.kappa == 0.0:
-        return v
+    """nonadi's implicit operator: (I + c L) v."""
     return v + (0.5 * ops.tau_step * ops.tau_step * ops.kappa) * ops.lap.apply(v)
 
 
 def _nonadi_solve(
     ops: StepOperators, b: np.ndarray, x0: np.ndarray, tol: float
-) -> tuple[np.ndarray, int, np.ndarray | None]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Solve (I + (tau^2 kappa/2) L) x = b by PCG with the 2D sine-transform
     preconditioner, warm-started from the previous level. Returns x, the
     iteration count and L x0, the apply the warm-start residual is made
-    from (None when kappa = 0: the system is then I x = b, and no step of
-    the solve applies L)."""
+    from."""
     c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
-    lap_x0 = None if ops.kappa == 0.0 else _compact_apply(ops, x0)
+    lap_x0 = _compact_apply(ops, x0)
     x, report = pcg(partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b,
-                    tol=tol, max_iter=400, x0=x0,
-                    ax0=None if lap_x0 is None else x0 + c * lap_x0)
+                    tol=tol, max_iter=400, x0=x0, ax0=x0 + c * lap_x0)
     if not report.converged:
         raise SolverError(
             f"step solve did not converge: {report.iterations} iterations, "
@@ -345,11 +334,10 @@ def nonadi_step(
     tau = ops.tau_step
     c = 0.5 * tau * tau * ops.kappa
     b = 2.0 * state.u_curr - state.u_prev + tau * tau * g(state.u_curr)
-    if ops.kappa != 0.0:
-        lap_prev = state.lap_prev
-        if lap_prev is None:
-            lap_prev = ops.lap.apply(state.u_prev)
-        b -= c * lap_prev
+    lap_prev = state.lap_prev
+    if lap_prev is None:
+        lap_prev = ops.lap.apply(state.u_prev)
+    b -= c * lap_prev
     u_next, iterations, lap_curr = _nonadi_solve(ops, b, x0=state.u_curr,
                                                  tol=tol)
     return SchemeState(

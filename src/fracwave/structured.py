@@ -39,7 +39,6 @@ __all__ = [
     "SymToeplitz",
     "GSData",
     "BttbOperator",
-    "TauSpec",
     "PcgReport",
     "gs_precompute",
     "gs_solve",
@@ -322,38 +321,32 @@ def bttb_apply(op: BttbOperator, u: np.ndarray) -> np.ndarray:
 # tau (sine-transform algebra) preconditioners
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TauSpec:
-    """Eigenvalues d_pq of a preconditioner for the BTTB systems of the
-    unfactored scheme, diagonalized by the orthonormal 2D DST-I. All
-    eigenvalues are >= 1 by construction (1 + nonnegative symbol sample)."""
-
-    eigenvalues: np.ndarray
-
-
-def tau_spec_2d(alpha: float, n: int, factor: float) -> TauSpec:
+def tau_spec_2d(alpha: float, n: int, factor: float) -> np.ndarray:
     """Eigenvalues d_pq = 1 + factor * (s_p + s_q)^{alpha/2} with
-    s_p = 4 sin^2(theta_p / 2), theta_p = p pi / (N+1): the sine-transform
+    s_p = 4 sin^2(theta_p / 2), theta_p = p pi / (N+1), of a preconditioner
+    for the BTTB systems of the unfactored scheme: the sine-transform
     analogue of I + factor * (2D fractional Laplacian), matching its symbol
-    at the grid frequencies, diagonal in the tensor DST-I basis."""
+    at the grid frequencies, diagonal in the orthonormal tensor DST-I
+    basis. All are >= 1 (1 + nonnegative symbol sample)."""
     validate_alpha(alpha, allow_classical=True)
     if factor < 0:
         raise ValidationError(f"factor must be >= 0, got {factor}")
     theta = np.pi * np.arange(1, n + 1) / (n + 1)
     s = 4.0 * np.sin(theta / 2.0) ** 2
-    return TauSpec(1.0 + factor * (s[:, None] + s[None, :]) ** (alpha / 2.0))
+    return 1.0 + factor * (s[:, None] + s[None, :]) ** (alpha / 2.0)
 
 
-def tau_apply(spec: TauSpec, v: np.ndarray) -> np.ndarray:
-    """Apply the inverse preconditioner to an N x N field: sine transform,
-    divide by the eigenvalues, transform back."""
+def tau_apply(eigenvalues: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply the inverse preconditioner with the ``tau_spec_2d`` eigenvalues
+    to an N x N field: sine transform, divide by the eigenvalues, transform
+    back."""
     v = np.asarray(v, dtype=float)
-    if v.shape != spec.eigenvalues.shape:
+    if v.shape != eigenvalues.shape:
         raise ValidationError(
-            f"field shape {v.shape} does not match spectrum {spec.eigenvalues.shape}"
+            f"field shape {v.shape} does not match spectrum {eigenvalues.shape}"
         )
     coeff = _fft.dst_type1_ortho(v, axes=(0, 1))
-    return _fft.dst_type1_ortho(coeff / spec.eigenvalues, axes=(0, 1))
+    return _fft.dst_type1_ortho(coeff / eigenvalues, axes=(0, 1))
 
 
 # ---------------------------------------------------------------------------

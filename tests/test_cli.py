@@ -1,11 +1,16 @@
 """Command-line interface: files written, exit codes, determinism."""
 
+import contextlib
+import io
 import os
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracwave.cli as cli
 from fracwave import _fft, stepper
@@ -381,6 +386,168 @@ class TestCoeffsCommand:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# Flag values for the argv fuzz, as (valid, invalid) pools. The valid
+# values keep every run small: grids of at most 8 interior nodes ((-10, 10)
+# at h >= 20/9, or --n <= 8; a space study's finest grid is at h/2 with
+# h >= 5) and at most 20 steps (t_final <= 1 against steps >= 1/20, a time
+# study's last run at half its last tau included). No step list is empty:
+# an empty one falls back to the defaults, whose runs are large. Thread
+# counts are 1, 2 or values the bound refuses.
+ALPHAS = (["1.5", "3/2", "1.1", "1.9"], ["2", "1", "0.5", "nan", "abc", ""])
+KAPPAS = (["1", "0", "0.7", "1/3", "1e10"], ["-1", "nan", "inf", "1e308"])
+THREADS = (["1", "2"], ["0", "-1", str(10 ** 20),
+                        str((os.cpu_count() or 1) + 1)])
+SOLVE_TAUS = (["1/10", "0.1", "1/5", "0.05", "1/20"],
+              ["0", "-1/10", "nan", "1e-320"])
+STUDY_TAUS = (["1/5", "0.2", "1/4", "1/5,1/10", "1/4,1/8"],
+              ["1/5,1/4", "0", "-1/5", "nan"])
+FIXED_TAUS = (["1/5", "0.2", "1/4"], ["0", "-1/5", "nan", "1e-320"])
+T_FINALS = (["0.1", "1/5", "2/5", "0.5", "1"],
+            ["0", "0.33", "-1", "nan", "inf", "1e300", "abc"])
+HS = (["10", "5", "4", "20/6", "2.5", "20/9"],
+      ["0.3", "3", "-1", "0", "nan", "1/0", "1e-320"])
+STUDY_HS = (["10", "5", "10,5", "20/2,5"], ["10,4", "0.3", "-1", "nan"])
+TOLS = (["1e-11", "1e-6", "1/1000", "10"], ["0", "-1", "nan"])
+SNAP_TIMES = (["0", "0.1", "1/5", "1"], ["0.33", "nan", "-1", "1e308", ""])
+EXAMPLES = (["sine-gordon", "klein-gordon", "zero"], ["x"])
+OUT_DIRS = (["{dir}"], ["{file}"])
+
+
+def _value(pool):
+    """One value of a (valid, invalid) pool, invalid one time in eight."""
+    valid, invalid = pool
+    return st.integers(0, 7).flatmap(
+        lambda k: st.sampled_from(invalid if k == 0 else valid))
+
+
+def _optional(flag, pool):
+    return st.one_of(st.just([]), _value(pool).map(lambda v: [flag, v]))
+
+
+@st.composite
+def _solve_argv(draw):
+    argv = ["solve", "--alpha", draw(_value(ALPHAS))]
+    argv += draw(_optional("--kappa", KAPPAS))
+    custom_domain = draw(st.booleans())
+    if custom_domain:
+        argv += draw(st.sampled_from([[], ["--a", "-5"], ["--a=-1/2"],
+                                      ["--a", "-1e1"], ["--a", "0"]]))
+        argv += draw(_optional("--b", (["10", "1"], ["0", "1e-300"])))
+    else:
+        argv += draw(_optional("--example", EXAMPLES))
+    argv += draw(_optional("--nonlinearity",
+                           (["sine_gordon", "klein_gordon", "zero"], ["x"])))
+    argv += draw(_optional("--initial", (["ring", "bump", "zero"], ["x"])))
+    n_flag = ["--n", draw(_value(([str(n) for n in range(1, 9)],
+                                  ["0", "-2", "x", "2.5"])))]
+    # a spacing on a custom domain could give a large grid
+    h_flag = [] if custom_domain else ["--h", draw(_value(HS))]
+    argv += draw(_value(([n_flag, h_flag or n_flag], [n_flag + h_flag])))
+    argv += ["--tau", draw(_value(SOLVE_TAUS)),
+             "--t-final", draw(_value(T_FINALS))]
+    argv += draw(_optional("--scheme", (["sadi", "nonadi"], ["magic"])))
+    argv += draw(_optional("--tol", TOLS))
+    argv += draw(_optional("--threads", THREADS))
+    times = draw(st.lists(_value(SNAP_TIMES), max_size=3))
+    if times:
+        argv += ["--snapshots", ",".join(times)]
+    argv += draw(_optional("--format", (["csv", "raw"], ["x"])))
+    argv += draw(_optional("--surface", (["u", "sin_u", "sin_half_u"], ["x"])))
+    argv += draw(_optional("--prefix", (["snap"], ["missing/snap"])))
+    argv += draw(_optional("--summary", (["summary.txt"], ["missing/s.txt"])))
+    argv += draw(st.sampled_from([[], ["--verbose"]]))
+    return argv + ["--out-dir", draw(_value(OUT_DIRS))]
+
+
+@st.composite
+def _study_argv(draw):
+    axis = draw(st.sampled_from(["time", "space"]))
+    argv = [f"study-{axis}"]
+    # the steps, the fixed step and the horizon come from a spec file, a
+    # flag or both (the flag wins), never from the defaults, whose runs
+    # are large
+    required = [("taus", "--taus", STUDY_TAUS), ("hs", "--h", HS)]
+    if axis == "space":
+        required = [("hs", "--hs", STUDY_HS), ("taus", "--tau", FIXED_TAUS)]
+    required.append(("t-final", "--t-final", T_FINALS))
+    use_spec = draw(st.booleans())
+    spec_lines = []
+    for key, flag, pool in required:
+        where = draw(st.sampled_from(["flag", "spec", "both"])
+                     if use_spec else st.just("flag"))
+        if where != "flag":
+            spec_lines.append(f"{key} = {draw(_value(pool))}")
+        if where != "spec":
+            argv += [flag, draw(_value(pool))]
+    for key, pool in (("example", EXAMPLES),
+                      ("scheme", (["sadi", "nonadi", "both"], ["magic"])),
+                      ("alphas", (["1.5", "1.1,1.9", "3/2"], ["", "0.5", "x"])),
+                      ("tol", TOLS), ("threads", THREADS)):
+        where = draw(st.sampled_from(["none", "flag", "spec"]
+                                     if use_spec else ["none", "flag"]))
+        if where == "spec":
+            spec_lines.append(f"{key} = {draw(_value(pool))}")
+        elif where == "flag":
+            argv += [f"--{key}", draw(_value(pool))]
+    argv += draw(_optional("--kappa", KAPPAS))
+    spec = None
+    if use_spec:
+        spec_lines += draw(st.lists(_value((["# comment", ""],
+                                            ["no equals sign", "colour = blue"])),
+                                    max_size=2))
+        spec = "\n".join(spec_lines) + "\n"
+        argv += ["--spec", "{spec}"]
+    argv += draw(_optional("--out", (["{dir}/rows.csv"], ["{dir}/missing/r.csv"])))
+    return argv + ["--out-dir", draw(_value(OUT_DIRS))], spec
+
+
+@st.composite
+def _coeffs_argv(draw):
+    argv = ["coeffs", "--alpha", draw(_value((ALPHAS[0] + ["2"], ALPHAS[1][1:])))]
+    argv += ["--count", draw(_value((["1", "2", "7", "40"],
+                                     ["0", "-1", "x", "3000", str(10 ** 12)])))]
+    argv += draw(_optional("--kind", (["1d", "2d"], ["3d"])))
+    argv += draw(_optional("--oversampling",
+                           (["2", "8", "64"], ["1", "0", "-3", "100000", "x"])))
+    argv += draw(_optional("--out", (["-", "{dir}/c.csv"],
+                                     ["{dir}/missing/c.csv"])))
+    return argv
+
+
+ARGV = st.one_of(_solve_argv().map(lambda a: (a, None)), _study_argv(),
+                 _coeffs_argv().map(lambda a: (a, None)))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(case=ARGV)
+    def test_exit_code_is_documented(self, case):
+        argv, spec = case
+        workers = _fft._WORKERS
+        with tempfile.TemporaryDirectory() as tmp:
+            blocker = os.path.join(tmp, "occupied")
+            with open(blocker, "w") as fh:
+                fh.write("not a directory")
+            spec_path = os.path.join(tmp, "study.txt")
+            if spec is not None:
+                with open(spec_path, "w") as fh:
+                    fh.write(spec)
+            argv = [a.replace("{dir}", tmp).replace("{file}", blocker)
+                     .replace("{spec}", spec_path) for a in argv]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    try:
+                        rc = main(argv)
+                    except SystemExit as exc:  # argparse refused the argv
+                        rc = exc.code
+            finally:
+                _fft._WORKERS = workers
+        assert rc in (0, 2, 3, 4, 5), (argv, spec, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSelftestCommand:

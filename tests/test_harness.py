@@ -285,6 +285,13 @@ class TestRefinementStudies:
         assert rows[0].error > rows[1].error > 0.0
         assert rows[0].step == pytest.approx(0.5)
 
+    def test_zero_errors_give_undefined_order(self):
+        # zero data stays zero: every error is 0, and 0 / 0 has no order
+        problem = Problem(a=-4.0, b=4.0, alpha=1.5)
+        rows = error_time_refinement(problem, 0.5, [0.2, 0.1], 0.4)
+        assert [r.error for r in rows] == [0.0, 0.0]
+        assert rows[0].order is None and np.isnan(rows[1].order)
+
     def test_space_axis_rejects_non_halving(self):
         problem = small_problem()
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """Snapshot writers: CSV layout, raw round trips, surface transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ class TestCsv:
         for row in data:
             got[int(row[0]) - 1, int(row[1]) - 1] = row[2]
         np.testing.assert_array_equal(got, field)
+
+    def test_streamed_rows_stay_small(self, tmp_path, rng):
+        # the field is 2.4 MB of text; built as one string it peaks at
+        # about 12 MiB
+        field = rng.standard_normal((300, 300))
+        tracemalloc.start()
+        try:
+            write_snapshot_csv(tmp_path / "field.csv", field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRaw:

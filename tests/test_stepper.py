@@ -14,7 +14,7 @@ import pytest
 import _oracles as oracle
 from fracwave import _fft
 from fracwave.errors import BlowUpError, ValidationError
-from fracwave.harness import EnergyTrace, discrete_energy
+from fracwave.harness import EnergyTrace, discrete_energy, inner_product
 from fracwave.problems import Grid2D, Problem, example_problem, resolve_nonlinearity
 from fracwave.stepper import (
     SCHEME_NAMES,
@@ -405,19 +405,23 @@ class TestCarriedApplies:
                    for s in states[3:])
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-    def test_kappa_zero_makes_no_apply(self, scheme, bttb_calls):
+    def test_kappa_zero_states_carry_applies(self, scheme):
+        # kappa = 0 takes the general step: its states hand on the same
+        # applies as any other kappa's
         problem = gaussian_problem(kappa=0.0, nonlinearity="zero")
         grid = Grid2D(a=problem.a, b=problem.b, n=9)
         ops = build_operators(problem, grid, 0.07)
         states = []
-
-        def recorder(state):
-            states.append(state)
-            discrete_energy(state, ops, scheme)
-
-        run(problem, grid, 0.07, 4, scheme=scheme, ops=ops, recorder=recorder)
-        assert bttb_calls == []
-        assert all(s.a_pair is None and s.lap_prev is None for s in states)
+        run(problem, grid, 0.07, 4, scheme=scheme, ops=ops,
+            recorder=states.append)
+        for state in states:
+            want = inner_product("A", state.u_prev, state.u_curr, ops)
+            assert state.a_pair == pytest.approx(want, rel=1e-14, abs=0.0)
+            if scheme == "nonadi":
+                np.testing.assert_array_equal(state.lap_prev,
+                                              ops.lap.apply(state.u_prev))
+            else:
+                assert state.lap_prev is None
 
 
 class TestExactTime:
