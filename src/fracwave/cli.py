@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _fft
-from .coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
+from .coeffs import OVERSAMPLING, laplacian_coeffs_2d, riesz_coeffs_1d
 from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
     STUDY_FIELDS,
@@ -52,15 +52,15 @@ from .harness import (
 )
 from .problems import (
     CUSTOM_DEFAULTS,
+    CUSTOM_INITIAL_DATA,
     EXAMPLE_DEFAULTS,
     EXAMPLE_NAMES,
     NONLINEARITY_NAMES,
     Grid2D,
     Problem,
     example_problem,
-    sech,
 )
-from .selftest import FAULT_NAMES, run_selftest
+from .selftest import run_selftest
 from .snapshots import (
     SURFACE_NAMES,
     apply_surface,
@@ -68,7 +68,7 @@ from .snapshots import (
     write_snapshot_csv,
     write_snapshot_raw,
 )
-from .stepper import MAX_GRID_N, SCHEME_NAMES, build_operators, run
+from .stepper import MAX_GRID_N, SCHEME_NAMES, STEP_TOL, build_operators, run
 
 log = logging.getLogger("fracwave")
 
@@ -116,7 +116,7 @@ def _add_custom_problem_flags(p: argparse.ArgumentParser) -> None:
                    help="domain upper edge (custom problems; default 10)")
     p.add_argument("--nonlinearity", choices=NONLINEARITY_NAMES, default="zero",
                    help="pointwise source term g(u) (custom problems)")
-    p.add_argument("--initial", choices=("ring", "bump", "zero"), default="ring",
+    p.add_argument("--initial", choices=tuple(CUSTOM_INITIAL_DATA), default="ring",
                    help="initial data for custom problems: ring = zero displacement "
                         "with sech(r) velocity, bump = sech(cosh(r^2)) displacement "
                         "at rest, zero = both zero (default ring)")
@@ -135,9 +135,9 @@ def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=SCHEME_NAMES, default="sadi",
                    help="time stepper: factored sweeps (sadi) or the unfactored "
                         "baseline (nonadi); default sadi")
-    p.add_argument("--tol", type=_fraction, default=1e-11,
+    p.add_argument("--tol", type=_fraction, default=STEP_TOL,
                    help="per-step linear-solve tolerance of the baseline scheme "
-                        "(default 1e-11)")
+                        f"(default {STEP_TOL:g})")
     p.add_argument("--threads", type=int, default=1,
                    help="FFT worker threads, at most the CPU count (default 1)")
 
@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                             dest="taus", metavar="TAU", help="fixed time step")
         st.add_argument("--t-final", type=_fraction, default=None)
         st.add_argument("--tol", type=_fraction, default=None,
-                        help="baseline per-step solve tolerance (default 1e-11)")
+                        help="baseline per-step solve tolerance "
+                             f"(default {STEP_TOL:g})")
         st.add_argument("--threads", type=int, default=None)
         st.add_argument("--out", default=None,
                         help=f"output CSV path (default study_{axis}.csv in the "
@@ -226,15 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
                          f"most {MAX_GRID_N}")
     co.add_argument("--kind", choices=("1d", "2d"), default="2d",
                     help="1d Riesz weights or full 2d weights (default 2d)")
-    co.add_argument("--oversampling", type=int, default=8)
+    co.add_argument("--oversampling", type=int, default=OVERSAMPLING)
     co.add_argument("--out", default="-",
                     help="output file, or '-' for stdout (default '-')")
 
-    selft = sub.add_parser(
+    sub.add_parser(
         "selftest", help="run the built-in consistency suite",
         description="Run the deterministic built-in checks; exits 1 on failure.")
-    selft.add_argument("--fault", choices=FAULT_NAMES, default=None,
-                       help=argparse.SUPPRESS)
 
     return parser
 
@@ -253,14 +252,7 @@ def _build_problem(args) -> Problem:
         raise ValidationError("--alpha is required")
     if args.example is not None:
         return example_problem(args.example, args.alpha, kappa=args.kappa)
-    if args.initial == "ring":
-        phi1 = lambda x, y: np.zeros_like(x)
-        phi2 = lambda x, y: sech(np.sqrt(x * x + y * y))
-    elif args.initial == "bump":
-        phi1 = lambda x, y: sech(np.cosh(x * x + y * y))
-        phi2 = lambda x, y: np.zeros_like(x)
-    else:
-        phi1 = phi2 = lambda x, y: np.zeros_like(x)
+    phi1, phi2 = CUSTOM_INITIAL_DATA[args.initial]
     return Problem(a=args.a, b=args.b, alpha=args.alpha, kappa=args.kappa,
                    nonlinearity=args.nonlinearity, phi1=phi1, phi2=phi2)
 
@@ -414,7 +406,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok, report = run_selftest(fault=args.fault)
+    ok, report = run_selftest()
     sys.stdout.write(report)
     return EXIT_OK if ok else 1
 

@@ -54,6 +54,10 @@ class QuadratureError(RuntimeError):
 # counts a solve may ask for.
 DEFAULT_MAX_SAMPLES = 16384
 
+# Symbol-sampling factor of the 2D weights a solve uses (~1e-5 absolute
+# accuracy).
+OVERSAMPLING = 8
+
 # Sample rows built and transformed at a time by laplacian_coeffs_2d
 # (4 MiB per block at M = 8192).
 _ROW_BLOCK = 128
@@ -115,7 +119,7 @@ def _sampling_size(count: int, oversampling: int) -> int:
 def laplacian_coeffs_2d(
     alpha: float,
     count: int,
-    oversampling: int = 8,
+    oversampling: int = OVERSAMPLING,
 ) -> np.ndarray:
     """Generate the quadrant a_ij, 0 <= i, j < count, of 2D weights.
 

@@ -54,8 +54,8 @@ from . import _fft
 from .errors import ValidationError
 from .problems import (CUSTOM_DEFAULTS, EXAMPLE_DEFAULTS, Grid2D, Problem,
                        example_problem)
-from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
-                      lookup_scheme, run)
+from .stepper import (SCHEME_NAMES, STEP_TOL, RunInfo, SchemeState,
+                      StepOperators, lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
@@ -256,7 +256,7 @@ def error_time_refinement(
     tau_list: Sequence[float],
     t_final: float,
     scheme: str = "sadi",
-    step_tol: float = 1e-11,
+    step_tol: float = STEP_TOL,
 ) -> list[StudyRow]:
     """Error/order rows along a halving tau list at fixed h.
 
@@ -279,7 +279,7 @@ def error_space_refinement(
     h_list: Sequence[float],
     t_final: float,
     scheme: str = "sadi",
-    step_tol: float = 1e-11,
+    step_tol: float = STEP_TOL,
 ) -> list[StudyRow]:
     """Error/order rows along a halving h list at fixed tau.
 
@@ -310,17 +310,18 @@ class StudySpec:
 
     ``axis`` selects the refinement direction: "time" varies ``taus`` at
     the single fixed h in ``hs``; "space" varies ``hs`` at the single fixed
-    tau in ``taus``.
+    tau in ``taus``. A list or horizon left None takes the example's
+    benchmark configuration; an empty list is refused.
     """
 
     axis: str
     example: str = "sine-gordon"
     scheme: str = "sadi"
     alphas: tuple[float, ...] = (1.1, 1.5, 1.9)
-    taus: tuple[float, ...] = ()
-    hs: tuple[float, ...] = ()
+    taus: tuple[float, ...] | None = None
+    hs: tuple[float, ...] | None = None
     t_final: float | None = None
-    tol: float = 1e-11
+    tol: float = STEP_TOL
     kappa: float = 1.0
     threads: int = 1
 
@@ -330,14 +331,14 @@ def _spec_defaults(spec: StudySpec) -> StudySpec:
     tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(spec.example, CUSTOM_DEFAULTS)
     taus, hs = spec.taus, spec.hs
     if spec.axis == "time":
-        if not taus:
+        if taus is None:
             taus = tuple(0.1 / 2**k for k in range(4))
-        if not hs:
+        if hs is None:
             hs = (h_d,)
     elif spec.axis == "space":
-        if not hs:
+        if hs is None:
             hs = tuple(1.0 / 2**k for k in range(4))
-        if not taus:
+        if taus is None:
             taus = (tau_d,)
     else:
         raise ValidationError(f"axis must be 'time' or 'space', got {spec.axis!r}")

@@ -172,10 +172,14 @@ def _sg_phi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sech(np.sqrt(x * x + y * y))
 
 
+def _bump(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return sech(np.cosh(x * x + y * y))
+
+
 def _kg_phi1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # amplitude 2: the benchmark tables this profile feeds are only
     # reproduced with the doubled pulse
-    return 2.0 * sech(np.cosh(x * x + y * y))
+    return 2.0 * _bump(x, y)
 
 
 def _zero_field(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -200,6 +204,12 @@ EXAMPLE_DEFAULTS = {
 }
 # The same for a custom problem (no --example).
 CUSTOM_DEFAULTS = (0.01, 0.025, 5.0)
+# Initial data of a custom problem by name: (phi1, phi2).
+CUSTOM_INITIAL_DATA = {
+    "ring": (_zero_field, _sg_phi2),
+    "bump": (_bump, _zero_field),
+    "zero": (_zero_field, _zero_field),
+}
 
 
 def example_problem(name: str, alpha: float, kappa: float = 1.0) -> Problem:

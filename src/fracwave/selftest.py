@@ -6,10 +6,6 @@ the load-bearing identities end to end: transform conventions, coefficient
 generation against direct quadrature, the structured inverse, the factored
 sweeps, the time-step equations verified as residuals of their defining
 difference equations, and the conservation/inequality diagnostics.
-
-``fault`` injects a deliberate corruption (test hook for the failure path):
-``fault="coeffs"`` perturbs one generated coefficient before the quadrature
-comparison, which must then fail by name.
 """
 
 from __future__ import annotations
@@ -32,9 +28,7 @@ from .stepper import (
 )
 from .structured import SymToeplitz, gs_precompute, gs_solve
 
-__all__ = ["run_selftest", "FAULT_NAMES"]
-
-FAULT_NAMES = ("coeffs",)
+__all__ = ["run_selftest"]
 
 
 class _CheckFailure(AssertionError):
@@ -70,10 +64,8 @@ def _check_coeff_recurrence() -> None:
         _require(w[0] > 0 and np.all(w[1:] < 0), f"sign pattern broken at alpha={alpha}")
 
 
-def _check_coeff_quadrature(fault: str | None) -> None:
+def _check_coeff_quadrature() -> None:
     quad = laplacian_coeffs_2d(1.5, 3, oversampling=64)
-    if fault == "coeffs":
-        quad[1, 1] += 1e-3
     for (i, j) in ((0, 0), (1, 1), (2, 0)):
         oracle = coeff_quadrature_oracle(1.5, i, j, tol=1e-10)
         _require(abs(quad[i, j] - oracle) < 1e-8,
@@ -220,17 +212,15 @@ def _check_energy_conservation() -> None:
     _require(drift <= 1e-10, f"energy drift {drift:.2e} exceeds 1e-10")
 
 
-def run_selftest(fault: str | None = None) -> tuple[bool, str]:
+def run_selftest() -> tuple[bool, str]:
     """Run all checks; returns (all_passed, report_text).
 
     The report is deterministic: fixed seeds, fixed order, no timings.
     """
-    if fault is not None and fault not in FAULT_NAMES:
-        raise ValueError(f"unknown fault {fault!r}; known: {FAULT_NAMES}")
     checks = [
         ("fft_convention", _check_fft_convention),
         ("coeff_recurrence_vs_direct", _check_coeff_recurrence),
-        ("coeff_2d_vs_quadrature", lambda: _check_coeff_quadrature(fault)),
+        ("coeff_2d_vs_quadrature", _check_coeff_quadrature),
         ("classical_stencil_action", _check_classical_stencil),
         ("sine_transform", _check_dst_transform),
         ("structured_inverse_four_ffts", _check_gs_inverse),

@@ -50,7 +50,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coeffs import DEFAULT_MAX_SAMPLES, laplacian_coeffs_2d, riesz_coeffs_1d
+from .coeffs import (DEFAULT_MAX_SAMPLES, OVERSAMPLING, laplacian_coeffs_2d,
+                     riesz_coeffs_1d)
 from .errors import BlowUpError, SolverError, ValidationError
 from .problems import Grid2D, Problem, resolve_nonlinearity
 from .structured import (
@@ -82,8 +83,8 @@ __all__ = [
 
 BLOWUP_THRESHOLD = 1e12
 
-# Symbol-sampling factor of the 2D coefficients (~1e-5 absolute accuracy).
-OVERSAMPLING = 8
+# Per-step solve tolerance of the baseline scheme.
+STEP_TOL = 1e-11
 # Largest grid whose coefficients fit the symbol-sampling budget.
 MAX_GRID_N = DEFAULT_MAX_SAMPLES // OVERSAMPLING
 
@@ -149,6 +150,11 @@ class StepOperators:
         eigenvalues in the 2D sine basis."""
         return tau_spec_2d(self.alpha, self.grid.n, self.factor)
 
+    @property
+    def c(self) -> float:
+        """c = tau^2 kappa / 2, the weight of the implicit operators."""
+        return 0.5 * self.tau_step * self.tau_step * self.kappa
+
     def delta_x(self, w: np.ndarray) -> np.ndarray:
         return self.riesz.matvec(w)
 
@@ -183,7 +189,7 @@ def build_operators(
             f"kappa={problem.kappa:g}) must keep the scaled Riesz weights "
             f"and their squares finite"
         )
-    quadrant = laplacian_coeffs_2d(problem.alpha, n, oversampling=OVERSAMPLING)
+    quadrant = laplacian_coeffs_2d(problem.alpha, n)
     lap = bttb_build(quadrant, n, scale=h_alpha)
 
     first_col[0] += 1.0
@@ -208,22 +214,21 @@ def rhs_general(
     step, and the L u it applied; the first step uses tau phi2 + B(u^0) / 2."""
     tau2 = ops.tau_step * ops.tau_step
     out = tau2 * g(u)
-    lap_u = _compact_apply(ops, u)
+    lap_u = ops.lap.apply(u)
     out -= (tau2 * ops.kappa) * lap_u
     return out, lap_u
 
 
-def _compact_apply(ops: StepOperators, u: np.ndarray) -> np.ndarray:
-    """L u as a C-contiguous N x N array. The apply crops a view out of an
-    N x L array; a field that outlives the call must not pin that buffer,
-    and the copy costs what the view's first flattening would."""
-    return np.ascontiguousarray(ops.lap.apply(u))
-
-
-def _a_pair(ops: StepOperators, lap_prev: np.ndarray, u_curr: np.ndarray) -> float:
-    """h^2 (L u_prev, u_curr) from the L u_prev a step made."""
+def _hand_over(ops: StepOperators, u_prev: np.ndarray, u_curr: np.ndarray,
+               lap_u_prev: np.ndarray, step_index: int, **nonadi) -> SchemeState:
+    """The state at ``step_index`` of a step that made L u_prev: it hands on
+    the energy pairing h^2 (L u_prev, u_curr). ``nonadi`` holds the
+    baseline's ``pcg_iterations`` and ``lap_prev``."""
     h = ops.grid.h
-    return h * h * float(np.vdot(lap_prev, u_curr).real)
+    return SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=step_index,
+                       time=step_index * ops.tau_step,
+                       a_pair=h * h * float(np.vdot(lap_u_prev, u_curr).real),
+                       **nonadi)
 
 
 def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
@@ -243,9 +248,8 @@ def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
 
 def _sadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
     """sadi's implicit operator: (I + c delta_x)(I + c delta_y) v."""
-    c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
-    w = v + c * ops.delta_y(v)
-    return w + c * ops.delta_x(w)
+    w = v + ops.c * ops.delta_y(v)
+    return w + ops.c * ops.delta_x(w)
 
 
 def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> SchemeState:
@@ -254,8 +258,7 @@ def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> Schem
     u0, phi2_field = problem.initial_fields(grid)
     b0, lap_u0 = rhs_general(u0, ops, g)
     u1 = u0 + adi_solve(ops, 0.5 * b0 + ops.tau_step * phi2_field)
-    return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=ops.tau_step,
-                       a_pair=_a_pair(ops, lap_u0, u1))
+    return _hand_over(ops, u0, u1, lap_u0, 1)
 
 
 def sadi_step(
@@ -266,13 +269,7 @@ def sadi_step(
     """One general step: solve for the second difference and shift levels."""
     b, lap_curr = rhs_general(state.u_curr, ops, g)
     u_next = adi_solve(ops, b) + 2.0 * state.u_curr - state.u_prev
-    return SchemeState(
-        u_prev=state.u_curr,
-        u_curr=u_next,
-        step_index=state.step_index + 1,
-        time=(state.step_index + 1) * ops.tau_step,
-        a_pair=_a_pair(ops, lap_curr, u_next),
-    )
+    return _hand_over(ops, state.u_curr, u_next, lap_curr, state.step_index + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,74 +278,59 @@ def sadi_step(
 
 def _nonadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
     """nonadi's implicit operator: (I + c L) v."""
-    return v + (0.5 * ops.tau_step * ops.tau_step * ops.kappa) * ops.lap.apply(v)
+    return v + ops.c * ops.lap.apply(v)
 
 
-def _nonadi_solve(
-    ops: StepOperators, b: np.ndarray, x0: np.ndarray, tol: float
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Solve (I + (tau^2 kappa/2) L) x = b by PCG with the 2D sine-transform
-    preconditioner, warm-started from the previous level. Returns x, the
-    iteration count and L x0, the apply the warm-start residual is made
-    from."""
-    c = 0.5 * ops.tau_step * ops.tau_step * ops.kappa
-    lap_x0 = _compact_apply(ops, x0)
+def _nonadi_solve(ops: StepOperators, b: np.ndarray, x0: np.ndarray,
+                  step_index: int, tol: float) -> SchemeState:
+    """Solve (I + c L) x = b by PCG with the 2D sine-transform
+    preconditioner, warm-started from the previous level x0, and hand on
+    the levels (x0, x): L x0, the apply the warm-start residual is made
+    from, becomes the state's ``lap_prev``."""
+    lap_x0 = ops.lap.apply(x0)
     x, report = pcg(partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b,
-                    tol=tol, max_iter=400, x0=x0, ax0=x0 + c * lap_x0)
+                    tol=tol, max_iter=400, x0=x0, ax0=x0 + ops.c * lap_x0)
     if not report.converged:
         raise SolverError(
             f"step solve did not converge: {report.iterations} iterations, "
             f"relative residual {report.final_relative_residual:.2e}"
         )
-    return x, report.iterations, lap_x0
+    return _hand_over(ops, x0, x, lap_x0, step_index,
+                      pcg_iterations=report.iterations, lap_prev=lap_x0)
 
 
 def nonadi_first_step(
     problem: Problem,
     grid: Grid2D,
     ops: StepOperators,
-    tol: float = 1e-11,
+    tol: float = STEP_TOL,
 ) -> SchemeState:
     """First step of the baseline: (I + c L) u^1 = u^0 + tau phi2
-    + (tau^2/2) g(u^0), c = tau^2 kappa / 2."""
+    + (tau^2/2) g(u^0)."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(grid)
     tau = ops.tau_step
     b = u0 + tau * phi2_field + (0.5 * tau * tau) * g(u0)
-    u1, iterations, lap_u0 = _nonadi_solve(ops, b, x0=u0, tol=tol)
-    return SchemeState(u_prev=u0, u_curr=u1, step_index=1, time=tau,
-                       pcg_iterations=iterations,
-                       a_pair=_a_pair(ops, lap_u0, u1), lap_prev=lap_u0)
+    return _nonadi_solve(ops, b, u0, 1, tol)
 
 
 def nonadi_step(
     state: SchemeState,
     ops: StepOperators,
     g: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-11,
+    tol: float = STEP_TOL,
 ) -> SchemeState:
     """General baseline step: (I + c L) u^{n+1} = 2 u^n - u^{n-1}
     - c L u^{n-1} + tau^2 g(u^n). L u^{n-1} is the state's ``lap_prev``
     when it carries one (the previous solve's warm-start apply), so the
     step applies L once plus once per PCG iteration."""
     tau = ops.tau_step
-    c = 0.5 * tau * tau * ops.kappa
     b = 2.0 * state.u_curr - state.u_prev + tau * tau * g(state.u_curr)
     lap_prev = state.lap_prev
     if lap_prev is None:
         lap_prev = ops.lap.apply(state.u_prev)
-    b -= c * lap_prev
-    u_next, iterations, lap_curr = _nonadi_solve(ops, b, x0=state.u_curr,
-                                                 tol=tol)
-    return SchemeState(
-        u_prev=state.u_curr,
-        u_curr=u_next,
-        step_index=state.step_index + 1,
-        time=(state.step_index + 1) * tau,
-        pcg_iterations=iterations,
-        a_pair=_a_pair(ops, lap_curr, u_next),
-        lap_prev=lap_curr,
-    )
+    b -= ops.c * lap_prev
+    return _nonadi_solve(ops, b, state.u_curr, state.step_index + 1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +347,7 @@ class Scheme(NamedTuple):
     solver: Callable[[StepOperators], object]
 
 
-def lookup_scheme(name: str, step_tol: float = 1e-11) -> Scheme:
+def lookup_scheme(name: str, step_tol: float = STEP_TOL) -> Scheme:
     """The scheme called ``name``; the baseline's steps solve to ``step_tol``."""
     schemes = dict(zip(SCHEME_NAMES, (
         Scheme(sadi_first_step, sadi_step, _sadi_m, lambda ops: ops.gs),
@@ -409,7 +391,7 @@ def run(
     m_steps: int,
     scheme: str = "sadi",
     recorder: Callable[[SchemeState], None] | None = None,
-    step_tol: float = 1e-11,
+    step_tol: float = STEP_TOL,
     ops: StepOperators | None = None,
 ) -> tuple[SchemeState, RunInfo]:
     """Integrate m_steps time levels and return the final state.

@@ -305,7 +305,11 @@ def bttb_build(quadrant: np.ndarray, n: int, scale: float = 1.0) -> BttbOperator
 
 def bttb_apply(op: BttbOperator, u: np.ndarray) -> np.ndarray:
     """Apply the BTTB operator to an N x N field by pruned 2D FFTs (the
-    pass order is in :class:`BttbOperator`)."""
+    pass order is in :class:`BttbOperator`).
+
+    The result is a C-contiguous N x N array that owns its memory. The last
+    pass yields an N x L array; a field that outlives the call must not pin
+    that buffer, and the copy costs what a view's first flattening would."""
     u = np.asarray(u, dtype=float)
     n, length = op.n, op.length
     if u.shape != (n, n):
@@ -314,7 +318,7 @@ def bttb_apply(op: BttbOperator, u: np.ndarray) -> np.ndarray:
                      overwrite_x=True)
     spec *= op.spectrum
     rows = _fft.cifft(spec, axis=0, overwrite_x=True)[:n]
-    return _fft.irfft(rows, n=length, axis=1)[:, :n]
+    return np.ascontiguousarray(_fft.irfft(rows, n=length, axis=1)[:, :n])
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,11 @@ class TestExitCodes:
         ["study-time", "--example", "zero", "--alphas", "", "--taus",
          "1/5,1/10", "--h", "1", "--t-final", "0.4"],
         ["study-time", "--spec", "{empty_alphas}"],
+        ["study-time", "--example", "zero", "--alphas", "1.5", "--taus", "",
+         "--h", "4", "--t-final", "0.1"],
+        ["study-space", "--example", "zero", "--alphas", "1.5", "--hs", "",
+         "--tau", "0.1", "--t-final", "0.1"],
+        ["study-time", "--spec", "{empty_taus}"],
         ["coeffs", "--kind", "1d", "--alpha", "1.5", "--count",
          "1000000000000"],
     ], ids=["tau-nan", "tau-zero", "tau-negative", "t-final-inf",
@@ -206,14 +211,19 @@ class TestExitCodes:
             "kappa-tau2-squared-overflow", "t-final-too-many-steps",
             "h-alpha-overflow", "solver-factor-overflow",
             "solver-factor-overflow-nonadi", "study-alphas-empty",
-            "spec-alphas-empty", "coeffs-count-huge"])
+            "spec-alphas-empty", "study-taus-empty", "study-hs-empty",
+            "spec-taus-empty", "coeffs-count-huge"])
     def test_bad_numeric_input_exits_two(self, argv, tmp_path, capsys):
         spec = tmp_path / "bad.txt"
         spec.write_text("threads = abc\n")
         empty_alphas = tmp_path / "empty_alphas.txt"
         empty_alphas.write_text("alphas =\ntaus = 1/5\nhs = 1\nt-final = 0.4\n")
+        empty_taus = tmp_path / "empty_taus.txt"
+        empty_taus.write_text("example = zero\nalphas = 1.5\ntaus =\nhs = 4\n"
+                              "t-final = 0.1\n")
         argv = [a.replace("{spec}", str(spec))
-                 .replace("{empty_alphas}", str(empty_alphas)) for a in argv]
+                 .replace("{empty_alphas}", str(empty_alphas))
+                 .replace("{empty_taus}", str(empty_taus)) for a in argv]
         if argv[0] != "coeffs":  # coeffs writes to --out, not a directory
             argv = argv + ["--out-dir", str(tmp_path)]
         try:
@@ -380,8 +390,9 @@ class TestCoeffsCommand:
         ["coeffs", "--alpha", "1.5", "--count", "3", "--verbose"],
         ["coeffs", "--alpha", "1.5", "--count", "3", "--kind", "cross"],
         ["selftest", "--out-dir", "d"],
+        ["selftest", "--fault", "coeffs"],
     ], ids=["coeffs-out-dir", "coeffs-verbose", "coeffs-kind-cross",
-            "selftest-out-dir"])
+            "selftest-out-dir", "selftest-fault"])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -392,9 +403,8 @@ class TestCoeffsCommand:
 # values keep every run small: grids of at most 8 interior nodes ((-10, 10)
 # at h >= 20/9, or --n <= 8; a space study's finest grid is at h/2 with
 # h >= 5) and at most 20 steps (t_final <= 1 against steps >= 1/20, a time
-# study's last run at half its last tau included). No step list is empty:
-# an empty one falls back to the defaults, whose runs are large. Thread
-# counts are 1, 2 or values the bound refuses.
+# study's last run at half its last tau included). Thread counts are 1, 2
+# or values the bound refuses.
 ALPHAS = (["1.5", "3/2", "1.1", "1.9"], ["2", "1", "0.5", "nan", "abc", ""])
 KAPPAS = (["1", "0", "0.7", "1/3", "1e10"], ["-1", "nan", "inf", "1e308"])
 THREADS = (["1", "2"], ["0", "-1", str(10 ** 20),
@@ -402,13 +412,13 @@ THREADS = (["1", "2"], ["0", "-1", str(10 ** 20),
 SOLVE_TAUS = (["1/10", "0.1", "1/5", "0.05", "1/20"],
               ["0", "-1/10", "nan", "1e-320"])
 STUDY_TAUS = (["1/5", "0.2", "1/4", "1/5,1/10", "1/4,1/8"],
-              ["1/5,1/4", "0", "-1/5", "nan"])
+              ["1/5,1/4", "0", "-1/5", "nan", ""])
 FIXED_TAUS = (["1/5", "0.2", "1/4"], ["0", "-1/5", "nan", "1e-320"])
 T_FINALS = (["0.1", "1/5", "2/5", "0.5", "1"],
             ["0", "0.33", "-1", "nan", "inf", "1e300", "abc"])
 HS = (["10", "5", "4", "20/6", "2.5", "20/9"],
       ["0.3", "3", "-1", "0", "nan", "1/0", "1e-320"])
-STUDY_HS = (["10", "5", "10,5", "20/2,5"], ["10,4", "0.3", "-1", "nan"])
+STUDY_HS = (["10", "5", "10,5", "20/2,5"], ["10,4", "0.3", "-1", "nan", ""])
 TOLS = (["1e-11", "1e-6", "1/1000", "10"], ["0", "-1", "nan"])
 SNAP_TIMES = (["0", "0.1", "1/5", "1"], ["0.33", "nan", "-1", "1e308", ""])
 EXAMPLES = (["sine-gordon", "klein-gordon", "zero"], ["x"])
@@ -562,10 +572,16 @@ class TestSelftestCommand:
         assert len(check_lines) >= 10
         assert not any(ln.startswith("FAIL") for ln in out1.splitlines())
 
-    def test_fault_injection_is_caught(self, capsys):
-        rc = main(["selftest", "--fault", "coeffs"])
+    def test_fault_injection_is_caught(self, capsys, monkeypatch):
+        def corrupted(*args, **kwargs):
+            quad = laplacian_coeffs_2d(*args, **kwargs)
+            quad[1, 1] += 1e-3
+            return quad
+
+        monkeypatch.setattr("fracwave.selftest.laplacian_coeffs_2d", corrupted)
+        rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 1
         fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
         assert len(fails) == 1
-        assert "coeff" in fails[0]
+        assert fails[0].startswith("FAIL coeff_2d_vs_quadrature:")

@@ -287,6 +287,13 @@ class TestBttb:
         assert got.shape == (n, n)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_returns_compact_field(self, rng):
+        # its own N x N memory, not a view that pins the N x L transform
+        n = 7
+        op = bttb_build(laplacian_coeffs_2d(1.5, n), n)
+        got = bttb_apply(op, rng.standard_normal((n, n)))
+        assert got.flags.c_contiguous and got.base is None
+
     def test_classical_five_point(self):
         # alpha = 2: interior action is the negated 5-point Laplacian
         n = 8
