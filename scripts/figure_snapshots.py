@@ -37,21 +37,20 @@ def main(argv=None) -> int:
                     help="coarse grid (h = 1/10) for a fast smoke run")
     args = ap.parse_args(argv)
 
-    h = "1/10" if args.quick else "1/40"
+    grid = ["--h", "1/10"] if args.quick else []
     jobs = []
     if args.figure in ("ring", "all"):
-        jobs += [("sine-gordon", "5", RING_TIMES, args.surface, "ring")]
+        jobs += [("sine-gordon", RING_TIMES, args.surface, "ring")]
     if args.figure in ("cubic", "all"):
-        jobs += [("klein-gordon", "8", CUBIC_TIMES, "u", "cubic")]
+        jobs += [("klein-gordon", CUBIC_TIMES, "u", "cubic")]
 
     for alpha in args.alphas.split(","):
         alpha = alpha.strip()
-        for example, t_final, times, surface, tag in jobs:
+        for example, times, surface, tag in jobs:
             prefix = f"{tag}_alpha{alpha}"
             print(f"== {example} alpha={alpha} -> {args.out_dir}/{prefix}_t*")
             rc = fracwave_main([
-                "solve", "--example", example, "--alpha", alpha,
-                "--tau", "1/100", "--h", h, "--t-final", t_final,
+                "solve", "--example", example, "--alpha", alpha, *grid,
                 "--snapshots", times, "--surface", surface,
                 "--format", args.format, "--prefix", prefix,
                 "--threads", str(args.threads),

@@ -51,14 +51,14 @@ from .harness import (
     run_study,
 )
 from .problems import (
-    CUSTOM_DEFAULTS,
     CUSTOM_INITIAL_DATA,
-    EXAMPLE_DEFAULTS,
     EXAMPLE_NAMES,
+    FIGURE_STEPS,
     NONLINEARITY_NAMES,
     Grid2D,
     Problem,
     example_problem,
+    paper_runs,
 )
 from .selftest import run_selftest
 from .snapshots import (
@@ -79,6 +79,15 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_BLOWUP = 4
 EXIT_IO = 5
+
+
+class _Parser(argparse.ArgumentParser):
+    """Names the '=' form when a flag's value, e.g. -1e1, was taken for a flag."""
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            message += ("; join a value that starts with '-' to its flag "
+                        "with '=', e.g. --a=-1e1")
+        super().error(message)
 
 
 def _fraction(text: str) -> float:
@@ -110,8 +119,7 @@ def _add_common_problem_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_custom_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=_fraction, default=-10.0,
-                   help="domain lower edge (custom problems; default -10); "
-                        "join a value like -1e1 or -1/2 with '=': --a=-1/2")
+                   help="domain lower edge (custom problems; default -10)")
     p.add_argument("--b", type=_fraction, default=10.0,
                    help="domain upper edge (custom problems; default 10)")
     p.add_argument("--nonlinearity", choices=NONLINEARITY_NAMES, default="zero",
@@ -150,7 +158,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracwave",
         description="Splitting-ADI solver for the 2D fractional Laplacian "
                     "wave equation.",
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         st.add_argument("--scheme", choices=SCHEME_NAMES + ("both",), default=None)
         st.add_argument("--alphas", type=_fraction_list, default=None,
                         help="comma-separated fractional orders (default 1.1,1.5,1.9)")
-        st.add_argument("--kappa", type=_fraction, default=1.0)
+        st.add_argument("--kappa", type=_fraction, default=None)
         # the fixed step is a one-entry list of the same StudySpec field
         if axis == "time":
             st.add_argument("--taus", type=_fraction_list, default=None,
@@ -258,10 +266,11 @@ def _build_problem(args) -> Problem:
 
 
 def _solve_defaults(args) -> tuple[float, float, float]:
-    tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(args.example or "", CUSTOM_DEFAULTS)
-    tau = args.tau if args.tau is not None else tau_d
-    t_final = args.t_final if args.t_final is not None else t_d
-    return tau, h_d, t_final
+    """(tau, h, t_final): the flags, else the figures' steps and the horizon."""
+    tau, h = FIGURE_STEPS
+    return (tau if args.tau is None else args.tau,
+            h if args.h is None else args.h,
+            paper_runs(args.example)[0] if args.t_final is None else args.t_final)
 
 
 def _snapshot_steps(tokens: str, tau: float, m_steps: int) -> dict[int, str]:
@@ -285,12 +294,11 @@ def _snapshot_steps(tokens: str, tau: float, m_steps: int) -> dict[int, str]:
 def _cmd_solve(args) -> int:
     outdir = _resolve_outdir(args)
     problem = _build_problem(args)
-    tau, h_default, t_final = _solve_defaults(args)
+    tau, h, t_final = _solve_defaults(args)
     if args.n is not None:
         grid = Grid2D(problem.a, problem.b, args.n)
     else:
-        grid = Grid2D.from_spacing(problem.a, problem.b,
-                                   args.h if args.h is not None else h_default)
+        grid = Grid2D.from_spacing(problem.a, problem.b, h)
     m_steps = _steps_for(t_final, tau)
     plan = _snapshot_steps(args.snapshots, tau, m_steps)
     _fft.set_fft_workers(args.threads)
@@ -374,13 +382,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_study(args) -> int:
     outdir = _resolve_outdir(args)
-    if args.spec is not None:
-        spec = parse_study_file(args.spec, axis=args.axis)
-    else:
-        spec = StudySpec(axis=args.axis)
+    spec = (StudySpec(axis=args.axis) if args.spec is None
+            else parse_study_file(args.spec, axis=args.axis))
     updates = {field: getattr(args, field) for field in STUDY_FIELDS
                if getattr(args, field) is not None}
-    updates["kappa"] = args.kappa
     spec = replace(spec, **updates)
     out_path = Path(args.out) if args.out else outdir / f"study_{args.axis}.csv"
     rows = run_study(spec, out_path)

@@ -52,10 +52,9 @@ import numpy as np
 
 from . import _fft
 from .errors import ValidationError
-from .problems import (CUSTOM_DEFAULTS, EXAMPLE_DEFAULTS, Grid2D, Problem,
-                       example_problem)
+from .problems import Grid2D, Problem, example_problem, paper_runs
 from .stepper import (SCHEME_NAMES, STEP_TOL, RunInfo, SchemeState,
-                      StepOperators, lookup_scheme, run)
+                      StepOperators, check_grid, lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
@@ -221,8 +220,11 @@ def _refinement_rows(
 
     Row k compares the final field of run k with that of run k + 1 mapped
     onto run k's grid by ``restrict``; its timings are run k's. ``steps``
-    holds the row labels, one fewer than the runs.
+    holds the row labels, one fewer than the runs. Every grid and step
+    count is checked before the first run.
     """
+    for grid, _ in runs:
+        check_grid(grid)
     counts = [_steps_for(t_final, tau) for _, tau in runs]
     finals: list[np.ndarray] = []
     infos: list[RunInfo] = []
@@ -311,7 +313,8 @@ class StudySpec:
     ``axis`` selects the refinement direction: "time" varies ``taus`` at
     the single fixed h in ``hs``; "space" varies ``hs`` at the single fixed
     tau in ``taus``. A list or horizon left None takes the example's
-    benchmark configuration; an empty list is refused.
+    published table along ``axis`` (``problems.PAPER_RUNS``; "zero" shares
+    the ring model's); an empty list is refused.
     """
 
     axis: str
@@ -327,23 +330,15 @@ class StudySpec:
 
 
 def _spec_defaults(spec: StudySpec) -> StudySpec:
-    """Fill unset step lists / horizon with the benchmark configurations."""
-    tau_d, h_d, t_d = EXAMPLE_DEFAULTS.get(spec.example, CUSTOM_DEFAULTS)
-    taus, hs = spec.taus, spec.hs
-    if spec.axis == "time":
-        if taus is None:
-            taus = tuple(0.1 / 2**k for k in range(4))
-        if hs is None:
-            hs = (h_d,)
-    elif spec.axis == "space":
-        if hs is None:
-            hs = tuple(1.0 / 2**k for k in range(4))
-        if taus is None:
-            taus = (tau_d,)
-    else:
+    """Fill unset step lists / horizon from the example's published table."""
+    t_final, studies = paper_runs(spec.example)
+    if spec.axis not in studies:
         raise ValidationError(f"axis must be 'time' or 'space', got {spec.axis!r}")
-    t_final = spec.t_final if spec.t_final is not None else t_d
-    return replace(spec, taus=taus, hs=hs, t_final=t_final)
+    taus, hs = studies[spec.axis]
+    return replace(spec,
+                   taus=taus if spec.taus is None else spec.taus,
+                   hs=hs if spec.hs is None else spec.hs,
+                   t_final=t_final if spec.t_final is None else spec.t_final)
 
 
 def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
@@ -447,6 +442,7 @@ STUDY_FIELDS = {
     "hs": parse_number_list,
     "t_final": parse_number,
     "tol": parse_number,
+    "kappa": parse_number,
     "threads": _parse_threads,
 }
 

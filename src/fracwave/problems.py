@@ -196,20 +196,27 @@ _EXAMPLES = {
 }
 EXAMPLE_NAMES = tuple(_EXAMPLES)
 
-# Benchmark defaults: (tau, h, t_final) used when the CLI flags are omitted.
-EXAMPLE_DEFAULTS = {
-    "sine-gordon": (1.0 / 100.0, 1.0 / 40.0, 5.0),
-    "klein-gordon": (1.0 / 100.0, 1.0 / 40.0, 8.0),
-    "zero": (1.0 / 100.0, 1.0 / 40.0, 5.0),
+# The paper's runs, the defaults of what a solve or a study leaves unset: the
+# figures' (tau, h), and per model the horizon and per axis its error table's
+# (tau list, h list): halving taus at one h, or one tau with halving hs.
+FIGURE_STEPS = (1 / 100, 1 / 40)
+PAPER_RUNS = {
+    "sine-gordon": (5.0, {"time": ((1 / 10, 1 / 20, 1 / 40, 1 / 80), (1 / 40,)),
+                          "space": ((1 / 100,), (1.0, 1 / 2, 1 / 4, 1 / 8))}),
+    "klein-gordon": (8.0, {"time": ((4 / 25, 2 / 25, 1 / 25, 1 / 50), (1 / 50,)),
+                           "space": ((1 / 125,), (2 / 5, 1 / 5, 1 / 10, 1 / 20))}),
 }
-# The same for a custom problem (no --example).
-CUSTOM_DEFAULTS = (0.01, 0.025, 5.0)
 # Initial data of a custom problem by name: (phi1, phi2).
 CUSTOM_INITIAL_DATA = {
     "ring": (_zero_field, _sg_phi2),
     "bump": (_bump, _zero_field),
     "zero": (_zero_field, _zero_field),
 }
+
+
+def paper_runs(example: str | None) -> tuple[float, dict]:
+    """PAPER_RUNS[example]; the ring model's for "zero", None and unknowns."""
+    return PAPER_RUNS.get(example, PAPER_RUNS["sine-gordon"])
 
 
 def example_problem(name: str, alpha: float, kappa: float = 1.0) -> Problem:

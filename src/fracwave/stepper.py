@@ -162,22 +162,24 @@ class StepOperators:
         return self.riesz.matvec(w.T).T
 
 
+def check_grid(grid: Grid2D) -> None:
+    """Refuse a grid beyond MAX_GRID_N, the symbol-sampling budget."""
+    if grid.n > MAX_GRID_N:
+        raise ValidationError(f"grid N={Decimal(grid.n):.6g} is beyond the "
+                              f"largest supported N={MAX_GRID_N}")
+
+
 def build_operators(
     problem: Problem, grid: Grid2D, tau_step: float
 ) -> StepOperators:
     """Generate the coefficients and the operators both schemes use."""
     if not tau_step > 0:
         raise ValidationError(f"tau_step must be positive, got {tau_step}")
-    n = grid.n
-    if n > MAX_GRID_N:
-        raise ValidationError(
-            f"grid N={Decimal(n):.6g} is beyond the largest supported "
-            f"N={MAX_GRID_N}"
-        )
+    check_grid(grid)
     with np.errstate(over="ignore"):  # an overflow is rejected below
         h_alpha = float(np.float64(grid.h) ** -problem.alpha)
     factor = 0.5 * tau_step * tau_step * problem.kappa * h_alpha
-    weights = riesz_coeffs_1d(problem.alpha, n)
+    weights = riesz_coeffs_1d(problem.alpha, grid.n)
     riesz_col = h_alpha * weights
     first_col = factor * weights
     # the sadi operator (I + factor T)(I + factor T) squares factor * T
@@ -189,8 +191,8 @@ def build_operators(
             f"kappa={problem.kappa:g}) must keep the scaled Riesz weights "
             f"and their squares finite"
         )
-    quadrant = laplacian_coeffs_2d(problem.alpha, n)
-    lap = bttb_build(quadrant, n, scale=h_alpha)
+    quadrant = laplacian_coeffs_2d(problem.alpha, grid.n)
+    lap = bttb_build(quadrant, grid.n, scale=h_alpha)
 
     first_col[0] += 1.0
     return StepOperators(

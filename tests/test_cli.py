@@ -278,6 +278,17 @@ class TestExitCodes:
         assert rc == 5
 
 
+class TestDashValues:
+    def test_error_names_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alpha", "1.5", "--a", "-1/2", "--n", "3",
+                  "--tau", "0.1", "--t-final", "0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --a: expected one argument" in err
+        assert "with '=', e.g. --a=-1e1" in err
+
+
 class TestStudyCommands:
     def test_study_time_small(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -315,6 +326,18 @@ class TestStudyCommands:
         assert all(r.split(",")[1] == "1.9" for r in rows)
         assert seen[0].hs == (0.5,)  # --h replaced the file's hs = 1/4
         assert seen[0].taus == (0.2,)
+
+    def test_study_kappa_from_file_or_flag(self, tmp_path, monkeypatch):
+        spec = tmp_path / "study.txt"
+        spec.write_text("kappa = 0.5\n")
+        seen = []
+        monkeypatch.setattr(cli, "run_study",
+                            lambda spec, out: seen.append(spec) or [])
+        out = ["--out-dir", str(tmp_path)]
+        assert main(["study-time", "--spec", str(spec)] + out) == 0
+        assert main(["study-time", "--spec", str(spec), "--kappa", "1/4"] + out) == 0
+        assert main(["study-time"] + out) == 0
+        assert [s.kappa for s in seen] == [0.5, 0.25, 1.0]
 
 
 class TestCoeffsCommand:
@@ -494,14 +517,13 @@ def _study_argv(draw):
     for key, pool in (("example", EXAMPLES),
                       ("scheme", (["sadi", "nonadi", "both"], ["magic"])),
                       ("alphas", (["1.5", "1.1,1.9", "3/2"], ["", "0.5", "x"])),
-                      ("tol", TOLS), ("threads", THREADS)):
+                      ("tol", TOLS), ("kappa", KAPPAS), ("threads", THREADS)):
         where = draw(st.sampled_from(["none", "flag", "spec"]
                                      if use_spec else ["none", "flag"]))
         if where == "spec":
             spec_lines.append(f"{key} = {draw(_value(pool))}")
         elif where == "flag":
             argv += [f"--{key}", draw(_value(pool))]
-    argv += draw(_optional("--kappa", KAPPAS))
     spec = None
     if use_spec:
         spec_lines += draw(st.lists(_value((["# comment", ""],

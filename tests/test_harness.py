@@ -1,9 +1,14 @@
 """Discrete norms, energy functionals, refinement studies, CSV/spec-file I/O."""
 
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import _oracles as oracle
+import fracwave.harness as harness
 from fracwave.errors import ValidationError
 from fracwave.harness import (
     CSV_HEADER,
@@ -25,7 +30,7 @@ from fracwave.harness import (
     run_study,
     write_rows_csv,
 )
-from fracwave.problems import Grid2D, Problem
+from fracwave.problems import Grid2D, Problem, example_problem
 from fracwave.stepper import SchemeState, build_operators, run
 
 
@@ -302,6 +307,21 @@ class TestRefinementStudies:
         with pytest.raises(ValidationError):
             error_time_refinement(problem, 0.5, [0.1], 0.2, scheme="magic")
 
+    def test_oversize_grid_refused_before_the_first_run(self, monkeypatch):
+        # h = 1/40 and 1/80 are fine (N = 799, 1599), but the study's last
+        # run at h = 1/160 has N = 3199, beyond the coefficient budget
+        calls = []
+
+        def fake_run(problem, grid, *args, **kwargs):
+            calls.append(grid.n)
+            raise AssertionError(f"a run started at N={grid.n}")
+
+        monkeypatch.setattr(harness, "run", fake_run)
+        with pytest.raises(ValidationError, match="N=3199"):
+            error_space_refinement(example_problem("zero", 1.5), 0.01,
+                                   [1 / 40, 1 / 80], 5.0)
+        assert calls == []
+
 
 class TestRunStudy:
     @pytest.mark.parametrize("axis", ["time", "space"])
@@ -338,6 +358,61 @@ class TestRunStudy:
             (1.9, 0.2), (1.9, 0.1), (1.3, 0.2), (1.3, 0.1)]
 
 
+# The study defaults of each (example, axis) as (taus, hs, t_final): the
+# paper's tables 3 and 4 for the cubic model, and for the ring model, which
+# "zero" shares, the lists the study commands have always run.
+_RING_DEFAULTS = {
+    "time": (tuple(0.1 / 2**k for k in range(4)), (0.025,), 5.0),
+    "space": ((0.01,), tuple(1.0 / 2**k for k in range(4)), 5.0),
+}
+STUDY_DEFAULTS = {
+    "sine-gordon": _RING_DEFAULTS,
+    "zero": _RING_DEFAULTS,
+    "klein-gordon": {
+        "time": ((4 / 25, 2 / 25, 1 / 25, 1 / 50), (1 / 50,), 8.0),
+        "space": ((1 / 125,), (2 / 5, 1 / 5, 1 / 10, 1 / 20), 8.0),
+    },
+}
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+class TestPublishedTables:
+    @pytest.mark.parametrize("axis", ["time", "space"])
+    @pytest.mark.parametrize("example", list(STUDY_DEFAULTS))
+    def test_spec_defaults_are_the_published_tables(self, example, axis):
+        spec = _spec_defaults(StudySpec(axis=axis, example=example))
+        assert (spec.taus, spec.hs, spec.t_final) == STUDY_DEFAULTS[example][axis]
+
+    def test_table_script_resolves_to_its_docstring(self, tmp_path, monkeypatch):
+        path = SCRIPTS / "reproduce_tables.py"
+        module_spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+        script = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(script)
+        seen = {}
+
+        def record(spec, out):
+            seen[Path(out).stem] = _spec_defaults(spec)
+            return []
+
+        monkeypatch.setattr(script, "run_study", record)
+        assert script.main(["--out-dir", str(tmp_path)]) == 0
+        # e.g. "  3  cubic model, time refinement (h = 1/50, tau = 4/25 ... 1/50, t = 8)"
+        listed = re.findall(
+            r"^\s+(\d)\s+(ring|cubic) model,\s+(time|space) refinement\s+"
+            r"\((\w+) = ([\d/]+),\s+(\w+) = ([\d/]+) \.\.\. ([\d/]+),\s+"
+            r"t = (\d+)\)$", script.__doc__, flags=re.MULTILINE)
+        assert [row[0] for row in listed] == ["1", "2", "3", "4"]
+        models = {"ring": "sine-gordon", "cubic": "klein-gordon"}
+        for num, model, axis, fixed, fixed_v, varied, first, last, t in listed:
+            spec = seen[f"table{num}"]
+            assert (spec.example, spec.axis) == (models[model], axis)
+            steps = {"tau": spec.taus, "h": spec.hs}
+            assert steps[fixed] == (parse_number(fixed_v),)
+            assert steps[varied][0] == parse_number(first)
+            assert steps[varied][-1] == parse_number(last)
+            assert spec.t_final == float(t)
+
+
 class TestParsing:
     def test_parse_number(self):
         assert parse_number("1/40") == pytest.approx(0.025)
@@ -353,14 +428,6 @@ class TestParsing:
 
     def test_parse_number_list(self):
         assert parse_number_list("1, 1/2, 0.25") == (1.0, 0.5, 0.25)
-
-    def test_spec_defaults_fill_axes(self):
-        spec = _spec_defaults(StudySpec(axis="time"))
-        assert len(spec.taus) >= 2
-        assert len(spec.hs) == 1
-        spec2 = _spec_defaults(StudySpec(axis="space"))
-        assert len(spec2.hs) >= 2
-        assert len(spec2.taus) == 1
 
     def test_study_file_round_trip(self, tmp_path):
         text = """
