@@ -9,8 +9,9 @@ defaults to the caption and takes --surface to pick either (or raw u).
 Cubic model: u itself at t = 2, 4, 6, 8, same step sizes.
 
 Files land in --out-dir as <prefix>_t<time>.csv (or .f64/.meta with
---format raw). Full scale is N = 799 and 500/800 steps per order: minutes
-per alpha. --quick switches to h = 1/10 for a fast smoke run.
+--format raw) next to each run's <prefix>_summary.txt, where <prefix> is
+<ring|cubic>_alpha<alpha>. Full scale is N = 799 and 500/800 steps per
+order: minutes per alpha. --quick switches to h = 1/10 for a fast smoke run.
 """
 
 import argparse
@@ -53,6 +54,7 @@ def main(argv=None) -> int:
                 "solve", "--example", example, "--alpha", alpha, *grid,
                 "--snapshots", times, "--surface", surface,
                 "--format", args.format, "--prefix", prefix,
+                "--summary", f"{prefix}_summary.txt",
                 "--threads", str(args.threads),
                 "--out-dir", args.out_dir,
             ])

@@ -18,8 +18,9 @@ FRACWAVE_OUTDIR environment variable, else the current directory.
 All numeric flags accept plain decimals or p/q fractions (``--tau 1/100``);
 join a value such as -1e1 or -1/2 to its flag with ``=`` (``--a=-1/2``).
 Runs are seed-free and deterministic: identical flags and thread count give
-byte-identical snapshots, tables, and summary lines except for lines
-prefixed ``# timing``, which carry wall-clock measurements.
+byte-identical snapshots, summaries and tables, except for the wall-clock
+measurements: summary lines prefixed ``# timing`` and the study tables'
+``cpu_setup``, ``cpu_loop`` and ``cpu_seconds`` columns.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .snapshots import (
     write_snapshot_csv,
     write_snapshot_raw,
 )
-from .stepper import MAX_GRID_N, SCHEME_NAMES, STEP_TOL, build_operators, run
+from .stepper import MAX_GRID_N, SCHEME_NAMES, build_operators, run
 
 log = logging.getLogger("fracwave")
 
@@ -143,9 +144,6 @@ def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=SCHEME_NAMES, default="sadi",
                    help="time stepper: factored sweeps (sadi) or the unfactored "
                         "baseline (nonadi); default sadi")
-    p.add_argument("--tol", type=_fraction, default=STEP_TOL,
-                   help="per-step linear-solve tolerance of the baseline scheme "
-                        f"(default {STEP_TOL:g})")
     p.add_argument("--threads", type=int, default=1,
                    help="FFT worker threads, at most the CPU count (default 1)")
 
@@ -214,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
             st.add_argument("--tau", type=_one_fraction, default=None,
                             dest="taus", metavar="TAU", help="fixed time step")
         st.add_argument("--t-final", type=_fraction, default=None)
-        st.add_argument("--tol", type=_fraction, default=None,
-                        help="baseline per-step solve tolerance "
-                             f"(default {STEP_TOL:g})")
         st.add_argument("--threads", type=int, default=None)
         st.add_argument("--out", default=None,
                         help=f"output CSV path (default study_{axis}.csv in the "
@@ -302,6 +297,9 @@ def _cmd_solve(args) -> int:
     m_steps = _steps_for(t_final, tau)
     plan = _snapshot_steps(args.snapshots, tau, m_steps)
     _fft.set_fft_workers(args.threads)
+    (outdir / args.summary).parent.mkdir(parents=True, exist_ok=True)
+    if plan:
+        (outdir / f"{args.prefix}_t").parent.mkdir(parents=True, exist_ok=True)
     log.info("solve: %s alpha=%g scheme=%s N=%d h=%g tau=%g steps=%d",
              problem.label, problem.alpha, args.scheme, grid.n, grid.h, tau, m_steps)
 
@@ -335,7 +333,7 @@ def _cmd_solve(args) -> int:
             write_snap(state.u_curr, label, state.time)
 
     state, info = run(problem, grid, tau, m_steps, scheme=args.scheme,
-                      recorder=recorder, step_tol=args.tol, ops=ops)
+                      recorder=recorder, ops=ops)
     info.setup_seconds += build_seconds  # run timed the solver build
 
     u = state.u_curr

@@ -46,6 +46,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,8 +54,8 @@ import numpy as np
 from . import _fft
 from .errors import ValidationError
 from .problems import Grid2D, Problem, example_problem, paper_runs
-from .stepper import (SCHEME_NAMES, STEP_TOL, RunInfo, SchemeState,
-                      StepOperators, check_grid, lookup_scheme, run)
+from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
+                      check_grid, lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
@@ -214,7 +215,6 @@ def _refinement_rows(
     runs: Sequence[tuple[Grid2D, float]],
     t_final: float,
     restrict: Callable[[np.ndarray], np.ndarray],
-    step_tol: float,
 ) -> list[StudyRow]:
     """Run every (grid, tau) in ``runs`` and turn consecutive finals into rows.
 
@@ -231,8 +231,7 @@ def _refinement_rows(
     for (grid, tau), m_steps in zip(runs, counts):
         log.info("run %s alpha=%g h=%g tau=%g (%d steps, N=%d)",
                  scheme, problem.alpha, grid.h, tau, m_steps, grid.n)
-        state, info = run(problem, grid, tau, m_steps, scheme=scheme,
-                          step_tol=step_tol)
+        state, info = run(problem, grid, tau, m_steps, scheme=scheme)
         finals.append(state.u_curr)
         infos.append(info)
     rows: list[StudyRow] = []
@@ -258,7 +257,6 @@ def error_time_refinement(
     tau_list: Sequence[float],
     t_final: float,
     scheme: str = "sadi",
-    step_tol: float = STEP_TOL,
 ) -> list[StudyRow]:
     """Error/order rows along a halving tau list at fixed h.
 
@@ -272,7 +270,7 @@ def error_time_refinement(
     taus = list(tau_list) + [tau_list[-1] / 2.0]
     return _refinement_rows(problem, scheme, tau_list,
                             [(grid, tau) for tau in taus], t_final,
-                            lambda u: u, step_tol)
+                            lambda u: u)
 
 
 def error_space_refinement(
@@ -281,7 +279,6 @@ def error_space_refinement(
     h_list: Sequence[float],
     t_final: float,
     scheme: str = "sadi",
-    step_tol: float = STEP_TOL,
 ) -> list[StudyRow]:
     """Error/order rows along a halving h list at fixed tau.
 
@@ -299,7 +296,7 @@ def error_space_refinement(
             )
     return _refinement_rows(problem, scheme, h_list,
                             [(grid, tau_fixed) for grid in grids], t_final,
-                            lambda u: u[1::2, 1::2], step_tol)
+                            lambda u: u[1::2, 1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +321,6 @@ class StudySpec:
     taus: tuple[float, ...] | None = None
     hs: tuple[float, ...] | None = None
     t_final: float | None = None
-    tol: float = STEP_TOL
     kappa: float = 1.0
     threads: int = 1
 
@@ -345,7 +341,9 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
     Cells run sequentially in declaration order (scheme, then alpha, then
-    step). A scheme other than "both" is looked up by the first run.
+    step). Every alpha's problem is built, and the output file's directory
+    made, before the first run; a scheme other than "both" is looked up by
+    the first run.
     """
     spec = _spec_defaults(spec)
     _fft.set_fft_workers(spec.threads)
@@ -357,20 +355,19 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     if not spec.alphas:
         raise ValidationError("alpha list must not be empty")
 
+    problems = [example_problem(spec.example, alpha, kappa=spec.kappa)
+                for alpha in spec.alphas]
+    if output_path is not None:
+        Path(output_path).parent.mkdir(parents=True, exist_ok=True)
+
+    if spec.axis == "time":
+        refine, fixed, steps = error_time_refinement, spec.hs[0], spec.taus
+    else:
+        refine, fixed, steps = error_space_refinement, spec.taus[0], spec.hs
     rows: list[StudyRow] = []
     for scheme in schemes:
-        for alpha in spec.alphas:
-            problem = example_problem(spec.example, alpha, kappa=spec.kappa)
-            if spec.axis == "time":
-                rows.extend(error_time_refinement(
-                    problem, spec.hs[0], spec.taus, spec.t_final,
-                    scheme=scheme, step_tol=spec.tol,
-                ))
-            else:
-                rows.extend(error_space_refinement(
-                    problem, spec.taus[0], spec.hs, spec.t_final,
-                    scheme=scheme, step_tol=spec.tol,
-                ))
+        for problem in problems:
+            rows.extend(refine(problem, fixed, steps, spec.t_final, scheme=scheme))
     if output_path is not None:
         write_rows_csv(output_path, rows)
     return rows
@@ -441,7 +438,6 @@ STUDY_FIELDS = {
     "taus": parse_number_list,
     "hs": parse_number_list,
     "t_final": parse_number,
-    "tol": parse_number,
     "kappa": parse_number,
     "threads": _parse_threads,
 }

@@ -379,14 +379,15 @@ def pcg(
     contractions. Convergence is declared when the preconditioned residual
     norm sqrt(<r, M^{-1} r>) drops below tol times its value for the zero
     initial guess, i.e. tol * sqrt(<b, M^{-1} b>), making the criterion
-    independent of the (possibly warm) starting point. A zero right-hand
+    independent of the (possibly warm) starting point; tol lies in (0, 1),
+    since at 1 or more the zero guess itself would pass. A zero right-hand
     side returns zeros immediately with 0 iterations. ``ax0``, when given
     with ``x0``, is A x0 already computed by the caller: the warm-start
     residual b - ax0 then costs no application of A, and each iteration
     costs one.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not 0 < tol < 1:
+        raise ValidationError(f"tol must lie in (0, 1), got {tol}")
     b = np.asarray(b, dtype=float)
     zb = apply_m_inv(b)
     scale = np.sqrt(float(np.vdot(b, zb).real))

@@ -1,11 +1,13 @@
 """Command-line interface: files written, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracwave.cli as cli
+import fracwave.harness as harness
 from fracwave import _fft, stepper
 from fracwave.cli import main
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
@@ -36,6 +39,7 @@ def strip_timing(text: str) -> str:
 
 SOLVE_SMALL = ["solve", "--example", "sine-gordon", "--alpha", "1.5",
                "--tau", "0.1", "--t-final", "0.4", "--n", "11"]
+STUDY_SMALL = ["--example", "zero", "--alphas", "1.5", "--t-final", "0.4"]
 
 
 class TestSolve:
@@ -277,6 +281,38 @@ class TestExitCodes:
         rc = main(SOLVE_SMALL + ["--out-dir", str(blocker)])
         assert rc == 5
 
+    @pytest.mark.parametrize("argv", [
+        SOLVE_SMALL + ["--summary", "{file}/s.txt"],
+        SOLVE_SMALL + ["--prefix", "{file}/snap", "--snapshots", "0.4"],
+        ["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
+         "--out", "{file}/rows.csv"],
+    ], ids=["solve-summary", "solve-prefix", "study-out"])
+    def test_unusable_output_refused_before_the_first_step(self, argv, tmp_path,
+                                                           monkeypatch):
+        # a path under a regular file: its directory cannot be made, which
+        # must surface before any operator is built or run
+        blocker = tmp_path / "occupied"
+        blocker.write_text("not a directory")
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "run", record)
+        monkeypatch.setattr(cli, "build_operators", record)
+        argv = [a.replace("{file}", str(blocker)) for a in argv]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 5
+        assert calls == []
+
+    def test_missing_output_directories_made(self, tmp_path):
+        rc = main(SOLVE_SMALL + ["--summary", "runs/s.txt", "--prefix",
+                                 "snaps/deep/snap", "--snapshots", "0.4",
+                                 "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "runs" / "s.txt").exists()
+        assert (tmp_path / "snaps" / "deep" / "snap_t0.4.csv").exists()
+
 
 class TestDashValues:
     def test_error_names_the_equals_form(self, capsys):
@@ -338,6 +374,14 @@ class TestStudyCommands:
         assert main(["study-time", "--spec", str(spec), "--kappa", "1/4"] + out) == 0
         assert main(["study-time"] + out) == 0
         assert [s.kappa for s in seen] == [0.5, 0.25, 1.0]
+
+    def test_spec_tol_is_an_unknown_key(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "study.txt"
+        spec.write_text("tol = 1e-10\n")
+        monkeypatch.setattr(cli, "run_study", lambda spec, out: [])
+        rc = main(["study-time", "--spec", str(spec), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "unknown key 'tol'" in capsys.readouterr().err
 
 
 class TestCoeffsCommand:
@@ -414,8 +458,12 @@ class TestCoeffsCommand:
         ["coeffs", "--alpha", "1.5", "--count", "3", "--kind", "cross"],
         ["selftest", "--out-dir", "d"],
         ["selftest", "--fault", "coeffs"],
+        SOLVE_SMALL + ["--scheme", "nonadi", "--tol", "1e-11"],
+        ["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4", "--tol", "1e-11"],
+        ["study-space", *STUDY_SMALL, "--hs", "4", "--tau", "1/5", "--tol", "1e-11"],
     ], ids=["coeffs-out-dir", "coeffs-verbose", "coeffs-kind-cross",
-            "selftest-out-dir", "selftest-fault"])
+            "selftest-out-dir", "selftest-fault", "solve-tol", "study-time-tol",
+            "study-space-tol"])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -442,7 +490,6 @@ T_FINALS = (["0.1", "1/5", "2/5", "0.5", "1"],
 HS = (["10", "5", "4", "20/6", "2.5", "20/9"],
       ["0.3", "3", "-1", "0", "nan", "1/0", "1e-320"])
 STUDY_HS = (["10", "5", "10,5", "20/2,5"], ["10,4", "0.3", "-1", "nan", ""])
-TOLS = (["1e-11", "1e-6", "1/1000", "10"], ["0", "-1", "nan"])
 SNAP_TIMES = (["0", "0.1", "1/5", "1"], ["0.33", "nan", "-1", "1e308", ""])
 EXAMPLES = (["sine-gordon", "klein-gordon", "zero"], ["x"])
 OUT_DIRS = (["{dir}"], ["{file}"])
@@ -481,15 +528,16 @@ def _solve_argv(draw):
     argv += ["--tau", draw(_value(SOLVE_TAUS)),
              "--t-final", draw(_value(T_FINALS))]
     argv += draw(_optional("--scheme", (["sadi", "nonadi"], ["magic"])))
-    argv += draw(_optional("--tol", TOLS))
     argv += draw(_optional("--threads", THREADS))
     times = draw(st.lists(_value(SNAP_TIMES), max_size=3))
     if times:
         argv += ["--snapshots", ",".join(times)]
     argv += draw(_optional("--format", (["csv", "raw"], ["x"])))
     argv += draw(_optional("--surface", (["u", "sin_u", "sin_half_u"], ["x"])))
-    argv += draw(_optional("--prefix", (["snap"], ["missing/snap"])))
-    argv += draw(_optional("--summary", (["summary.txt"], ["missing/s.txt"])))
+    argv += draw(_optional("--prefix", (["snap", "missing/snap"],
+                                        ["{file}/snap"])))
+    argv += draw(_optional("--summary", (["summary.txt", "missing/s.txt"],
+                                         ["{file}/s.txt"])))
     argv += draw(st.sampled_from([[], ["--verbose"]]))
     return argv + ["--out-dir", draw(_value(OUT_DIRS))]
 
@@ -517,7 +565,7 @@ def _study_argv(draw):
     for key, pool in (("example", EXAMPLES),
                       ("scheme", (["sadi", "nonadi", "both"], ["magic"])),
                       ("alphas", (["1.5", "1.1,1.9", "3/2"], ["", "0.5", "x"])),
-                      ("tol", TOLS), ("kappa", KAPPAS), ("threads", THREADS)):
+                      ("kappa", KAPPAS), ("threads", THREADS)):
         where = draw(st.sampled_from(["none", "flag", "spec"]
                                      if use_spec else ["none", "flag"]))
         if where == "spec":
@@ -531,7 +579,8 @@ def _study_argv(draw):
                                     max_size=2))
         spec = "\n".join(spec_lines) + "\n"
         argv += ["--spec", "{spec}"]
-    argv += draw(_optional("--out", (["{dir}/rows.csv"], ["{dir}/missing/r.csv"])))
+    argv += draw(_optional("--out", (["{dir}/rows.csv", "{dir}/missing/r.csv"],
+                                     ["{file}/r.csv"])))
     return argv + ["--out-dir", draw(_value(OUT_DIRS))], spec
 
 
@@ -580,6 +629,26 @@ class TestArgvFuzz:
                 _fft._WORKERS = workers
         assert rc in (0, 2, 3, 4, 5), (argv, spec, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+class TestFigureScript:
+    def test_each_job_names_its_own_summary(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "figure_snapshots.py"
+        module_spec = importlib.util.spec_from_file_location("figure_snapshots", path)
+        script = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(script)
+        seen = []
+        monkeypatch.setattr(script, "fracwave_main",
+                            lambda argv: seen.append(argv) or 0)
+        assert script.main(["--quick", "--alphas", "1.5,1.9",
+                            "--out-dir", str(tmp_path)]) == 0
+        summaries = {}
+        for argv in seen:
+            prefix = argv[argv.index("--prefix") + 1]
+            summaries[prefix] = argv[argv.index("--summary") + 1]
+        assert summaries == {
+            f"{tag}_alpha{alpha}": f"{tag}_alpha{alpha}_summary.txt"
+            for tag in ("ring", "cubic") for alpha in ("1.5", "1.9")}
 
 
 class TestSelftestCommand:

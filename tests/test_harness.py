@@ -333,6 +333,28 @@ class TestRunStudy:
             run_study(spec, output_path=out)
         assert not out.exists()
 
+    def test_every_alpha_checked_before_the_first_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run",
+                            lambda *args, **kwargs: calls.append(args))
+        spec = StudySpec(axis="time", example="zero", alphas=(1.5, 2.5),
+                         taus=(0.1, 0.05), hs=(4.0,), t_final=0.2)
+        with pytest.raises(ValidationError, match="alpha"):
+            run_study(spec)
+        assert calls == []
+
+    def test_output_directory_made_before_the_first_run(self, tmp_path,
+                                                         monkeypatch):
+        made = []
+        real_run = harness.run
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: (
+            made.append((tmp_path / "new").is_dir()) or real_run(*args, **kwargs)))
+        spec = StudySpec(axis="time", example="zero", alphas=(1.5,),
+                         taus=(0.1,), hs=(4.0,), t_final=0.2)
+        run_study(spec, output_path=tmp_path / "new" / "rows.csv")
+        assert made == [True, True]
+        assert (tmp_path / "new" / "rows.csv").exists()
+
     def test_small_study_both_schemes(self, tmp_path):
         spec = StudySpec(axis="time", example="sine-gordon", scheme="both",
                          alphas=(1.5,), taus=(0.1,), hs=(0.5,), t_final=0.4)
@@ -438,7 +460,6 @@ alphas = 1.1, 1.5
 taus = 1/10, 1/20
 hs = 1/2
 t-final = 1
-tol = 1e-10
 threads = 2
 """
         path = tmp_path / "study.txt"
@@ -450,7 +471,6 @@ threads = 2
         assert spec.taus == (0.1, 0.05)
         assert spec.hs == (0.5,)
         assert spec.t_final == 1.0
-        assert spec.tol == 1e-10
         assert spec.threads == 2
 
     def test_study_file_underscore_keys_accepted(self, tmp_path):

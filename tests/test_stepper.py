@@ -339,6 +339,13 @@ class TestRunLoop:
         assert exc.value.time > 0.0
         assert exc.value.max_abs > 1e12
 
+    def test_nonadi_tolerance_of_one_refused(self):
+        # a relative tolerance of 1 accepted the warm start u^0 at every step
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=8)
+        with pytest.raises(ValidationError, match="tol"):
+            run(problem, grid, 0.1, 3, scheme="nonadi", step_tol=1.0)
+
     def test_unknown_scheme_rejected(self):
         problem = gaussian_problem()
         grid = Grid2D(a=problem.a, b=problem.b, n=8)

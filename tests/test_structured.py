@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 import _oracles as oracle
 from fracwave import _fft
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
-from fracwave.errors import SolverError
+from fracwave.errors import SolverError, ValidationError
 from fracwave.structured import (
     BttbOperator,
     SymToeplitz,
@@ -464,6 +464,12 @@ class TestPcg:
         want = oracle.unvec_f(np.linalg.solve(a_dense, oracle.vec_f(b)), n)
         assert report.converged
         np.testing.assert_allclose(x, want, atol=1e-10)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-11, 1.0, 10.0, float("nan")])
+    def test_tolerance_outside_unit_interval_refused(self, tol):
+        # at tol >= 1 the zero guess itself passes, before any iteration
+        with pytest.raises(ValidationError, match="tol"):
+            pcg(lambda v: v, lambda v: v, np.ones(4), tol=tol)
 
     def test_indefinite_operator_rejected(self, rng):
         b = rng.standard_normal(6)
