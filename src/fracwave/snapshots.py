@@ -54,11 +54,16 @@ def write_index_csv(fh, table: np.ndarray, base: int) -> None:
     """Write a 2D table to the text stream ``fh`` as ``i,j,value`` CSV rows,
     indices counted from ``base``. One table row per write, so the text is
     never held whole: a 2048 x 2048 table as one string takes hundreds of
-    MiB."""
+    MiB. Each row is one ``%`` format of a template joined from per-column
+    ``j,%.17g`` tails made once per call."""
+    table = np.asarray(table, dtype=float)
     fh.write("i,j,value\n")
-    for i, row in enumerate(np.asarray(table, dtype=float), start=base):
-        fh.write("".join(["%d,%d,%.17g\n" % (i, j, v)
-                          for j, v in enumerate(row.tolist(), start=base)]))
+    tails = ["%d,%%.17g\n" % j for j in range(base, base + table.shape[1])]
+    if not tails:
+        return
+    for i, row in enumerate(table, start=base):
+        lead = "%d," % i
+        fh.write((lead + lead.join(tails)) % tuple(row.tolist()))
 
 
 def write_snapshot_csv(path, field: np.ndarray) -> None:

@@ -98,13 +98,13 @@ class SchemeState:
     ``pcg_iterations`` counts the iterations of the baseline solve that
     produced u_curr (zero is a valid count); it is None for sadi steps.
 
-    The steps hand on the fractional-Laplacian apply they made of u_prev,
-    so that its consumers need not repeat it. ``a_pair`` is
-    h^2 (L u_prev, u_curr), the pairing term of the conserved energy, set
-    by every step. ``lap_prev`` is L u_prev itself, a compact N x N field
-    that only the baseline steps carry: the next baseline step's
-    right-hand side needs it. Both are None on states built by hand;
-    consumers then apply L themselves.
+    The steps hand on the applies they made, so that consumers need not
+    repeat them. ``a_pair`` is h^2 (L u_prev, u_curr), the pairing term of
+    the conserved energy, set by the steps that apply L to u_prev (sadi's
+    and the first baseline step). ``m_prev`` and ``m_curr`` are M u_prev
+    and M u_curr, M = I + c L, compact N x N fields that the baseline steps
+    carry for the next one's right-hand side and warm-start residual. Each
+    is None where no step made it; consumers then apply L themselves.
     """
 
     u_prev: np.ndarray
@@ -113,7 +113,8 @@ class SchemeState:
     time: float
     pcg_iterations: int | None = None
     a_pair: float | None = None
-    lap_prev: np.ndarray | None = None
+    m_prev: np.ndarray | None = None
+    m_curr: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,15 +223,16 @@ def rhs_general(
 
 
 def _hand_over(ops: StepOperators, u_prev: np.ndarray, u_curr: np.ndarray,
-               lap_u_prev: np.ndarray, step_index: int, **nonadi) -> SchemeState:
-    """The state at ``step_index`` of a step that made L u_prev: it hands on
-    the energy pairing h^2 (L u_prev, u_curr). ``nonadi`` holds the
-    baseline's ``pcg_iterations`` and ``lap_prev``."""
+               lap_u_prev: np.ndarray | None, step_index: int,
+               **nonadi) -> SchemeState:
+    """The state at ``step_index``: a step that made L u_prev hands on the
+    energy pairing h^2 (L u_prev, u_curr). ``nonadi`` holds the baseline's
+    ``pcg_iterations``, ``m_prev`` and ``m_curr``."""
     h = ops.grid.h
+    a_pair = (None if lap_u_prev is None
+              else h * h * float(np.vdot(lap_u_prev, u_curr).real))
     return SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=step_index,
-                       time=step_index * ops.tau_step,
-                       a_pair=h * h * float(np.vdot(lap_u_prev, u_curr).real),
-                       **nonadi)
+                       time=step_index * ops.tau_step, a_pair=a_pair, **nonadi)
 
 
 def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
@@ -284,21 +286,22 @@ def _nonadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
 
 
 def _nonadi_solve(ops: StepOperators, b: np.ndarray, x0: np.ndarray,
-                  step_index: int, tol: float) -> SchemeState:
+                  m_x0: np.ndarray, step_index: int, tol: float,
+                  lap_x0: np.ndarray | None = None) -> SchemeState:
     """Solve (I + c L) x = b by PCG with the 2D sine-transform
-    preconditioner, warm-started from the previous level x0, and hand on
-    the levels (x0, x): L x0, the apply the warm-start residual is made
-    from, becomes the state's ``lap_prev``."""
-    lap_x0 = ops.lap.apply(x0)
-    x, report = pcg(partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b,
-                    tol=tol, max_iter=400, x0=x0, ax0=x0 + ops.c * lap_x0)
+    preconditioner, warm-started from the previous level x0 with its M x0,
+    and hand on the levels (x0, x) with M x0 and M x, read off the final
+    residual. ``lap_x0``, L x0 when the caller made it, gives the energy
+    pairing."""
+    x, report, m_x = pcg(partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d),
+                         b, tol=tol, max_iter=400, x0=x0, ax0=m_x0)
     if not report.converged:
         raise SolverError(
             f"step solve did not converge: {report.iterations} iterations, "
             f"relative residual {report.final_relative_residual:.2e}"
         )
     return _hand_over(ops, x0, x, lap_x0, step_index,
-                      pcg_iterations=report.iterations, lap_prev=lap_x0)
+                      pcg_iterations=report.iterations, m_prev=m_x0, m_curr=m_x)
 
 
 def nonadi_first_step(
@@ -308,12 +311,14 @@ def nonadi_first_step(
     tol: float = STEP_TOL,
 ) -> SchemeState:
     """First step of the baseline: (I + c L) u^1 = u^0 + tau phi2
-    + (tau^2/2) g(u^0)."""
+    + (tau^2/2) g(u^0). Its one apply outside the solve, L u^0, makes the
+    warm-start residual and the energy pairing."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(grid)
     tau = ops.tau_step
     b = u0 + tau * phi2_field + (0.5 * tau * tau) * g(u0)
-    return _nonadi_solve(ops, b, u0, 1, tol)
+    lap_u0 = ops.lap.apply(u0)
+    return _nonadi_solve(ops, b, u0, u0 + ops.c * lap_u0, 1, tol, lap_u0)
 
 
 def nonadi_step(
@@ -322,17 +327,17 @@ def nonadi_step(
     g: Callable[[np.ndarray], np.ndarray],
     tol: float = STEP_TOL,
 ) -> SchemeState:
-    """General baseline step: (I + c L) u^{n+1} = 2 u^n - u^{n-1}
-    - c L u^{n-1} + tau^2 g(u^n). L u^{n-1} is the state's ``lap_prev``
-    when it carries one (the previous solve's warm-start apply), so the
-    step applies L once plus once per PCG iteration."""
+    """General baseline step: (I + c L) u^{n+1} = 2 u^n - (I + c L) u^{n-1}
+    + tau^2 g(u^n). M u^{n-1} and M u^n, the warm start's M, come from the
+    state, so the step applies L only in its PCG iterations. A state that
+    does not carry them (built by hand, or by sadi) has them applied here.
+    The step hands on no energy pairing."""
+    m_prev, m_curr = state.m_prev, state.m_curr
+    if m_prev is None or m_curr is None:
+        m_prev, m_curr = _nonadi_m(ops, state.u_prev), _nonadi_m(ops, state.u_curr)
     tau = ops.tau_step
-    b = 2.0 * state.u_curr - state.u_prev + tau * tau * g(state.u_curr)
-    lap_prev = state.lap_prev
-    if lap_prev is None:
-        lap_prev = ops.lap.apply(state.u_prev)
-    b -= ops.c * lap_prev
-    return _nonadi_solve(ops, b, state.u_curr, state.step_index + 1, tol)
+    b = 2.0 * state.u_curr - m_prev + tau * tau * g(state.u_curr)
+    return _nonadi_solve(ops, b, state.u_curr, m_curr, state.step_index + 1, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def pcg(
     max_iter: int = 500,
     x0: np.ndarray | None = None,
     ax0: np.ndarray | None = None,
-) -> tuple[np.ndarray, PcgReport]:
+) -> tuple[np.ndarray, PcgReport, np.ndarray]:
     """Preconditioned conjugate gradients on an SPD operator.
 
     Works on arrays of any shape (fields included); inner products are full
@@ -385,14 +385,22 @@ def pcg(
     with ``x0``, is A x0 already computed by the caller: the warm-start
     residual b - ax0 then costs no application of A, and each iteration
     costs one.
+
+    Returns x, the report and A x, formed at exit as b - r from the
+    recursive residual r, with no application of A. It differs from a
+    fresh A x by the round-off the iterations accumulate (van der Vorst &
+    Ye 2000) and by any error ``ax0`` brought in.
     """
     if not 0 < tol < 1:
         raise ValidationError(f"tol must lie in (0, 1), got {tol}")
+    if ax0 is not None and x0 is None:
+        raise ValidationError("ax0 (A x0) was given without the x0 it applies")
     b = np.asarray(b, dtype=float)
     zb = apply_m_inv(b)
     scale = np.sqrt(float(np.vdot(b, zb).real))
+    del zb
     if scale == 0.0:
-        return np.zeros_like(b), PcgReport(0, 0.0, True)
+        return np.zeros_like(b), PcgReport(0, 0.0, True), np.zeros_like(b)
 
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float, copy=True)
     if x0 is None:
@@ -403,10 +411,10 @@ def pcg(
     z = apply_m_inv(r)
     rho = float(np.vdot(r, z).real)
     rel = np.sqrt(max(rho, 0.0)) / scale
-    if rel <= tol:
-        return x, PcgReport(0, rel, True)
-    p = z.copy()
-    for it in range(1, max_iter + 1):
+    it = 0
+    p = z
+    while it < max_iter and rel > tol:
+        it += 1
         ap = apply_a(p)
         denom = float(np.vdot(p, ap).real)
         if denom <= 0.0:
@@ -418,8 +426,6 @@ def pcg(
         z = apply_m_inv(r)
         rho_next = float(np.vdot(r, z).real)
         rel = np.sqrt(max(rho_next, 0.0)) / scale
-        if rel <= tol:
-            return x, PcgReport(it, rel, True)
         p = z + (rho_next / rho) * p
         rho = rho_next
-    return x, PcgReport(max_iter, rel, False)
+    return x, PcgReport(it, rel, bool(rel <= tol)), b - r

@@ -1,5 +1,6 @@
 """Snapshot writers: CSV layout, raw round trips, surface transforms."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from fracwave.snapshots import (
     SURFACE_NAMES,
     apply_surface,
     read_snapshot_raw,
+    write_index_csv,
     write_snapshot_csv,
     write_snapshot_raw,
 )
@@ -32,6 +34,22 @@ class TestCsv:
         for row in data:
             got[int(row[0]) - 1, int(row[1]) - 1] = row[2]
         np.testing.assert_array_equal(got, field)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 5), (5, 1), (1, 1), (2, 0)])
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_rows_match_per_entry_formatting(self, shape, base, rng):
+        # the row templates write the bytes one format per entry writes,
+        # signed zero, subnormals and the extremes included
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.pi]
+        table = rng.standard_normal(shape)
+        table.flat[:len(specials)] = specials[:table.size]
+        want = "i,j,value\n" + "".join(
+            "%d,%d,%.17g\n" % (i, j, v)
+            for i, row in enumerate(table.tolist(), start=base)
+            for j, v in enumerate(row, start=base))
+        out = io.StringIO()
+        write_index_csv(out, table, base)
+        assert out.getvalue() == want
 
     def test_streamed_rows_stay_small(self, tmp_path, rng):
         # the field is 2.4 MB of text; built as one string it peaks at

@@ -21,6 +21,7 @@ from fracwave.stepper import (
     SchemeState,
     adi_solve,
     build_operators,
+    lookup_scheme,
     nonadi_first_step,
     nonadi_step,
     run,
@@ -249,6 +250,9 @@ class TestSchemeRelations:
             # iteration, yet each one is still counted
             solves = 5 if scheme == "nonadi" else 0
             assert (info.pcg_solves, info.pcg_total_iterations) == (solves, 0)
+            if scheme == "nonadi":
+                # M u^n as handed on by the zero right-hand side's solve
+                assert np.all(state.m_prev == 0.0) and np.all(state.m_curr == 0.0)
 
     def test_linearity_without_forcing(self):
         # g = 0 makes each step linear in the initial data
@@ -370,46 +374,71 @@ class TestRunLoop:
         run(built, built_grid, 0.05, 2, ops=ops)
 
 
-class TestCarriedApplies:
-    """Each step hands on the fractional-Laplacian apply it made of u_prev:
-    the energy pairing a_pair from every step, the field lap_prev from the
-    baseline steps only."""
+def nonadi_m(ops, u):
+    """M u = (I + c L) u by a fresh apply."""
+    return lookup_scheme("nonadi").apply_m(ops, u)
 
-    def test_nonadi_step_applies_once_plus_iterations(self, bttb_calls):
+
+def close_in_max_norm(got, want, rel):
+    """max |got - want| <= rel max |want| (a zero want asks for zeros)."""
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestCarriedApplies:
+    """Each step hands on the applies it made: the energy pairing a_pair
+    from every step that applied L to u_prev (sadi's, and the first
+    baseline step), and M u_prev and M u_curr from the baseline steps, so
+    that a general baseline step applies L only in its PCG iterations."""
+
+    def test_nonadi_step_applies_only_in_iterations(self, bttb_calls):
         problem = gaussian_problem()
         grid = Grid2D(a=problem.a, b=problem.b, n=12)
         ops = build_operators(problem, grid, 0.05)
         g = resolve_nonlinearity(problem.nonlinearity)
         state = nonadi_first_step(problem, grid, ops)
+        # the run's one warm-start apply, L u^0
         assert len(bttb_calls) == 1 + state.pcg_iterations
         for _ in range(3):
             del bttb_calls[:]
             nxt = nonadi_step(state, ops, g)
-            assert len(bttb_calls) == 1 + nxt.pcg_iterations
-            # without the carried field the step applies L to u_prev itself
-            # and lands on the same bits
-            bare = nonadi_step(replace(state, lap_prev=None), ops, g)
-            assert np.array_equal(bare.u_curr, nxt.u_curr)
+            assert len(bttb_calls) == nxt.pcg_iterations
+            # without the carried fields the step applies M to both levels
+            # itself and lands on the same solve, to round-off
+            del bttb_calls[:]
+            bare = nonadi_step(replace(state, m_prev=None, m_curr=None), ops, g)
+            assert len(bttb_calls) == 2 + bare.pcg_iterations
             assert bare.pcg_iterations == nxt.pcg_iterations
-            assert len(bttb_calls) == 3 + 2 * nxt.pcg_iterations
+            assert close_in_max_norm(bare.u_curr, nxt.u_curr, 1e-13)
             state = nxt
 
-    def test_lap_prev_is_a_compact_apply_of_u_prev(self):
-        problem = gaussian_problem()
-        grid = Grid2D(a=problem.a, b=problem.b, n=12)
-        ops = build_operators(problem, grid, 0.05)
+    @pytest.mark.parametrize("example, n, tau, steps", [
+        (None, 12, 0.05, 3),
+        ("sine-gordon", 39, 0.01, 2000),
+    ], ids=["n12-3steps", "n39-2000steps"])
+    def test_carried_m_is_a_compact_apply_of_m(self, example, n, tau, steps):
+        # M u carried from the solves' residuals stays at round-off from a
+        # fresh apply over a long run
+        problem = (gaussian_problem() if example is None
+                   else example_problem(example, 1.5))
+        grid = Grid2D(a=problem.a, b=problem.b, n=n)
+        ops = build_operators(problem, grid, tau)
         states = []
-        run(problem, grid, 0.05, 3, scheme="nonadi", ops=ops,
+        run(problem, grid, tau, steps, scheme="nonadi", ops=ops,
             recorder=states.append)
         for state in states:
-            lap = state.lap_prev
-            # its own N x N memory, not a view of the apply's N x L buffer
-            assert lap.flags.c_contiguous and lap.base is None
-            np.testing.assert_array_equal(lap, ops.lap.apply(state.u_prev))
-        run(problem, grid, 0.05, 3, scheme="sadi", ops=ops,
+            for m, u in ((state.m_prev, state.u_prev),
+                         (state.m_curr, state.u_curr)):
+                # its own N x N memory, not a view of a larger buffer
+                assert m.flags.c_contiguous and m.base is None
+                assert close_in_max_norm(m, nonadi_m(ops, u), 1e-13)
+        # each level's M is handed on, not recomputed
+        for before, after in zip(states, states[1:]):
+            assert after.m_prev is before.m_curr
+        states = []
+        run(problem, grid, tau, 3, scheme="sadi", ops=ops,
             recorder=states.append)
-        assert all(s.lap_prev is None and s.a_pair is not None
-                   for s in states[3:])
+        assert all(s.m_prev is None and s.m_curr is None
+                   and s.a_pair is not None for s in states)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_kappa_zero_states_carry_applies(self, scheme):
@@ -422,13 +451,35 @@ class TestCarriedApplies:
         run(problem, grid, 0.07, 4, scheme=scheme, ops=ops,
             recorder=states.append)
         for state in states:
-            want = inner_product("A", state.u_prev, state.u_curr, ops)
-            assert state.a_pair == pytest.approx(want, rel=1e-14, abs=0.0)
-            if scheme == "nonadi":
-                np.testing.assert_array_equal(state.lap_prev,
-                                              ops.lap.apply(state.u_prev))
+            if scheme == "sadi" or state.step_index == 1:
+                want = inner_product("A", state.u_prev, state.u_curr, ops)
+                assert state.a_pair == pytest.approx(want, rel=1e-14, abs=0.0)
             else:
-                assert state.lap_prev is None
+                assert state.a_pair is None
+            if scheme == "nonadi":
+                for m, u in ((state.m_prev, state.u_prev),
+                             (state.m_curr, state.u_curr)):
+                    assert close_in_max_norm(m, nonadi_m(ops, u), 1e-13)
+            else:
+                assert state.m_prev is None and state.m_curr is None
+
+
+class TestDihedralSymmetry:
+    """The ring and bump data and the discrete operators are invariant under
+    x <-> y and under reflection of either axis, so the solution stays so:
+    a cheap guard on sadi's two sweeps, the pruned BTTB apply and the
+    baseline's carried applies, which act along different axes."""
+
+    @pytest.mark.parametrize("example", ["sine-gordon", "klein-gordon"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_symmetric_after_100_steps(self, scheme, example):
+        problem = example_problem(example, 1.5)
+        grid = Grid2D(a=problem.a, b=problem.b, n=79)
+        state, _ = run(problem, grid, 0.05, 100, scheme=scheme)
+        u = state.u_curr
+        bound = 1e-12 * np.max(np.abs(u))
+        for image in (u.T, u[::-1], u[:, ::-1]):
+            assert np.max(np.abs(u - image)) <= bound
 
 
 class TestExactTime:

@@ -424,16 +424,30 @@ class TestTauPreconditioner:
 class TestPcg:
     def test_identity_converges_immediately(self, rng):
         b = rng.standard_normal(20)
-        x, report = pcg(lambda v: v, lambda v: v, b, tol=1e-12)
+        x, report, ax = pcg(lambda v: v, lambda v: v, b, tol=1e-12)
         np.testing.assert_allclose(x, b, atol=1e-12)
+        np.testing.assert_allclose(ax, x, atol=1e-12)
         assert report.iterations == 1
         assert report.converged
 
     def test_zero_rhs_returns_zero(self):
-        x, report = pcg(lambda v: 2.0 * v, lambda v: v, np.zeros(7), tol=1e-12)
-        assert np.all(x == 0.0)
+        x, report, ax = pcg(lambda v: 2.0 * v, lambda v: v, np.zeros(7), tol=1e-12)
+        assert np.all(x == 0.0) and np.all(ax == 0.0)
         assert report.iterations == 0
         assert report.converged
+
+    def test_zero_rhs_drops_the_warm_start_apply(self):
+        # the answer is zero whatever the warm start: A x must not be the
+        # caller's A x0, or a stepper carrying it forward goes wrong
+        x0 = np.arange(1.0, 8.0)
+        x, _, ax = pcg(lambda v: 2.0 * v, lambda v: v, np.zeros(7), tol=1e-12,
+                       x0=x0, ax0=2.0 * x0)
+        assert np.all(x == 0.0) and np.all(ax == 0.0)
+
+    def test_ax0_without_x0_refused(self):
+        with pytest.raises(ValidationError, match="ax0"):
+            pcg(lambda v: v, lambda v: v, np.ones(4), tol=1e-12,
+                ax0=np.ones(4))
 
     def test_exact_warm_start(self, rng):
         n = 15
@@ -441,9 +455,10 @@ class TestPcg:
         t = SymToeplitz(first_col=col)
         b = rng.standard_normal(n)
         x_star = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
-        x, report = pcg(t.matvec, lambda v: v, b, tol=1e-10, x0=x_star)
+        x, report, ax = pcg(t.matvec, lambda v: v, b, tol=1e-10, x0=x_star)
         assert report.iterations <= 1
         np.testing.assert_allclose(x, x_star, atol=1e-9)
+        np.testing.assert_allclose(ax, t.matvec(x), atol=1e-12)
 
     def test_dense_2d_system(self, rng):
         # full (I + c L) solve on a 16x16 grid against numpy.linalg.solve
@@ -459,11 +474,14 @@ class TestPcg:
         def apply_a(u):
             return u + bttb_apply(op, u)
 
-        x, report = pcg(apply_a, lambda r: tau_apply(spec, r), b, tol=1e-13,
-                        max_iter=200)
+        x, report, ax = pcg(apply_a, lambda r: tau_apply(spec, r), b,
+                            tol=1e-13, max_iter=200)
         want = oracle.unvec_f(np.linalg.solve(a_dense, oracle.vec_f(b)), n)
         assert report.converged
         np.testing.assert_allclose(x, want, atol=1e-10)
+        # A x from the recursive residual, against a fresh apply
+        fresh = apply_a(x)
+        assert np.max(np.abs(ax - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-11, 1.0, 10.0, float("nan")])
     def test_tolerance_outside_unit_interval_refused(self, tol):
@@ -486,7 +504,8 @@ class TestPcg:
         op = bttb_build(laplacian_coeffs_2d(alpha, n), n, scale=factor)
         spec = tau_spec_2d(alpha, n, factor)
         b = np.random.default_rng(512).standard_normal((n, n))
-        _, report = pcg(lambda u: u + bttb_apply(op, u),
-                        lambda r: tau_apply(spec, r), b, tol=1e-13, max_iter=60)
+        _, report, _ = pcg(lambda u: u + bttb_apply(op, u),
+                           lambda r: tau_apply(spec, r), b, tol=1e-13,
+                           max_iter=60)
         assert report.converged
         assert report.iterations <= 8
