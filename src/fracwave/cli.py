@@ -12,8 +12,9 @@ Exit codes: 0 success, 2 validation error (argparse errors, non-finite
 numbers and thread counts outside 1 .. CPU count included), 3
 iterative-solver non-convergence, 4 solution blow-up, 5 I/O failure;
 ``selftest`` exits 1 when a check fails. The output directory of
-``solve`` and the studies is the ``--out-dir`` flag when given, else the
-FRACWAVE_OUTDIR environment variable, else the current directory.
+``solve`` and the studies is ``--out-dir`` (default the current directory).
+A command makes only the directories it writes to, after its flags are
+checked and before the first operator is built.
 
 All numeric flags accept plain decimals or p/q fractions (``--tau 1/100``);
 join a value such as -1e1 or -1/2 to its flag with ``=`` (``--a=-1/2``).
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from . import _fft
 from .coeffs import OVERSAMPLING, laplacian_coeffs_2d, riesz_coeffs_1d
 from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
-    STUDY_FIELDS,
     EnergyTrace,
     StudySpec,
     _step_index,
@@ -48,7 +47,6 @@ from .harness import (
     inner_product,
     parse_number,
     parse_number_list,
-    parse_study_file,
     run_study,
 )
 from .problems import (
@@ -72,8 +70,6 @@ from .snapshots import (
 from .stepper import MAX_GRID_N, SCHEME_NAMES, build_operators, run
 
 log = logging.getLogger("fracwave")
-
-OUTDIR_ENV = "FRACWAVE_OUTDIR"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -150,7 +146,7 @@ def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=None,
-                   help=f"output directory (default: ${OUTDIR_ENV} or '.')")
+                   help="output directory (default '.')")
     p.add_argument("--verbose", action="store_true",
                    help="log per-run progress to stderr")
 
@@ -192,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
             description=f"Run a {axis}-refinement error study and write a CSV "
                         "table (columns scheme,alpha,step,error,order,"
                         "cpu_setup,cpu_loop,cpu_seconds).")
-        st.add_argument("--spec", default=None,
-                        help="flat 'key = value' study file; explicit flags "
-                             "override file entries")
         st.add_argument("--example", choices=EXAMPLE_NAMES, default=None)
         st.add_argument("--scheme", choices=SCHEME_NAMES + ("both",), default=None)
         st.add_argument("--alphas", type=_fraction_list, default=None,
@@ -241,15 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_outdir(args) -> Path:
-    if getattr(args, "out_dir", None):
-        out = Path(args.out_dir)
-    else:
-        out = Path(os.environ.get(OUTDIR_ENV) or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _build_problem(args) -> Problem:
     if args.alpha is None:
         raise ValidationError("--alpha is required")
@@ -287,7 +271,7 @@ def _snapshot_steps(tokens: str, tau: float, m_steps: int) -> dict[int, str]:
 
 
 def _cmd_solve(args) -> int:
-    outdir = _resolve_outdir(args)
+    outdir = Path(args.out_dir or ".")
     problem = _build_problem(args)
     tau, h, t_final = _solve_defaults(args)
     if args.n is not None:
@@ -379,13 +363,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    outdir = _resolve_outdir(args)
-    spec = (StudySpec(axis=args.axis) if args.spec is None
-            else parse_study_file(args.spec, axis=args.axis))
-    updates = {field: getattr(args, field) for field in STUDY_FIELDS
-               if getattr(args, field) is not None}
-    spec = replace(spec, **updates)
-    out_path = Path(args.out) if args.out else outdir / f"study_{args.axis}.csv"
+    # every StudySpec field is a study flag; a flag left out keeps its default
+    spec = StudySpec(**{f.name: getattr(args, f.name) for f in fields(StudySpec)
+                        if getattr(args, f.name) is not None})
+    out_path = (Path(args.out) if args.out
+                else Path(args.out_dir or ".") / f"study_{args.axis}.csv")
     rows = run_study(spec, out_path)
     sys.stderr.write(f"wrote {len(rows)} rows to {out_path}\n")
     return EXIT_OK

@@ -62,7 +62,6 @@ __all__ = [
     "EnergyTrace",
     "StudyRow",
     "StudySpec",
-    "STUDY_FIELDS",
     "inner_product",
     "splitting_gap",
     "discrete_energy",
@@ -70,7 +69,6 @@ __all__ = [
     "error_space_refinement",
     "run_study",
     "write_rows_csv",
-    "parse_study_file",
     "parse_number",
     "parse_number_list",
 ]
@@ -397,7 +395,7 @@ def write_rows_csv(path, rows: Iterable[StudyRow]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# flat key = value study files
+# numbers from the command line
 # ---------------------------------------------------------------------------
 
 def parse_number(text: str) -> float:
@@ -420,50 +418,3 @@ def parse_number(text: str) -> float:
 def parse_number_list(text: str) -> tuple[float, ...]:
     items = [t for t in (p.strip() for p in text.split(",")) if t]
     return tuple(parse_number(t) for t in items)
-
-
-def _parse_threads(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"bad thread count {text!r}") from None
-
-
-# StudySpec fields a study file or a study flag may set, with the parser of
-# a file value (flags parse their values through argparse).
-STUDY_FIELDS = {
-    "example": str,
-    "scheme": str,
-    "alphas": parse_number_list,
-    "taus": parse_number_list,
-    "hs": parse_number_list,
-    "t_final": parse_number,
-    "kappa": parse_number,
-    "threads": _parse_threads,
-}
-
-
-def parse_study_file(path, axis: str) -> StudySpec:
-    """Read a flat ``key = value`` study file.
-
-    Keys are the STUDY_FIELDS names; '-' may stand for '_'. Lists are
-    comma separated; numbers may be fractions. Blank lines and '#' comments
-    are ignored.
-    """
-    kwargs: dict = {"axis": axis}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip().lower().replace("-", "_")
-            if key not in STUDY_FIELDS:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown key {key!r}; "
-                    f"known keys: {', '.join(STUDY_FIELDS)}"
-                )
-            kwargs[key] = STUDY_FIELDS[key](val.strip())
-    return StudySpec(**kwargs)

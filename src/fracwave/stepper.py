@@ -104,7 +104,8 @@ class SchemeState:
     and the first baseline step). ``m_prev`` and ``m_curr`` are M u_prev
     and M u_curr, M = I + c L, compact N x N fields that the baseline steps
     carry for the next one's right-hand side and warm-start residual. Each
-    is None where no step made it; consumers then apply L themselves.
+    is None where no step made it: the energy then applies L for its
+    pairing, and ``nonadi_step`` refuses a state without M u.
     """
 
     u_prev: np.ndarray
@@ -330,14 +331,16 @@ def nonadi_step(
     """General baseline step: (I + c L) u^{n+1} = 2 u^n - (I + c L) u^{n-1}
     + tau^2 g(u^n). M u^{n-1} and M u^n, the warm start's M, come from the
     state, so the step applies L only in its PCG iterations. A state that
-    does not carry them (built by hand, or by sadi) has them applied here.
-    The step hands on no energy pairing."""
-    m_prev, m_curr = state.m_prev, state.m_curr
-    if m_prev is None or m_curr is None:
-        m_prev, m_curr = _nonadi_m(ops, state.u_prev), _nonadi_m(ops, state.u_curr)
+    does not carry them (built by hand, or by sadi) is refused. The step
+    hands on no energy pairing."""
+    if state.m_prev is None or state.m_curr is None:
+        raise ValidationError(
+            "nonadi_step needs a state that carries M u_prev and M u_curr: "
+            "start the baseline with nonadi_first_step")
     tau = ops.tau_step
-    b = 2.0 * state.u_curr - m_prev + tau * tau * g(state.u_curr)
-    return _nonadi_solve(ops, b, state.u_curr, m_curr, state.step_index + 1, tol)
+    b = 2.0 * state.u_curr - state.m_prev + tau * tau * g(state.u_curr)
+    return _nonadi_solve(ops, b, state.u_curr, state.m_curr,
+                         state.step_index + 1, tol)
 
 
 # ---------------------------------------------------------------------------

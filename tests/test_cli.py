@@ -7,6 +7,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from fracwave import _fft, stepper
 from fracwave.cli import main
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError
+from fracwave.harness import StudySpec
 from fracwave.snapshots import read_snapshot_raw
 
 
@@ -135,17 +137,6 @@ class TestSolve:
             ["solve", "--alpha", "1.5", f"--a={value}"])
         assert args.a == want
 
-    def test_outdir_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envdir"))
-        assert main(SOLVE_SMALL) == 0
-        assert (tmp_path / "envdir" / "summary.txt").exists()
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envdir"))
-        assert main(SOLVE_SMALL + ["--out-dir", str(tmp_path / "flagdir")]) == 0
-        assert (tmp_path / "flagdir" / "summary.txt").exists()
-        assert not (tmp_path / "envdir").exists()
-
 
 class TestExitCodes:
     def test_validation_bad_alpha(self, tmp_path, capsys):
@@ -173,7 +164,6 @@ class TestExitCodes:
         SOLVE_SMALL + ["--t-final", "inf"],
         SOLVE_SMALL + ["--snapshots", "nan"],
         SOLVE_SMALL + ["--threads", "0"],
-        ["study-time", "--spec", "{spec}"],
         ["study-time", "--threads", "0"],
         ["study-time", "--taus", "1/5,0", "--h", "1/2", "--t-final", "0.4"],
         SOLVE_SMALL + ["--tau", "1e-320"],
@@ -198,36 +188,23 @@ class TestExitCodes:
          "--tau", "1e10", "--t-final", "1e10", "--scheme", "nonadi"],
         ["study-time", "--example", "zero", "--alphas", "", "--taus",
          "1/5,1/10", "--h", "1", "--t-final", "0.4"],
-        ["study-time", "--spec", "{empty_alphas}"],
         ["study-time", "--example", "zero", "--alphas", "1.5", "--taus", "",
          "--h", "4", "--t-final", "0.1"],
         ["study-space", "--example", "zero", "--alphas", "1.5", "--hs", "",
          "--tau", "0.1", "--t-final", "0.1"],
-        ["study-time", "--spec", "{empty_taus}"],
         ["coeffs", "--kind", "1d", "--alpha", "1.5", "--count",
          "1000000000000"],
     ], ids=["tau-nan", "tau-zero", "tau-negative", "t-final-inf",
-            "snapshot-nan", "threads-zero", "spec-threads-abc",
-            "study-threads-zero", "study-tau-list-zero", "tau-tiny",
+            "snapshot-nan", "threads-zero", "study-threads-zero",
+            "study-tau-list-zero", "tau-tiny",
             "snapshot-huge", "h-tiny", "h-beyond-budget", "study-tau-tiny",
             "study-h-tiny", "removed-setup-tol", "removed-oversampling",
             "removed-study-oversampling", "kappa-tau2-overflow",
             "kappa-tau2-squared-overflow", "t-final-too-many-steps",
             "h-alpha-overflow", "solver-factor-overflow",
             "solver-factor-overflow-nonadi", "study-alphas-empty",
-            "spec-alphas-empty", "study-taus-empty", "study-hs-empty",
-            "spec-taus-empty", "coeffs-count-huge"])
+            "study-taus-empty", "study-hs-empty", "coeffs-count-huge"])
     def test_bad_numeric_input_exits_two(self, argv, tmp_path, capsys):
-        spec = tmp_path / "bad.txt"
-        spec.write_text("threads = abc\n")
-        empty_alphas = tmp_path / "empty_alphas.txt"
-        empty_alphas.write_text("alphas =\ntaus = 1/5\nhs = 1\nt-final = 0.4\n")
-        empty_taus = tmp_path / "empty_taus.txt"
-        empty_taus.write_text("example = zero\nalphas = 1.5\ntaus =\nhs = 4\n"
-                              "t-final = 0.1\n")
-        argv = [a.replace("{spec}", str(spec))
-                 .replace("{empty_alphas}", str(empty_alphas))
-                 .replace("{empty_taus}", str(empty_taus)) for a in argv]
         if argv[0] != "coeffs":  # coeffs writes to --out, not a directory
             argv = argv + ["--out-dir", str(tmp_path)]
         try:
@@ -239,21 +216,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("threads", [10 ** 20, (os.cpu_count() or 1) + 1],
                              ids=["beyond-c-int", "cpu-count-plus-one"])
-    @pytest.mark.parametrize("where", ["solve-flag", "study-flag", "spec-key"])
+    @pytest.mark.parametrize("where", ["solve-flag", "study-flag"])
     def test_thread_count_beyond_cpus_exits_two(self, threads, where, tmp_path,
                                                  capsys, monkeypatch):
         # the count must be refused before any transform runs: with the
         # transform library taken away, reaching one raises instead of
         # starting that many threads
         monkeypatch.setattr(_fft, "_sfft", None)
-        spec = tmp_path / "threads.txt"
-        spec.write_text(f"threads = {threads}\ntaus = 1/5\nhs = 1\n"
-                        "t-final = 0.4\n")
         argv = {
             "solve-flag": SOLVE_SMALL + ["--threads", str(threads)],
             "study-flag": ["study-time", "--taus", "1/5", "--h", "1",
                            "--t-final", "0.4", "--threads", str(threads)],
-            "spec-key": ["study-time", "--spec", str(spec)],
         }[where]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -313,6 +286,20 @@ class TestExitCodes:
         assert (tmp_path / "runs" / "s.txt").exists()
         assert (tmp_path / "snaps" / "deep" / "snap_t0.4.csv").exists()
 
+    @pytest.mark.parametrize("argv, rc, left", [
+        (["solve", "--example", "sine-gordon", "--alpha", "2.5", "--n", "9",
+          "--tau", "0.1", "--t-final", "0.2", "--out-dir", "new"], 2, []),
+        (["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
+          "--out", "elsewhere/rows.csv", "--out-dir", "d"], 0, ["elsewhere"]),
+    ], ids=["solve-refused", "study-out-elsewhere"])
+    def test_unused_output_directory_not_made(self, argv, rc, left, tmp_path,
+                                              monkeypatch):
+        # a directory is made only when something is written there, and
+        # only after the flags are checked
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == rc
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+
 
 class TestDashValues:
     def test_error_names_the_equals_form(self, capsys):
@@ -346,42 +333,31 @@ class TestStudyCommands:
         lines = (tmp_path / "study_space.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
-    def test_study_spec_file_with_flag_override(self, tmp_path, monkeypatch):
-        spec = tmp_path / "study.txt"
-        spec.write_text("example = sine-gordon\nalphas = 1.1\n"
-                        "taus = 1/5\nhs = 1/4\nt-final = 0.4\n")
-        seen = []
-        real_run_study = cli.run_study
-        monkeypatch.setattr(cli, "run_study", lambda spec, out: (
-            seen.append(spec) or real_run_study(spec, out)))
-        out = tmp_path / "o.csv"
-        rc = main(["study-time", "--spec", str(spec),
-                   "--alphas", "1.9", "--h", "1/2", "--out", str(out)])
-        assert rc == 0
-        rows = out.read_text().strip().splitlines()[1:]
-        assert all(r.split(",")[1] == "1.9" for r in rows)
-        assert seen[0].hs == (0.5,)  # --h replaced the file's hs = 1/4
-        assert seen[0].taus == (0.2,)
-
-    def test_study_kappa_from_file_or_flag(self, tmp_path, monkeypatch):
-        spec = tmp_path / "study.txt"
-        spec.write_text("kappa = 0.5\n")
+    @pytest.mark.parametrize("axis", ["time", "space"])
+    def test_every_spec_field_is_a_study_flag(self, axis, tmp_path,
+                                              monkeypatch):
+        # each StudySpec field but the axis is set by its flag and reaches
+        # run_study; a flag left out keeps the field's default
         seen = []
         monkeypatch.setattr(cli, "run_study",
                             lambda spec, out: seen.append(spec) or [])
+        want = {"example": "klein-gordon", "scheme": "both",
+                "alphas": (1.25, 1.75), "t_final": 0.4, "kappa": 0.25,
+                "threads": 2}
+        argv = [f"study-{axis}", "--example", "klein-gordon", "--scheme",
+                "both", "--alphas", "5/4,1.75", "--t-final", "2/5",
+                "--kappa", "1/4", "--threads", "2"]
+        if axis == "time":
+            want.update(taus=(0.2, 0.1), hs=(0.5,))
+            argv += ["--taus", "1/5,1/10", "--h", "1/2"]
+        else:
+            want.update(hs=(0.5, 0.25), taus=(0.2,))
+            argv += ["--hs", "1/2,1/4", "--tau", "1/5"]
+        assert {f.name for f in fields(StudySpec)} == {"axis", *want}
         out = ["--out-dir", str(tmp_path)]
-        assert main(["study-time", "--spec", str(spec)] + out) == 0
-        assert main(["study-time", "--spec", str(spec), "--kappa", "1/4"] + out) == 0
-        assert main(["study-time"] + out) == 0
-        assert [s.kappa for s in seen] == [0.5, 0.25, 1.0]
-
-    def test_spec_tol_is_an_unknown_key(self, tmp_path, capsys, monkeypatch):
-        spec = tmp_path / "study.txt"
-        spec.write_text("tol = 1e-10\n")
-        monkeypatch.setattr(cli, "run_study", lambda spec, out: [])
-        rc = main(["study-time", "--spec", str(spec), "--out-dir", str(tmp_path)])
-        assert rc == 2
-        assert "unknown key 'tol'" in capsys.readouterr().err
+        assert main(argv + out) == 0
+        assert main([f"study-{axis}"] + out) == 0
+        assert seen == [StudySpec(axis=axis, **want), StudySpec(axis=axis)]
 
 
 class TestCoeffsCommand:
@@ -461,9 +437,11 @@ class TestCoeffsCommand:
         SOLVE_SMALL + ["--scheme", "nonadi", "--tol", "1e-11"],
         ["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4", "--tol", "1e-11"],
         ["study-space", *STUDY_SMALL, "--hs", "4", "--tau", "1/5", "--tol", "1e-11"],
+        ["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4", "--spec", "s.txt"],
+        ["study-space", *STUDY_SMALL, "--hs", "4", "--tau", "1/5", "--spec", "s.txt"],
     ], ids=["coeffs-out-dir", "coeffs-verbose", "coeffs-kind-cross",
             "selftest-out-dir", "selftest-fault", "solve-tol", "study-time-tol",
-            "study-space-tol"])
+            "study-space-tol", "study-time-spec", "study-space-spec"])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -546,42 +524,22 @@ def _solve_argv(draw):
 def _study_argv(draw):
     axis = draw(st.sampled_from(["time", "space"]))
     argv = [f"study-{axis}"]
-    # the steps, the fixed step and the horizon come from a spec file, a
-    # flag or both (the flag wins), never from the defaults, whose runs
-    # are large
-    required = [("taus", "--taus", STUDY_TAUS), ("hs", "--h", HS)]
-    if axis == "space":
-        required = [("hs", "--hs", STUDY_HS), ("taus", "--tau", FIXED_TAUS)]
-    required.append(("t-final", "--t-final", T_FINALS))
-    use_spec = draw(st.booleans())
-    spec_lines = []
-    for key, flag, pool in required:
-        where = draw(st.sampled_from(["flag", "spec", "both"])
-                     if use_spec else st.just("flag"))
-        if where != "flag":
-            spec_lines.append(f"{key} = {draw(_value(pool))}")
-        if where != "spec":
-            argv += [flag, draw(_value(pool))]
-    for key, pool in (("example", EXAMPLES),
-                      ("scheme", (["sadi", "nonadi", "both"], ["magic"])),
-                      ("alphas", (["1.5", "1.1,1.9", "3/2"], ["", "0.5", "x"])),
-                      ("kappa", KAPPAS), ("threads", THREADS)):
-        where = draw(st.sampled_from(["none", "flag", "spec"]
-                                     if use_spec else ["none", "flag"]))
-        if where == "spec":
-            spec_lines.append(f"{key} = {draw(_value(pool))}")
-        elif where == "flag":
-            argv += [f"--{key}", draw(_value(pool))]
-    spec = None
-    if use_spec:
-        spec_lines += draw(st.lists(_value((["# comment", ""],
-                                            ["no equals sign", "colour = blue"])),
-                                    max_size=2))
-        spec = "\n".join(spec_lines) + "\n"
-        argv += ["--spec", "{spec}"]
+    # the steps, the fixed step and the horizon are always given: the
+    # defaults' runs are large
+    if axis == "time":
+        argv += ["--taus", draw(_value(STUDY_TAUS)), "--h", draw(_value(HS))]
+    else:
+        argv += ["--hs", draw(_value(STUDY_HS)),
+                 "--tau", draw(_value(FIXED_TAUS))]
+    argv += ["--t-final", draw(_value(T_FINALS))]
+    for flag, pool in (("--example", EXAMPLES),
+                       ("--scheme", (["sadi", "nonadi", "both"], ["magic"])),
+                       ("--alphas", (["1.5", "1.1,1.9", "3/2"], ["", "0.5", "x"])),
+                       ("--kappa", KAPPAS), ("--threads", THREADS)):
+        argv += draw(_optional(flag, pool))
     argv += draw(_optional("--out", (["{dir}/rows.csv", "{dir}/missing/r.csv"],
                                      ["{file}/r.csv"])))
-    return argv + ["--out-dir", draw(_value(OUT_DIRS))], spec
+    return argv + ["--out-dir", draw(_value(OUT_DIRS))]
 
 
 @st.composite
@@ -597,26 +555,20 @@ def _coeffs_argv(draw):
     return argv
 
 
-ARGV = st.one_of(_solve_argv().map(lambda a: (a, None)), _study_argv(),
-                 _coeffs_argv().map(lambda a: (a, None)))
+ARGV = st.one_of(_solve_argv(), _study_argv(), _coeffs_argv())
 
 
 class TestArgvFuzz:
     @settings(max_examples=50, deadline=None)
-    @given(case=ARGV)
-    def test_exit_code_is_documented(self, case):
-        argv, spec = case
+    @given(argv=ARGV)
+    def test_exit_code_is_documented(self, argv):
         workers = _fft._WORKERS
         with tempfile.TemporaryDirectory() as tmp:
             blocker = os.path.join(tmp, "occupied")
             with open(blocker, "w") as fh:
                 fh.write("not a directory")
-            spec_path = os.path.join(tmp, "study.txt")
-            if spec is not None:
-                with open(spec_path, "w") as fh:
-                    fh.write(spec)
             argv = [a.replace("{dir}", tmp).replace("{file}", blocker)
-                     .replace("{spec}", spec_path) for a in argv]
+                    for a in argv]
             err = io.StringIO()
             try:
                 with contextlib.redirect_stdout(io.StringIO()), \
@@ -627,7 +579,7 @@ class TestArgvFuzz:
                         rc = exc.code
             finally:
                 _fft._WORKERS = workers
-        assert rc in (0, 2, 3, 4, 5), (argv, spec, err.getvalue())
+        assert rc in (0, 2, 3, 4, 5), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
 

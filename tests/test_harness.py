@@ -1,4 +1,4 @@
-"""Discrete norms, energy functionals, refinement studies, CSV/spec-file I/O."""
+"""Discrete norms, energy functionals, refinement studies, CSV I/O."""
 
 import importlib.util
 import re
@@ -26,7 +26,6 @@ from fracwave.harness import (
     splitting_gap,
     parse_number,
     parse_number_list,
-    parse_study_file,
     run_study,
     write_rows_csv,
 )
@@ -461,42 +460,6 @@ class TestParsing:
 
     def test_parse_number_list(self):
         assert parse_number_list("1, 1/2, 0.25") == (1.0, 0.5, 0.25)
-
-    def test_study_file_round_trip(self, tmp_path):
-        text = """
-# benchmark configuration
-example = sine-gordon
-scheme = both
-alphas = 1.1, 1.5
-taus = 1/10, 1/20
-hs = 1/2
-t-final = 1
-threads = 2
-"""
-        path = tmp_path / "study.txt"
-        path.write_text(text)
-        spec = parse_study_file(path, axis="time")
-        assert spec.example == "sine-gordon"
-        assert spec.scheme == "both"
-        assert spec.alphas == (1.1, 1.5)
-        assert spec.taus == (0.1, 0.05)
-        assert spec.hs == (0.5,)
-        assert spec.t_final == 1.0
-        assert spec.threads == 2
-
-    def test_study_file_underscore_keys_accepted(self, tmp_path):
-        path = tmp_path / "study.txt"
-        path.write_text("t_final = 2\nalphas = 1.5\n")
-        spec = parse_study_file(path, axis="time")
-        assert spec.t_final == 2.0
-
-    def test_study_file_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "study.txt"
-        for text in ("volume = 11\n", "timing-strict = yes\n",
-                     "oversampling = 8\n"):
-            path.write_text(text)
-            with pytest.raises(ValidationError):
-                parse_study_file(path, axis="time")
 
     def test_csv_formatting(self, tmp_path):
         from fracwave.harness import StudyRow
