@@ -94,8 +94,11 @@ def dct_type1_inplace(x, axis: int = -1):
     return _sfft.dct(x, type=1, axis=axis, overwrite_x=True, workers=_WORKERS)
 
 
-def dst_type1_ortho(x, axes):
-    return _sfft.dstn(x, type=1, norm="ortho", axes=axes, workers=_WORKERS)
+def dst_type1_ortho(x, axes, overwrite_x: bool = False):
+    """Orthonormal DST-I over ``axes``; ``overwrite_x`` lets the transform
+    reuse the buffer of a float64 ``x``."""
+    return _sfft.dstn(x, type=1, norm="ortho", axes=axes,
+                      overwrite_x=overwrite_x, workers=_WORKERS)
 
 
 def next_fast_len(target: int) -> int:

@@ -13,8 +13,8 @@ numbers and thread counts outside 1 .. CPU count included), 3
 iterative-solver non-convergence, 4 solution blow-up, 5 I/O failure;
 ``selftest`` exits 1 when a check fails. The output directory of
 ``solve`` and the studies is ``--out-dir`` (default the current directory).
-A command makes only the directories it writes to, after its flags are
-checked and before the first operator is built.
+A command makes only the directories it writes to, after its flags and
+operator scales are checked and before the first operator is built.
 
 All numeric flags accept plain decimals or p/q fractions (``--tau 1/100``);
 join a value such as -1e1 or -1/2 to its flag with ``=`` (``--a=-1/2``).
@@ -67,7 +67,8 @@ from .snapshots import (
     write_snapshot_csv,
     write_snapshot_raw,
 )
-from .stepper import MAX_GRID_N, SCHEME_NAMES, build_operators, run
+from .stepper import (MAX_GRID_N, SCHEME_NAMES, build_operators,
+                      check_scales, run)
 
 log = logging.getLogger("fracwave")
 
@@ -280,6 +281,7 @@ def _cmd_solve(args) -> int:
         grid = Grid2D.from_spacing(problem.a, problem.b, h)
     m_steps = _steps_for(t_final, tau)
     plan = _snapshot_steps(args.snapshots, tau, m_steps)
+    check_scales(problem, grid, tau)
     _fft.set_fft_workers(args.threads)
     (outdir / args.summary).parent.mkdir(parents=True, exist_ok=True)
     if plan:

@@ -55,7 +55,7 @@ from . import _fft
 from .errors import ValidationError
 from .problems import Grid2D, Problem, example_problem, paper_runs
 from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
-                      check_grid, lookup_scheme, run)
+                      check_scales, lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
@@ -206,24 +206,33 @@ def _check_halving(values: Sequence[float], what: str) -> None:
             raise ValidationError(f"{what} list must halve strictly: {a} -> {b}")
 
 
+def _check_runs(problem: Problem, runs: Sequence[tuple[Grid2D, float]],
+                t_final: float) -> list[int]:
+    """Check every (grid, tau) run's operator scales and step count, and
+    return the step counts."""
+    counts = []
+    for grid, tau in runs:
+        check_scales(problem, grid, tau)
+        counts.append(_steps_for(t_final, tau))
+    return counts
+
+
 def _refinement_rows(
     problem: Problem,
     scheme: str,
     steps: Sequence[float],
     runs: Sequence[tuple[Grid2D, float]],
-    t_final: float,
     restrict: Callable[[np.ndarray], np.ndarray],
+    t_final: float,
 ) -> list[StudyRow]:
     """Run every (grid, tau) in ``runs`` and turn consecutive finals into rows.
 
     Row k compares the final field of run k with that of run k + 1 mapped
     onto run k's grid by ``restrict``; its timings are run k's. ``steps``
-    holds the row labels, one fewer than the runs. Every grid and step
-    count is checked before the first run.
+    holds the row labels, one fewer than the runs. Every run is checked
+    before the first one starts.
     """
-    for grid, _ in runs:
-        check_grid(grid)
-    counts = [_steps_for(t_final, tau) for _, tau in runs]
+    counts = _check_runs(problem, runs, t_final)
     finals: list[np.ndarray] = []
     infos: list[RunInfo] = []
     for (grid, tau), m_steps in zip(runs, counts):
@@ -249,6 +258,29 @@ def _refinement_rows(
     return rows
 
 
+def _time_runs(problem: Problem, h_fixed: float, tau_list: Sequence[float]):
+    """The runs of a time study, at tau_list and its last tau halved on one
+    grid, and the restriction of a finer final (the identity)."""
+    _check_halving(tau_list, "tau")
+    grid = Grid2D.from_spacing(problem.a, problem.b, h_fixed)
+    taus = list(tau_list) + [tau_list[-1] / 2.0]
+    return [(grid, tau) for tau in taus], lambda u: u
+
+
+def _space_runs(problem: Problem, tau_fixed: float, h_list: Sequence[float]):
+    """The runs of a space study, at h_list and its last h halved, and the
+    restriction of a finer final to the coincident (even-index) nodes."""
+    _check_halving(h_list, "h")
+    hs = list(h_list) + [h_list[-1] / 2.0]
+    grids = [Grid2D.from_spacing(problem.a, problem.b, h) for h in hs]
+    for coarse, fine in zip(grids, grids[1:]):
+        if fine.n != 2 * coarse.n + 1:
+            raise ValidationError(
+                f"grids N={coarse.n} and N={fine.n} have no coincident nodes"
+            )
+    return [(grid, tau_fixed) for grid in grids], lambda u: u[1::2, 1::2]
+
+
 def error_time_refinement(
     problem: Problem,
     h_fixed: float,
@@ -263,12 +295,8 @@ def error_time_refinement(
     K-row study costs K+1 runs. Timings reported per row belong to the run
     at that row's tau.
     """
-    _check_halving(tau_list, "tau")
-    grid = Grid2D.from_spacing(problem.a, problem.b, h_fixed)
-    taus = list(tau_list) + [tau_list[-1] / 2.0]
     return _refinement_rows(problem, scheme, tau_list,
-                            [(grid, tau) for tau in taus], t_final,
-                            lambda u: u)
+                            *_time_runs(problem, h_fixed, tau_list), t_final)
 
 
 def error_space_refinement(
@@ -284,17 +312,8 @@ def error_space_refinement(
     to the coincident (even-index) nodes. Consecutive rows share runs like
     in the time study.
     """
-    _check_halving(h_list, "h")
-    hs = list(h_list) + [h_list[-1] / 2.0]
-    grids = [Grid2D.from_spacing(problem.a, problem.b, h) for h in hs]
-    for coarse, fine in zip(grids, grids[1:]):
-        if fine.n != 2 * coarse.n + 1:
-            raise ValidationError(
-                f"grids N={coarse.n} and N={fine.n} have no coincident nodes"
-            )
     return _refinement_rows(problem, scheme, h_list,
-                            [(grid, tau_fixed) for grid in grids], t_final,
-                            lambda u: u[1::2, 1::2])
+                            *_space_runs(problem, tau_fixed, h_list), t_final)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +358,10 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
     Cells run sequentially in declaration order (scheme, then alpha, then
-    step). Every alpha's problem is built, and the output file's directory
-    made, before the first run; a scheme other than "both" is looked up by
-    the first run.
+    step). Every alpha's problem is built and every run checked (its grid,
+    operator scales and step count) before the output file's directory is
+    made, and that before the first run; a scheme other than "both" is
+    looked up by the first run.
     """
     spec = _spec_defaults(spec)
     _fft.set_fft_workers(spec.threads)
@@ -353,19 +373,24 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     if not spec.alphas:
         raise ValidationError("alpha list must not be empty")
 
-    problems = [example_problem(spec.example, alpha, kappa=spec.kappa)
-                for alpha in spec.alphas]
+    if spec.axis == "time":
+        plan, fixed, steps = _time_runs, spec.hs[0], spec.taus
+    else:
+        plan, fixed, steps = _space_runs, spec.taus[0], spec.hs
+    cells = []
+    for alpha in spec.alphas:
+        problem = example_problem(spec.example, alpha, kappa=spec.kappa)
+        runs, restrict = plan(problem, fixed, steps)
+        _check_runs(problem, runs, spec.t_final)
+        cells.append((problem, runs, restrict))
     if output_path is not None:
         Path(output_path).parent.mkdir(parents=True, exist_ok=True)
 
-    if spec.axis == "time":
-        refine, fixed, steps = error_time_refinement, spec.hs[0], spec.taus
-    else:
-        refine, fixed, steps = error_space_refinement, spec.taus[0], spec.hs
     rows: list[StudyRow] = []
     for scheme in schemes:
-        for problem in problems:
-            rows.extend(refine(problem, fixed, steps, spec.t_final, scheme=scheme))
+        for problem, runs, restrict in cells:
+            rows.extend(_refinement_rows(problem, scheme, steps, runs,
+                                         restrict, spec.t_final))
     if output_path is not None:
         write_rows_csv(output_path, rows)
     return rows

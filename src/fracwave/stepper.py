@@ -42,6 +42,7 @@ in its set-up; ``build_operators`` builds what both schemes share.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from decimal import Decimal
@@ -103,9 +104,12 @@ class SchemeState:
     the conserved energy, set by the steps that apply L to u_prev (sadi's
     and the first baseline step). ``m_prev`` and ``m_curr`` are M u_prev
     and M u_curr, M = I + c L, compact N x N fields that the baseline steps
-    carry for the next one's right-hand side and warm-start residual. Each
+    carry for the next one's right-hand side and warm-start residual.
+    ``pinv_m_curr`` is P^{-1} M u_curr, P the tau preconditioner, which
+    the next solve takes for its preconditioned warm-start residual. Each
     is None where no step made it: the energy then applies L for its
-    pairing, and ``nonadi_step`` refuses a state without M u.
+    pairing, ``nonadi_step`` refuses a state without M u, and a solve
+    without P^{-1} M u applies P^{-1} for it.
     """
 
     u_prev: np.ndarray
@@ -116,6 +120,7 @@ class SchemeState:
     a_pair: float | None = None
     m_prev: np.ndarray | None = None
     m_curr: np.ndarray | None = None
+    pinv_m_curr: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,35 +169,46 @@ class StepOperators:
         return self.riesz.matvec(w.T).T
 
 
-def check_grid(grid: Grid2D) -> None:
-    """Refuse a grid beyond MAX_GRID_N, the symbol-sampling budget."""
+def check_scales(problem: Problem, grid: Grid2D,
+                 tau_step: float) -> tuple[float, float]:
+    """Refuse a step, grid or operator scale that ``build_operators`` cannot
+    use, and return h^-alpha and factor = tau^2 kappa h^-alpha / 2. A grid
+    beyond MAX_GRID_N exceeds the symbol-sampling budget.
+
+    The scaled Riesz weights h^-alpha a_k and factor * a_k, and the squares
+    of the latter (the sadi operator (I + factor T)^2 squares factor * T),
+    must be finite. a_0 > 0 is the largest weight in magnitude, so checking
+    it checks them all: the call costs one weight, cheap enough to run
+    before any output directory is made.
+    """
+    if not tau_step > 0:
+        raise ValidationError(f"tau_step must be positive, got {tau_step}")
     if grid.n > MAX_GRID_N:
         raise ValidationError(f"grid N={Decimal(grid.n):.6g} is beyond the "
                               f"largest supported N={MAX_GRID_N}")
-
-
-def build_operators(
-    problem: Problem, grid: Grid2D, tau_step: float
-) -> StepOperators:
-    """Generate the coefficients and the operators both schemes use."""
-    if not tau_step > 0:
-        raise ValidationError(f"tau_step must be positive, got {tau_step}")
-    check_grid(grid)
     with np.errstate(over="ignore"):  # an overflow is rejected below
         h_alpha = float(np.float64(grid.h) ** -problem.alpha)
     factor = 0.5 * tau_step * tau_step * problem.kappa * h_alpha
-    weights = riesz_coeffs_1d(problem.alpha, grid.n)
-    riesz_col = h_alpha * weights
-    first_col = factor * weights
-    # the sadi operator (I + factor T)(I + factor T) squares factor * T
-    peak = float(np.max(np.abs(first_col)))
-    if not (np.all(np.isfinite(riesz_col)) and np.isfinite(peak * peak)):
+    a0 = float(riesz_coeffs_1d(problem.alpha, 1)[0])
+    peak = factor * a0
+    if not (math.isfinite(h_alpha * a0) and math.isfinite(peak * peak)):
         raise ValidationError(
             f"h^-alpha = {h_alpha:g} (h={grid.h:g}, alpha={problem.alpha:g}) "
             f"and tau^2 kappa h^-alpha / 2 = {factor:g} (tau={tau_step:g}, "
             f"kappa={problem.kappa:g}) must keep the scaled Riesz weights "
             f"and their squares finite"
         )
+    return h_alpha, factor
+
+
+def build_operators(
+    problem: Problem, grid: Grid2D, tau_step: float
+) -> StepOperators:
+    """Generate the coefficients and the operators both schemes use."""
+    h_alpha, factor = check_scales(problem, grid, tau_step)
+    weights = riesz_coeffs_1d(problem.alpha, grid.n)
+    riesz_col = h_alpha * weights
+    first_col = factor * weights
     quadrant = laplacian_coeffs_2d(problem.alpha, grid.n)
     lap = bttb_build(quadrant, grid.n, scale=h_alpha)
 
@@ -228,7 +244,7 @@ def _hand_over(ops: StepOperators, u_prev: np.ndarray, u_curr: np.ndarray,
                **nonadi) -> SchemeState:
     """The state at ``step_index``: a step that made L u_prev hands on the
     energy pairing h^2 (L u_prev, u_curr). ``nonadi`` holds the baseline's
-    ``pcg_iterations``, ``m_prev`` and ``m_curr``."""
+    ``pcg_iterations``, ``m_prev``, ``m_curr`` and ``pinv_m_curr``."""
     h = ops.grid.h
     a_pair = (None if lap_u_prev is None
               else h * h * float(np.vdot(lap_u_prev, u_curr).real))
@@ -282,27 +298,35 @@ def sadi_step(
 # ---------------------------------------------------------------------------
 
 def _nonadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
-    """nonadi's implicit operator: (I + c L) v."""
-    return v + ops.c * ops.lap.apply(v)
+    """nonadi's implicit operator: (I + c L) v, formed in the apply's own
+    output."""
+    out = ops.lap.apply(v)
+    out *= ops.c
+    out += v
+    return out
 
 
 def _nonadi_solve(ops: StepOperators, b: np.ndarray, x0: np.ndarray,
                   m_x0: np.ndarray, step_index: int, tol: float,
-                  lap_x0: np.ndarray | None = None) -> SchemeState:
+                  lap_x0: np.ndarray | None = None,
+                  pinv_m_x0: np.ndarray | None = None) -> SchemeState:
     """Solve (I + c L) x = b by PCG with the 2D sine-transform
-    preconditioner, warm-started from the previous level x0 with its M x0,
-    and hand on the levels (x0, x) with M x0 and M x, read off the final
-    residual. ``lap_x0``, L x0 when the caller made it, gives the energy
-    pairing."""
-    x, report, m_x = pcg(partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d),
-                         b, tol=tol, max_iter=400, x0=x0, ax0=m_x0)
+    preconditioner P, warm-started from the previous level x0 with its
+    M x0 and, when carried, P^{-1} M x0, and hand on the levels (x0, x)
+    with M x0, M x and P^{-1} M x, read off the final residual and its
+    preconditioned form. ``lap_x0``, L x0 when the caller made it, gives
+    the energy pairing."""
+    x, report, m_x, pinv_m_x = pcg(
+        partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b, tol=tol,
+        max_iter=400, x0=x0, ax0=m_x0, m_inv_ax0=pinv_m_x0)
     if not report.converged:
         raise SolverError(
             f"step solve did not converge: {report.iterations} iterations, "
             f"relative residual {report.final_relative_residual:.2e}"
         )
     return _hand_over(ops, x0, x, lap_x0, step_index,
-                      pcg_iterations=report.iterations, m_prev=m_x0, m_curr=m_x)
+                      pcg_iterations=report.iterations, m_prev=m_x0, m_curr=m_x,
+                      pinv_m_curr=pinv_m_x)
 
 
 def nonadi_first_step(
@@ -313,7 +337,8 @@ def nonadi_first_step(
 ) -> SchemeState:
     """First step of the baseline: (I + c L) u^1 = u^0 + tau phi2
     + (tau^2/2) g(u^0). Its one apply outside the solve, L u^0, makes the
-    warm-start residual and the energy pairing."""
+    warm-start residual and the energy pairing; with no P^{-1} M u^0 to
+    carry, the solve preconditions that residual by an apply."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(grid)
     tau = ops.tau_step
@@ -331,8 +356,9 @@ def nonadi_step(
     """General baseline step: (I + c L) u^{n+1} = 2 u^n - (I + c L) u^{n-1}
     + tau^2 g(u^n). M u^{n-1} and M u^n, the warm start's M, come from the
     state, so the step applies L only in its PCG iterations. A state that
-    does not carry them (built by hand, or by sadi) is refused. The step
-    hands on no energy pairing."""
+    does not carry them (built by hand, or by sadi) is refused. P^{-1} M u^n
+    comes from the state too, so the solve applies P^{-1} once outside its
+    iterations. The step hands on no energy pairing."""
     if state.m_prev is None or state.m_curr is None:
         raise ValidationError(
             "nonadi_step needs a state that carries M u_prev and M u_curr: "
@@ -340,7 +366,8 @@ def nonadi_step(
     tau = ops.tau_step
     b = 2.0 * state.u_curr - state.m_prev + tau * tau * g(state.u_curr)
     return _nonadi_solve(ops, b, state.u_curr, state.m_curr,
-                         state.step_index + 1, tol)
+                         state.step_index + 1, tol,
+                         pinv_m_x0=state.pinv_m_curr)
 
 
 # ---------------------------------------------------------------------------

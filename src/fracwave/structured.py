@@ -343,14 +343,17 @@ def tau_spec_2d(alpha: float, n: int, factor: float) -> np.ndarray:
 def tau_apply(eigenvalues: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the inverse preconditioner with the ``tau_spec_2d`` eigenvalues
     to an N x N field: sine transform, divide by the eigenvalues, transform
-    back."""
+    back. The division runs in place on the first transform's output, and
+    the second transform may overwrite that buffer, so an apply allocates
+    no more than its two transforms need."""
     v = np.asarray(v, dtype=float)
     if v.shape != eigenvalues.shape:
         raise ValidationError(
             f"field shape {v.shape} does not match spectrum {eigenvalues.shape}"
         )
     coeff = _fft.dst_type1_ortho(v, axes=(0, 1))
-    return _fft.dst_type1_ortho(coeff / eigenvalues, axes=(0, 1))
+    coeff /= eigenvalues
+    return _fft.dst_type1_ortho(coeff, axes=(0, 1), overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,8 @@ def pcg(
     max_iter: int = 500,
     x0: np.ndarray | None = None,
     ax0: np.ndarray | None = None,
-) -> tuple[np.ndarray, PcgReport, np.ndarray]:
+    m_inv_ax0: np.ndarray | None = None,
+) -> tuple[np.ndarray, PcgReport, np.ndarray, np.ndarray]:
     """Preconditioned conjugate gradients on an SPD operator.
 
     Works on arrays of any shape (fields included); inner products are full
@@ -383,36 +387,50 @@ def pcg(
     since at 1 or more the zero guess itself would pass. A zero right-hand
     side returns zeros immediately with 0 iterations. ``ax0``, when given
     with ``x0``, is A x0 already computed by the caller: the warm-start
-    residual b - ax0 then costs no application of A, and each iteration
-    costs one.
+    residual b - ax0 then costs no application of A. ``m_inv_ax0``, given
+    with ``ax0``, is M^{-1} A x0: the preconditioned residual
+    M^{-1} b - m_inv_ax0 then costs no application of M^{-1}. So a solve
+    applies M^{-1} once outside its iterations (for the scale), twice when
+    a warm start comes without ``m_inv_ax0``, and each iteration applies A
+    and M^{-1} once.
 
-    Returns x, the report and A x, formed at exit as b - r from the
-    recursive residual r, with no application of A. It differs from a
-    fresh A x by the round-off the iterations accumulate (van der Vorst &
-    Ye 2000) and by any error ``ax0`` brought in.
+    Returns x, the report, A x and M^{-1} A x, formed at exit as b - r and
+    M^{-1} b - z from the recursive residual r and its preconditioned z,
+    with no application. They differ from fresh applies by the round-off
+    the iterations accumulate (van der Vorst & Ye 2000) and by any error
+    ``ax0`` and ``m_inv_ax0`` brought in.
+
+    The iterations update x, r and p in place, with one scratch array per
+    solve, and never write into an array the callables returned, so either
+    may return its input.
     """
     if not 0 < tol < 1:
         raise ValidationError(f"tol must lie in (0, 1), got {tol}")
     if ax0 is not None and x0 is None:
         raise ValidationError("ax0 (A x0) was given without the x0 it applies")
+    if m_inv_ax0 is not None and ax0 is None:
+        raise ValidationError("m_inv_ax0 (M^-1 A x0) was given without ax0")
     b = np.asarray(b, dtype=float)
     zb = apply_m_inv(b)
     scale = np.sqrt(float(np.vdot(b, zb).real))
-    del zb
     if scale == 0.0:
-        return np.zeros_like(b), PcgReport(0, 0.0, True), np.zeros_like(b)
+        return (np.zeros_like(b), PcgReport(0, 0.0, True), np.zeros_like(b),
+                np.zeros_like(b))
 
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float, copy=True)
     if x0 is None:
+        x = np.zeros_like(b)
         r = b.copy()
+        z = zb
     else:
+        x = np.array(x0, dtype=float, copy=True)
         r = b - (apply_a(x) if ax0 is None else ax0)
-        del ax0  # the caller's A x0 need not live through the iterations
-    z = apply_m_inv(r)
+        z = apply_m_inv(r) if m_inv_ax0 is None else zb - m_inv_ax0
+        del ax0, m_inv_ax0  # the caller's arrays need not live through the loop
     rho = float(np.vdot(r, z).real)
     rel = np.sqrt(max(rho, 0.0)) / scale
     it = 0
-    p = z
+    p = z.copy()
+    scratch = np.empty_like(b)
     while it < max_iter and rel > tol:
         it += 1
         ap = apply_a(p)
@@ -421,11 +439,12 @@ def pcg(
             raise SolverError("conjugate gradients met a nonpositive curvature "
                               "direction; operator is not positive definite")
         step = rho / denom
-        x += step * p
-        r -= step * ap
+        x += np.multiply(step, p, out=scratch)
+        r -= np.multiply(step, ap, out=scratch)
         z = apply_m_inv(r)
         rho_next = float(np.vdot(r, z).real)
         rel = np.sqrt(max(rho_next, 0.0)) / scale
-        p = z + (rho_next / rho) * p
+        p *= rho_next / rho
+        p += z
         rho = rho_next
-    return x, PcgReport(it, rel, bool(rel <= tol)), b - r
+    return x, PcgReport(it, rel, bool(rel <= tol)), b - r, zb - z

@@ -37,6 +37,23 @@ def bttb_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def tau_calls(monkeypatch) -> list:
+    """The spectra of every preconditioner apply the baseline steps make
+    while the test runs, in order."""
+    from fracwave import stepper
+
+    calls = []
+    real_apply = stepper.tau_apply
+
+    def counting_apply(eigenvalues, v):
+        calls.append(eigenvalues)
+        return real_apply(eigenvalues, v)
+
+    monkeypatch.setattr(stepper, "tau_apply", counting_apply)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_LINES:
         return

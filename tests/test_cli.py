@@ -291,11 +291,19 @@ class TestExitCodes:
           "--tau", "0.1", "--t-final", "0.2", "--out-dir", "new"], 2, []),
         (["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
           "--out", "elsewhere/rows.csv", "--out-dir", "d"], 0, ["elsewhere"]),
-    ], ids=["solve-refused", "study-out-elsewhere"])
+        (["solve", "--example", "zero", "--alpha", "1.5", "--n", "9",
+          "--tau", "0.1", "--t-final", "0.3", "--kappa", "1e308",
+          "--out-dir", "new2"], 2, []),
+        (["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
+          "--kappa", "1e308", "--out-dir", "x"], 2, []),
+        (["study-time", *STUDY_SMALL, "--taus", "1/5,1/7", "--h", "4",
+          "--out-dir", "x"], 2, []),
+    ], ids=["solve-refused", "study-out-elsewhere", "solve-scale-refused",
+            "study-scale-refused", "study-steps-refused"])
     def test_unused_output_directory_not_made(self, argv, rc, left, tmp_path,
                                               monkeypatch):
         # a directory is made only when something is written there, and
-        # only after the flags are checked
+        # only after the flags and the operator scales are checked
         monkeypatch.chdir(tmp_path)
         assert main(argv) == rc
         assert sorted(p.name for p in tmp_path.iterdir()) == left

@@ -28,6 +28,7 @@ from fracwave.stepper import (
     sadi_first_step,
     sadi_step,
 )
+from fracwave.structured import tau_apply
 
 
 def gaussian_problem(alpha=1.5, kappa=1.0, nonlinearity="sine_gordon"):
@@ -406,12 +407,36 @@ class TestCarriedApplies:
             assert close_in_max_norm(nxt.m_curr, nonadi_m(ops, nxt.u_curr),
                                      1e-13)
             state = nxt
-        # a state without the carried fields (built by hand, or by sadi)
+        # a state without the carried M (built by hand, or by sadi)
         # is refused, naming the step that starts the baseline
         for bare in (replace(state, m_prev=None, m_curr=None),
                      sadi_first_step(problem, grid, ops)):
             with pytest.raises(ValidationError, match="nonadi_first_step"):
                 nonadi_step(bare, ops, g)
+
+    def test_nonadi_step_preconditions_once_outside_iterations(self,
+                                                              tau_calls):
+        # P^-1 b for the scale; P^-1 M u^n comes with the state, so the
+        # warm-start residual needs no apply of its own after the first step
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=12)
+        ops = build_operators(problem, grid, 0.05)
+        g = resolve_nonlinearity(problem.nonlinearity)
+        state = nonadi_first_step(problem, grid, ops)
+        assert len(tau_calls) == 2 + state.pcg_iterations
+        for _ in range(3):
+            del tau_calls[:]
+            nxt = nonadi_step(state, ops, g)
+            assert len(tau_calls) == 1 + nxt.pcg_iterations
+            assert all(spec is ops.tau2d for spec in tau_calls)
+            state = nxt
+        # without the carried P^-1 M u, the solve applies P^-1 for it and
+        # reaches the same level
+        del tau_calls[:]
+        bare = nonadi_step(replace(state, pinv_m_curr=None), ops, g)
+        assert len(tau_calls) == 2 + bare.pcg_iterations
+        assert close_in_max_norm(bare.u_curr, nonadi_step(state, ops, g).u_curr,
+                                 1e-12)
 
     @pytest.mark.parametrize("example, n, tau, steps", [
         (None, 12, 0.05, 3),
@@ -433,6 +458,11 @@ class TestCarriedApplies:
                 # its own N x N memory, not a view of a larger buffer
                 assert m.flags.c_contiguous and m.base is None
                 assert close_in_max_norm(m, nonadi_m(ops, u), 1e-13)
+            # P^-1 M u_curr, read off the preconditioned residual
+            pinv_m = state.pinv_m_curr
+            assert pinv_m.flags.c_contiguous and pinv_m.base is None
+            fresh = tau_apply(ops.tau2d, nonadi_m(ops, state.u_curr))
+            assert close_in_max_norm(pinv_m, fresh, 1e-13)
         # each level's M is handed on, not recomputed
         for before, after in zip(states, states[1:]):
             assert after.m_prev is before.m_curr
@@ -440,7 +470,8 @@ class TestCarriedApplies:
         run(problem, grid, tau, 3, scheme="sadi", ops=ops,
             recorder=states.append)
         assert all(s.m_prev is None and s.m_curr is None
-                   and s.a_pair is not None for s in states)
+                   and s.pinv_m_curr is None and s.a_pair is not None
+                   for s in states)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_kappa_zero_states_carry_applies(self, scheme):

@@ -424,15 +424,17 @@ class TestTauPreconditioner:
 class TestPcg:
     def test_identity_converges_immediately(self, rng):
         b = rng.standard_normal(20)
-        x, report, ax = pcg(lambda v: v, lambda v: v, b, tol=1e-12)
+        x, report, ax, m_inv_ax = pcg(lambda v: v, lambda v: v, b, tol=1e-12)
         np.testing.assert_allclose(x, b, atol=1e-12)
         np.testing.assert_allclose(ax, x, atol=1e-12)
+        np.testing.assert_allclose(m_inv_ax, x, atol=1e-12)
         assert report.iterations == 1
         assert report.converged
 
     def test_zero_rhs_returns_zero(self):
-        x, report, ax = pcg(lambda v: 2.0 * v, lambda v: v, np.zeros(7), tol=1e-12)
-        assert np.all(x == 0.0) and np.all(ax == 0.0)
+        x, report, ax, m_inv_ax = pcg(lambda v: 2.0 * v, lambda v: v,
+                                      np.zeros(7), tol=1e-12)
+        assert np.all(x == 0.0) and np.all(ax == 0.0) and np.all(m_inv_ax == 0.0)
         assert report.iterations == 0
         assert report.converged
 
@@ -440,14 +442,20 @@ class TestPcg:
         # the answer is zero whatever the warm start: A x must not be the
         # caller's A x0, or a stepper carrying it forward goes wrong
         x0 = np.arange(1.0, 8.0)
-        x, _, ax = pcg(lambda v: 2.0 * v, lambda v: v, np.zeros(7), tol=1e-12,
-                       x0=x0, ax0=2.0 * x0)
-        assert np.all(x == 0.0) and np.all(ax == 0.0)
+        x, _, ax, m_inv_ax = pcg(lambda v: 2.0 * v, lambda v: v, np.zeros(7),
+                                 tol=1e-12, x0=x0, ax0=2.0 * x0,
+                                 m_inv_ax0=2.0 * x0)
+        assert np.all(x == 0.0) and np.all(ax == 0.0) and np.all(m_inv_ax == 0.0)
 
     def test_ax0_without_x0_refused(self):
         with pytest.raises(ValidationError, match="ax0"):
             pcg(lambda v: v, lambda v: v, np.ones(4), tol=1e-12,
                 ax0=np.ones(4))
+
+    def test_m_inv_ax0_without_ax0_refused(self):
+        with pytest.raises(ValidationError, match="m_inv_ax0"):
+            pcg(lambda v: v, lambda v: v, np.ones(4), tol=1e-12,
+                x0=np.ones(4), m_inv_ax0=np.ones(4))
 
     def test_exact_warm_start(self, rng):
         n = 15
@@ -455,7 +463,7 @@ class TestPcg:
         t = SymToeplitz(first_col=col)
         b = rng.standard_normal(n)
         x_star = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
-        x, report, ax = pcg(t.matvec, lambda v: v, b, tol=1e-10, x0=x_star)
+        x, report, ax, _ = pcg(t.matvec, lambda v: v, b, tol=1e-10, x0=x_star)
         assert report.iterations <= 1
         np.testing.assert_allclose(x, x_star, atol=1e-9)
         np.testing.assert_allclose(ax, t.matvec(x), atol=1e-12)
@@ -474,14 +482,60 @@ class TestPcg:
         def apply_a(u):
             return u + bttb_apply(op, u)
 
-        x, report, ax = pcg(apply_a, lambda r: tau_apply(spec, r), b,
-                            tol=1e-13, max_iter=200)
+        x, report, ax, m_inv_ax = pcg(apply_a, lambda r: tau_apply(spec, r), b,
+                                      tol=1e-13, max_iter=200)
         want = oracle.unvec_f(np.linalg.solve(a_dense, oracle.vec_f(b)), n)
         assert report.converged
         np.testing.assert_allclose(x, want, atol=1e-10)
-        # A x from the recursive residual, against a fresh apply
+        # A x and M^-1 A x from the recursive residual, against fresh applies
         fresh = apply_a(x)
         assert np.max(np.abs(ax - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+        fresh = tau_apply(spec, fresh)
+        assert np.max(np.abs(m_inv_ax - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+    @pytest.mark.parametrize("returns_input", ["m_inv", "a_and_m_inv"])
+    def test_callables_returning_their_input(self, returns_input):
+        # a callable that returns its input must not alias pcg's search
+        # direction with its residual: same iterations and solution as one
+        # that copies
+        rng = np.random.default_rng(3)
+        t = SymToeplitz(first_col=oracle.random_spd_toeplitz(30, rng))
+        b = rng.standard_normal(30)
+        b_kept = b.copy()
+        apply_a = t.matvec if returns_input == "m_inv" else (lambda v: v)
+        runs = [pcg(a, m_inv, b, tol=1e-10) for a, m_inv in (
+            (apply_a, lambda v: v),
+            (lambda v: apply_a(v).copy(), lambda v: v.copy()))]
+        assert runs[0][1].iterations == runs[1][1].iterations
+        for k in (0, 2, 3):  # x, A x and M^-1 A x
+            assert np.array_equal(runs[0][k], runs[1][k])
+        assert np.array_equal(b, b_kept)
+
+    def test_carried_preconditioned_residual(self, rng):
+        # with M^-1 A x0 handed in, the solve makes one M^-1 apply fewer and
+        # agrees with the one that applies it
+        n, alpha, factor = 12, 1.5, 0.7
+        op = bttb_build(laplacian_coeffs_2d(alpha, n), n, scale=factor)
+        spec = tau_spec_2d(alpha, n, factor)
+        calls = []
+
+        def apply_m_inv(r):
+            calls.append(1)
+            return tau_apply(spec, r)
+
+        def apply_a(u):
+            return u + bttb_apply(op, u)
+
+        b, x0 = rng.standard_normal((2, n, n))
+        ax0 = apply_a(x0)
+        fresh = pcg(apply_a, apply_m_inv, b, tol=1e-12, x0=x0, ax0=ax0)
+        assert len(calls) == 2 + fresh[1].iterations
+        del calls[:]
+        carried = pcg(apply_a, apply_m_inv, b, tol=1e-12, x0=x0, ax0=ax0,
+                      m_inv_ax0=tau_apply(spec, ax0))
+        assert len(calls) == 1 + carried[1].iterations
+        assert carried[1].iterations == fresh[1].iterations
+        np.testing.assert_allclose(carried[0], fresh[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-11, 1.0, 10.0, float("nan")])
     def test_tolerance_outside_unit_interval_refused(self, tol):
@@ -504,8 +558,8 @@ class TestPcg:
         op = bttb_build(laplacian_coeffs_2d(alpha, n), n, scale=factor)
         spec = tau_spec_2d(alpha, n, factor)
         b = np.random.default_rng(512).standard_normal((n, n))
-        _, report, _ = pcg(lambda u: u + bttb_apply(op, u),
-                           lambda r: tau_apply(spec, r), b, tol=1e-13,
-                           max_iter=60)
+        _, report, _, _ = pcg(lambda u: u + bttb_apply(op, u),
+                              lambda r: tau_apply(spec, r), b, tol=1e-13,
+                              max_iter=60)
         assert report.converged
         assert report.iterations <= 8
