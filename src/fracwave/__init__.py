@@ -21,9 +21,8 @@ from .harness import (
     StudyRow,
     StudySpec,
     discrete_energy,
-    error_space_refinement,
-    error_time_refinement,
     inner_product,
+    refinement_rows,
     run_study,
     splitting_gap,
 )
@@ -64,10 +63,10 @@ __all__ = [
     "StepOperators", "StudyRow", "StudySpec", "SymToeplitz",
     "ValidationError", "adi_solve", "apply_surface", "bttb_apply",
     "bttb_build", "build_operators", "coeff_quadrature_oracle",
-    "discrete_energy", "error_space_refinement",
-    "error_time_refinement", "example_problem", "gs_precompute", "gs_solve",
+    "discrete_energy", "example_problem", "gs_precompute", "gs_solve",
     "inner_product", "laplacian_coeffs_2d", "nonadi_first_step",
-    "nonadi_step", "pcg", "rhs_general", "riesz_coeffs_1d", "run",
+    "nonadi_step", "pcg", "refinement_rows", "rhs_general",
+    "riesz_coeffs_1d", "run",
     "run_study", "sadi_first_step", "sadi_step", "sech", "splitting_gap",
     "tau_apply", "tau_spec_2d", "write_snapshot_csv", "write_snapshot_raw",
 ]

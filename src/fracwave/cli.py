@@ -102,10 +102,6 @@ def _fraction_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _one_fraction(text: str) -> tuple[float]:
-    return (_fraction(text),)
-
-
 def _add_common_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--example", choices=EXAMPLE_NAMES, default=None,
                    help="built-in benchmark problem on (-10, 10)^2")
@@ -194,17 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
         st.add_argument("--alphas", type=_fraction_list, default=None,
                         help="comma-separated fractional orders (default 1.1,1.5,1.9)")
         st.add_argument("--kappa", type=_fraction, default=None)
-        # the fixed step is a one-entry list of the same StudySpec field
+        # the halving list fills StudySpec.steps, the fixed step .fixed
         if axis == "time":
             st.add_argument("--taus", type=_fraction_list, default=None,
+                            dest="steps", metavar="TAUS",
                             help="halving list of time steps")
-            st.add_argument("--h", type=_one_fraction, default=None,
-                            dest="hs", metavar="H", help="fixed grid spacing")
+            st.add_argument("--h", type=_fraction, default=None,
+                            dest="fixed", metavar="H", help="fixed grid spacing")
         else:
             st.add_argument("--hs", type=_fraction_list, default=None,
+                            dest="steps", metavar="HS",
                             help="halving list of grid spacings")
-            st.add_argument("--tau", type=_one_fraction, default=None,
-                            dest="taus", metavar="TAU", help="fixed time step")
+            st.add_argument("--tau", type=_fraction, default=None,
+                            dest="fixed", metavar="TAU", help="fixed time step")
         st.add_argument("--t-final", type=_fraction, default=None)
         st.add_argument("--threads", type=int, default=None)
         st.add_argument("--out", default=None,

@@ -8,12 +8,12 @@ Error metrics (self-refinement, no exact solution needed):
 
 with observed order log2 of consecutive error ratios. Halving h turns N
 interior nodes into 2N + 1, so coarse node i coincides with fine node 2i
-and the comparison needs no interpolation. Both studies run through one
-driver, ``_refinement_rows``: it takes the list of (grid, tau) runs and a
-restriction of the finer final field onto the coarser grid (identity for
-time, every other node for space) and turns consecutive runs into rows.
-Each run builds its own operators and, in its set-up, only its scheme's
-solver.
+and the comparison needs no interpolation. Both axes run through
+``refinement_rows``: ``_plan_runs`` checks the (grid, tau) runs and picks
+the restriction of the finer final onto the coarser grid (identity for
+time, every other node for space); ``_refinement_rows`` runs them and
+turns consecutive finals into rows. Each run builds its own operators
+and, in its set-up, only its scheme's solver.
 
 The linear (g = 0) schemes conserve discrete energies. For the level pair
 (w^n, w^{n+1}), dt = (w^{n+1} - w^n)/tau and c = tau^2 kappa / 2, the paper
@@ -65,8 +65,7 @@ __all__ = [
     "inner_product",
     "splitting_gap",
     "discrete_energy",
-    "error_time_refinement",
-    "error_space_refinement",
+    "refinement_rows",
     "run_study",
     "write_rows_csv",
     "parse_number",
@@ -206,33 +205,44 @@ def _check_halving(values: Sequence[float], what: str) -> None:
             raise ValidationError(f"{what} list must halve strictly: {a} -> {b}")
 
 
-def _check_runs(problem: Problem, runs: Sequence[tuple[Grid2D, float]],
-                t_final: float) -> list[int]:
-    """Check every (grid, tau) run's operator scales and step count, and
-    return the step counts."""
+def _plan_runs(problem: Problem, axis: str, steps: Sequence[float],
+               fixed: float, t_final: float):
+    """Plan and check the runs of a refinement along ``axis``: the halving
+    ``steps`` and their last entry halved, at the ``fixed`` h (time) or tau
+    (space). Returns the (grid, tau) runs, their step counts, and the
+    restriction of a finer final onto the next coarser grid."""
+    if axis not in ("time", "space"):
+        raise ValidationError(f"axis must be 'time' or 'space', got {axis!r}")
+    _check_halving(steps, "tau" if axis == "time" else "h")
+    levels = list(steps) + [steps[-1] / 2.0]
+    if axis == "time":
+        grid = Grid2D.from_spacing(problem.a, problem.b, fixed)
+        runs = [(grid, tau) for tau in levels]
+        restrict = lambda u: u
+    else:
+        runs = [(Grid2D.from_spacing(problem.a, problem.b, h), fixed)
+                for h in levels]
+        for (coarse, _), (fine, _) in zip(runs, runs[1:]):
+            if fine.n != 2 * coarse.n + 1:
+                raise ValidationError(f"grids N={coarse.n} and N={fine.n} "
+                                      "have no coincident nodes")
+        restrict = lambda u: u[1::2, 1::2]  # the coincident even-index nodes
     counts = []
     for grid, tau in runs:
         check_scales(problem, grid, tau)
         counts.append(_steps_for(t_final, tau))
-    return counts
+    return runs, counts, restrict
 
 
-def _refinement_rows(
-    problem: Problem,
-    scheme: str,
-    steps: Sequence[float],
-    runs: Sequence[tuple[Grid2D, float]],
-    restrict: Callable[[np.ndarray], np.ndarray],
-    t_final: float,
-) -> list[StudyRow]:
-    """Run every (grid, tau) in ``runs`` and turn consecutive finals into rows.
+def _refinement_rows(problem: Problem, scheme: str, steps: Sequence[float],
+                     runs: Sequence[tuple[Grid2D, float]], counts: Sequence[int],
+                     restrict: Callable[[np.ndarray], np.ndarray]) -> list[StudyRow]:
+    """Run a plan from ``_plan_runs`` and turn consecutive finals into rows.
 
     Row k compares the final field of run k with that of run k + 1 mapped
     onto run k's grid by ``restrict``; its timings are run k's. ``steps``
-    holds the row labels, one fewer than the runs. Every run is checked
-    before the first one starts.
+    holds the row labels, one fewer than the runs.
     """
-    counts = _check_runs(problem, runs, t_final)
     finals: list[np.ndarray] = []
     infos: list[RunInfo] = []
     for (grid, tau), m_steps in zip(runs, counts):
@@ -242,78 +252,35 @@ def _refinement_rows(
         finals.append(state.u_curr)
         infos.append(info)
     rows: list[StudyRow] = []
-    prev_error: float | None = None
     for k, step in enumerate(steps):
         err = _l2h_diff(runs[k][0].h, finals[k], restrict(finals[k + 1]))
         order = None
-        if prev_error is not None:
+        if rows:
             with np.errstate(divide="ignore", invalid="ignore"):
                 # a zero error has no order: inf or nan, not a crash
-                order = float(np.log2(np.float64(prev_error) / err))
+                order = float(np.log2(np.float64(rows[-1].error) / err))
         rows.append(StudyRow(
             scheme=scheme, alpha=problem.alpha, step=step, error=err, order=order,
             cpu_setup=infos[k].setup_seconds, cpu_loop=infos[k].loop_seconds,
         ))
-        prev_error = err
     return rows
 
 
-def _time_runs(problem: Problem, h_fixed: float, tau_list: Sequence[float]):
-    """The runs of a time study, at tau_list and its last tau halved on one
-    grid, and the restriction of a finer final (the identity)."""
-    _check_halving(tau_list, "tau")
-    grid = Grid2D.from_spacing(problem.a, problem.b, h_fixed)
-    taus = list(tau_list) + [tau_list[-1] / 2.0]
-    return [(grid, tau) for tau in taus], lambda u: u
+def refinement_rows(problem: Problem, axis: str, steps: Sequence[float],
+                    fixed: float, t_final: float,
+                    scheme: str = "sadi") -> list[StudyRow]:
+    """Error/order rows along the halving list ``steps`` at one fixed step.
 
-
-def _space_runs(problem: Problem, tau_fixed: float, h_list: Sequence[float]):
-    """The runs of a space study, at h_list and its last h halved, and the
-    restriction of a finer final to the coincident (even-index) nodes."""
-    _check_halving(h_list, "h")
-    hs = list(h_list) + [h_list[-1] / 2.0]
-    grids = [Grid2D.from_spacing(problem.a, problem.b, h) for h in hs]
-    for coarse, fine in zip(grids, grids[1:]):
-        if fine.n != 2 * coarse.n + 1:
-            raise ValidationError(
-                f"grids N={coarse.n} and N={fine.n} have no coincident nodes"
-            )
-    return [(grid, tau_fixed) for grid in grids], lambda u: u[1::2, 1::2]
-
-
-def error_time_refinement(
-    problem: Problem,
-    h_fixed: float,
-    tau_list: Sequence[float],
-    t_final: float,
-    scheme: str = "sadi",
-) -> list[StudyRow]:
-    """Error/order rows along a halving tau list at fixed h.
-
-    Each row compares the final field at tau with the one at tau/2 on the
-    same grid; because the list halves, consecutive rows share runs, so a
-    K-row study costs K+1 runs. Timings reported per row belong to the run
-    at that row's tau.
+    ``axis`` "time" halves tau at the fixed h, and each row compares the
+    final field at tau with the one at tau/2 on the same grid; "space"
+    halves h at the fixed tau, and each row compares the final field at h
+    with the h/2 field restricted to the coincident (even-index) nodes.
+    Consecutive rows share runs, so a K-row study costs K+1 runs; the
+    timings of a row belong to the run at that row's step. Every run is
+    checked before the first one starts.
     """
-    return _refinement_rows(problem, scheme, tau_list,
-                            *_time_runs(problem, h_fixed, tau_list), t_final)
-
-
-def error_space_refinement(
-    problem: Problem,
-    tau_fixed: float,
-    h_list: Sequence[float],
-    t_final: float,
-    scheme: str = "sadi",
-) -> list[StudyRow]:
-    """Error/order rows along a halving h list at fixed tau.
-
-    Each row compares the final field at h against the h/2 field restricted
-    to the coincident (even-index) nodes. Consecutive rows share runs like
-    in the time study.
-    """
-    return _refinement_rows(problem, scheme, h_list,
-                            *_space_runs(problem, tau_fixed, h_list), t_final)
+    return _refinement_rows(problem, scheme, steps,
+                            *_plan_runs(problem, axis, steps, fixed, t_final))
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +291,33 @@ def error_space_refinement(
 class StudySpec:
     """A batch of refinement studies over schemes and fractional orders.
 
-    ``axis`` selects the refinement direction: "time" varies ``taus`` at
-    the single fixed h in ``hs``; "space" varies ``hs`` at the single fixed
-    tau in ``taus``. A list or horizon left None takes the example's
-    published table along ``axis`` (``problems.PAPER_RUNS``; "zero" shares
-    the ring model's); an empty list is refused.
+    ``axis`` selects the refinement direction: "time" halves tau along
+    ``steps`` at the grid spacing ``fixed``; "space" halves h along
+    ``steps`` at the time step ``fixed``. A step list, fixed step or
+    horizon left None takes the example's published table along ``axis``
+    (``problems.PAPER_RUNS``; "zero" shares the ring model's); an empty
+    list is refused.
     """
 
     axis: str
     example: str = "sine-gordon"
     scheme: str = "sadi"
     alphas: tuple[float, ...] = (1.1, 1.5, 1.9)
-    taus: tuple[float, ...] | None = None
-    hs: tuple[float, ...] | None = None
+    steps: tuple[float, ...] | None = None
+    fixed: float | None = None
     t_final: float | None = None
     kappa: float = 1.0
     threads: int = 1
 
 
 def _spec_defaults(spec: StudySpec) -> StudySpec:
-    """Fill unset step lists / horizon from the example's published table."""
+    """Fill an unset step list, fixed step or horizon from the example's
+    published table; an unknown axis has none and ``_plan_runs`` refuses it."""
     t_final, studies = paper_runs(spec.example)
-    if spec.axis not in studies:
-        raise ValidationError(f"axis must be 'time' or 'space', got {spec.axis!r}")
-    taus, hs = studies[spec.axis]
+    steps, fixed = studies.get(spec.axis, (None, None))
     return replace(spec,
-                   taus=taus if spec.taus is None else spec.taus,
-                   hs=hs if spec.hs is None else spec.hs,
+                   steps=steps if spec.steps is None else spec.steps,
+                   fixed=fixed if spec.fixed is None else spec.fixed,
                    t_final=t_final if spec.t_final is None else spec.t_final)
 
 
@@ -358,39 +325,31 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
     Cells run sequentially in declaration order (scheme, then alpha, then
-    step). Every alpha's problem is built and every run checked (its grid,
-    operator scales and step count) before the output file's directory is
-    made, and that before the first run; a scheme other than "both" is
-    looked up by the first run.
+    step). Every scheme is looked up, every alpha's problem built and every
+    run planned and checked (its grid, operator scales and step count)
+    before the output file's directory is made, and that before the first
+    run.
     """
     spec = _spec_defaults(spec)
     _fft.set_fft_workers(spec.threads)
     schemes = SCHEME_NAMES if spec.scheme == "both" else (spec.scheme,)
-    if spec.axis == "time" and len(spec.hs) != 1:
-        raise ValidationError("time study needs exactly one fixed h")
-    if spec.axis == "space" and len(spec.taus) != 1:
-        raise ValidationError("space study needs exactly one fixed tau")
+    for scheme in schemes:
+        lookup_scheme(scheme)
     if not spec.alphas:
         raise ValidationError("alpha list must not be empty")
 
-    if spec.axis == "time":
-        plan, fixed, steps = _time_runs, spec.hs[0], spec.taus
-    else:
-        plan, fixed, steps = _space_runs, spec.taus[0], spec.hs
     cells = []
     for alpha in spec.alphas:
         problem = example_problem(spec.example, alpha, kappa=spec.kappa)
-        runs, restrict = plan(problem, fixed, steps)
-        _check_runs(problem, runs, spec.t_final)
-        cells.append((problem, runs, restrict))
+        cells.append((problem, _plan_runs(problem, spec.axis, spec.steps,
+                                          spec.fixed, spec.t_final)))
     if output_path is not None:
         Path(output_path).parent.mkdir(parents=True, exist_ok=True)
 
     rows: list[StudyRow] = []
     for scheme in schemes:
-        for problem, runs, restrict in cells:
-            rows.extend(_refinement_rows(problem, scheme, steps, runs,
-                                         restrict, spec.t_final))
+        for problem, plan in cells:
+            rows.extend(_refinement_rows(problem, scheme, spec.steps, *plan))
     if output_path is not None:
         write_rows_csv(output_path, rows)
     return rows

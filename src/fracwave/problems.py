@@ -198,13 +198,13 @@ EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 # The paper's runs, the defaults of what a solve or a study leaves unset: the
 # figures' (tau, h), and per model the horizon and per axis its error table's
-# (tau list, h list): halving taus at one h, or one tau with halving hs.
+# (steps, fixed): halving taus at one h, or halving hs at one tau.
 FIGURE_STEPS = (1 / 100, 1 / 40)
 PAPER_RUNS = {
-    "sine-gordon": (5.0, {"time": ((1 / 10, 1 / 20, 1 / 40, 1 / 80), (1 / 40,)),
-                          "space": ((1 / 100,), (1.0, 1 / 2, 1 / 4, 1 / 8))}),
-    "klein-gordon": (8.0, {"time": ((4 / 25, 2 / 25, 1 / 25, 1 / 50), (1 / 50,)),
-                           "space": ((1 / 125,), (2 / 5, 1 / 5, 1 / 10, 1 / 20))}),
+    "sine-gordon": (5.0, {"time": ((1 / 10, 1 / 20, 1 / 40, 1 / 80), 1 / 40),
+                          "space": ((1.0, 1 / 2, 1 / 4, 1 / 8), 1 / 100)}),
+    "klein-gordon": (8.0, {"time": ((4 / 25, 2 / 25, 1 / 25, 1 / 50), 1 / 50),
+                           "space": ((2 / 5, 1 / 5, 1 / 10, 1 / 20), 1 / 125)}),
 }
 # Initial data of a custom problem by name: (phi1, phi2).
 CUSTOM_INITIAL_DATA = {

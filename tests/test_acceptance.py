@@ -28,9 +28,8 @@ from fracwave.coeffs import (
 from fracwave.harness import (
     EnergyTrace,
     discrete_energy,
-    error_space_refinement,
-    error_time_refinement,
     inner_product,
+    refinement_rows,
     splitting_gap,
 )
 from fracwave.problems import Grid2D, example_problem, resolve_nonlinearity
@@ -74,8 +73,8 @@ def test_01_space_convergence_table():
     t0 = time.time()
     for alpha, (ref_errors, ref_orders) in TABLE_SPACE.items():
         problem = example_problem("sine-gordon", alpha)
-        rows = error_space_refinement(problem, 1.0 / 100.0,
-                                      [1.0, 0.5, 0.25, 0.125], 5.0)
+        rows = refinement_rows(problem, "space", [1.0, 0.5, 0.25, 0.125],
+                               1.0 / 100.0, 5.0)
         for k, row in enumerate(rows):
             worst_rel = max(worst_rel,
                             abs(row.error - ref_errors[k]) / ref_errors[k])
@@ -93,7 +92,7 @@ def test_01_space_convergence_table():
 def test_02_time_convergence_spot():
     """Time-refinement rows at the production grid: errors 2%, order 0.03."""
     problem = example_problem("sine-gordon", 1.5)
-    rows = error_time_refinement(problem, 1.0 / 40.0, [0.1, 0.05], 5.0)
+    rows = refinement_rows(problem, "time", [0.1, 0.05], 1.0 / 40.0, 5.0)
     rels = [abs(rows[k].error - TABLE_TIME_ERRORS[k]) / TABLE_TIME_ERRORS[k]
             for k in range(2)]
     dev = abs(rows[1].order - TABLE_TIME_ORDER)
@@ -109,8 +108,8 @@ def test_02_time_convergence_spot():
 def test_03_klein_gordon_spot():
     """Cubic-model head row: error 2%, pre-asymptotic order 0.05."""
     problem = example_problem("klein-gordon", 1.1)
-    rows = error_time_refinement(problem, 1.0 / 50.0,
-                                 [4.0 / 25.0, 2.0 / 25.0], 8.0)
+    rows = refinement_rows(problem, "time", [4.0 / 25.0, 2.0 / 25.0],
+                           1.0 / 50.0, 8.0)
     rel = abs(rows[0].error - TABLE_KG_ERROR) / TABLE_KG_ERROR
     dev = abs(rows[1].order - TABLE_KG_ORDER)
     ok = rel <= 0.02 and dev <= 0.05

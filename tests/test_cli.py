@@ -356,10 +356,10 @@ class TestStudyCommands:
                 "both", "--alphas", "5/4,1.75", "--t-final", "2/5",
                 "--kappa", "1/4", "--threads", "2"]
         if axis == "time":
-            want.update(taus=(0.2, 0.1), hs=(0.5,))
+            want.update(steps=(0.2, 0.1), fixed=0.5)
             argv += ["--taus", "1/5,1/10", "--h", "1/2"]
         else:
-            want.update(hs=(0.5, 0.25), taus=(0.2,))
+            want.update(steps=(0.5, 0.25), fixed=0.2)
             argv += ["--hs", "1/2,1/4", "--tau", "1/5"]
         assert {f.name for f in fields(StudySpec)} == {"axis", *want}
         out = ["--out-dir", str(tmp_path)]

@@ -20,9 +20,8 @@ from fracwave.harness import (
     _spec_defaults,
     _steps_for,
     discrete_energy,
-    error_space_refinement,
-    error_time_refinement,
     inner_product,
+    refinement_rows,
     splitting_gap,
     parse_number,
     parse_number_list,
@@ -271,8 +270,8 @@ class TestRefinementMechanics:
 class TestRefinementStudies:
     def test_time_axis_orders_near_two(self):
         problem = small_problem(nonlinearity="sine_gordon")
-        rows = error_time_refinement(problem, h_fixed=4.0 / 8.0,
-                                     tau_list=[0.1, 0.05], t_final=0.8)
+        rows = refinement_rows(problem, "time", steps=[0.1, 0.05],
+                               fixed=4.0 / 8.0, t_final=0.8)
         assert len(rows) == 2
         assert rows[0].order is None
         assert rows[0].error > rows[1].error > 0.0
@@ -286,14 +285,14 @@ class TestRefinementStudies:
         # the k-th row compares runs k and k+1, so a prefix of the tau list
         # must reproduce the same leading rows
         problem = small_problem(nonlinearity="zero")
-        full = error_time_refinement(problem, 0.5, [0.2, 0.1], 0.8)
-        head = error_time_refinement(problem, 0.5, [0.2], 0.8)
+        full = refinement_rows(problem, "time", [0.2, 0.1], 0.5, 0.8)
+        head = refinement_rows(problem, "time", [0.2], 0.5, 0.8)
         assert head[0].error == pytest.approx(full[0].error, rel=1e-12)
 
     def test_space_axis_orders_near_two(self):
         problem = small_problem(nonlinearity="sine_gordon")
-        rows = error_space_refinement(problem, tau_fixed=0.01,
-                                      h_list=[0.5, 0.25], t_final=0.2)
+        rows = refinement_rows(problem, "space", steps=[0.5, 0.25],
+                               fixed=0.01, t_final=0.2)
         assert len(rows) == 2
         assert rows[0].order is None
         assert rows[1].order is not None
@@ -303,23 +302,31 @@ class TestRefinementStudies:
     def test_zero_errors_give_undefined_order(self):
         # zero data stays zero: every error is 0, and 0 / 0 has no order
         problem = Problem(a=-4.0, b=4.0, alpha=1.5)
-        rows = error_time_refinement(problem, 0.5, [0.2, 0.1], 0.4)
+        rows = refinement_rows(problem, "time", [0.2, 0.1], 0.5, 0.4)
         assert [r.error for r in rows] == [0.0, 0.0]
         assert rows[0].order is None and np.isnan(rows[1].order)
 
     def test_space_axis_rejects_non_halving(self):
         problem = small_problem()
         with pytest.raises(ValidationError):
-            error_space_refinement(problem, 0.01, [0.5, 0.3], 0.1)
+            refinement_rows(problem, "space", [0.5, 0.3], 0.01, 0.1)
 
     def test_unknown_scheme_rejected(self):
         problem = small_problem()
         with pytest.raises(ValidationError):
-            error_time_refinement(problem, 0.5, [0.1], 0.2, scheme="magic")
+            refinement_rows(problem, "time", [0.1], 0.5, 0.2, scheme="magic")
 
-    def test_oversize_grid_refused_before_the_first_run(self, monkeypatch):
+    @pytest.mark.parametrize("axis, steps, match", [
         # h = 1/40 and 1/80 are fine (N = 799, 1599), but the study's last
         # run at h = 1/160 has N = 3199, beyond the coefficient budget
+        ("space", [1 / 40, 1 / 80], "N=3199"),
+        ("depth", [1 / 40, 1 / 80], "axis must be"),
+        ("time", [0.1, 0.03], "halve strictly"),
+        ("space", [0.5, 0.3], "halve strictly"),
+    ], ids=["oversize-grid", "unknown-axis", "time-not-halving",
+            "space-not-halving"])
+    def test_oversize_grid_refused_before_the_first_run(self, monkeypatch,
+                                                        axis, steps, match):
         calls = []
 
         def fake_run(problem, grid, *args, **kwargs):
@@ -327,16 +334,16 @@ class TestRefinementStudies:
             raise AssertionError(f"a run started at N={grid.n}")
 
         monkeypatch.setattr(harness, "run", fake_run)
-        with pytest.raises(ValidationError, match="N=3199"):
-            error_space_refinement(example_problem("zero", 1.5), 0.01,
-                                   [1 / 40, 1 / 80], 5.0)
+        with pytest.raises(ValidationError, match=match):
+            refinement_rows(example_problem("zero", 1.5), axis, steps,
+                            0.01, 5.0)
         assert calls == []
 
 
 class TestRunStudy:
     @pytest.mark.parametrize("axis", ["time", "space"])
     def test_empty_alphas_rejected(self, axis, tmp_path):
-        spec = StudySpec(axis=axis, alphas=(), taus=(0.1,), hs=(0.5,),
+        spec = StudySpec(axis=axis, alphas=(), steps=(0.1,), fixed=0.5,
                          t_final=0.2)
         out = tmp_path / "empty.csv"
         with pytest.raises(ValidationError, match="alpha list"):
@@ -348,7 +355,7 @@ class TestRunStudy:
         monkeypatch.setattr(harness, "run",
                             lambda *args, **kwargs: calls.append(args))
         spec = StudySpec(axis="time", example="zero", alphas=(1.5, 2.5),
-                         taus=(0.1, 0.05), hs=(4.0,), t_final=0.2)
+                         steps=(0.1, 0.05), fixed=4.0, t_final=0.2)
         with pytest.raises(ValidationError, match="alpha"):
             run_study(spec)
         assert calls == []
@@ -360,14 +367,21 @@ class TestRunStudy:
         monkeypatch.setattr(harness, "run", lambda *args, **kwargs: (
             made.append((tmp_path / "new").is_dir()) or real_run(*args, **kwargs)))
         spec = StudySpec(axis="time", example="zero", alphas=(1.5,),
-                         taus=(0.1,), hs=(4.0,), t_final=0.2)
+                         steps=(0.1,), fixed=4.0, t_final=0.2)
         run_study(spec, output_path=tmp_path / "new" / "rows.csv")
         assert made == [True, True]
         assert (tmp_path / "new" / "rows.csv").exists()
 
+    def test_unknown_scheme_refused_before_the_directory(self, tmp_path):
+        spec = StudySpec(axis="time", example="zero", scheme="magic",
+                         alphas=(1.5,), steps=(0.2,), fixed=4.0, t_final=0.4)
+        with pytest.raises(ValidationError, match="unknown scheme"):
+            run_study(spec, tmp_path / "dd" / "rows.csv")
+        assert not (tmp_path / "dd").exists()
+
     def test_small_study_both_schemes(self, tmp_path):
         spec = StudySpec(axis="time", example="sine-gordon", scheme="both",
-                         alphas=(1.5,), taus=(0.1,), hs=(0.5,), t_final=0.4)
+                         alphas=(1.5,), steps=(0.1,), fixed=0.5, t_final=0.4)
         out = tmp_path / "study.csv"
         rows = run_study(spec, output_path=out)
         # one tau entry still needs the companion half-step run: 1 row/scheme
@@ -382,27 +396,27 @@ class TestRunStudy:
         assert first[4] == ""  # no order on the leading row
 
     def test_rows_ordered_scheme_alpha_step(self):
-        spec = StudySpec(axis="time", alphas=(1.9, 1.3), taus=(0.2, 0.1),
-                         hs=(0.5,), t_final=0.4, scheme="sadi",
+        spec = StudySpec(axis="time", alphas=(1.9, 1.3), steps=(0.2, 0.1),
+                         fixed=0.5, t_final=0.4, scheme="sadi",
                          example="sine-gordon")
         rows = run_study(spec)
         assert [(r.alpha, r.step) for r in rows] == [
             (1.9, 0.2), (1.9, 0.1), (1.3, 0.2), (1.3, 0.1)]
 
 
-# The study defaults of each (example, axis) as (taus, hs, t_final): the
+# The study defaults of each (example, axis) as (steps, fixed, t_final): the
 # paper's tables 3 and 4 for the cubic model, and for the ring model, which
 # "zero" shares, the lists the study commands have always run.
 _RING_DEFAULTS = {
-    "time": (tuple(0.1 / 2**k for k in range(4)), (0.025,), 5.0),
-    "space": ((0.01,), tuple(1.0 / 2**k for k in range(4)), 5.0),
+    "time": (tuple(0.1 / 2**k for k in range(4)), 0.025, 5.0),
+    "space": (tuple(1.0 / 2**k for k in range(4)), 0.01, 5.0),
 }
 STUDY_DEFAULTS = {
     "sine-gordon": _RING_DEFAULTS,
     "zero": _RING_DEFAULTS,
     "klein-gordon": {
-        "time": ((4 / 25, 2 / 25, 1 / 25, 1 / 50), (1 / 50,), 8.0),
-        "space": ((1 / 125,), (2 / 5, 1 / 5, 1 / 10, 1 / 20), 8.0),
+        "time": ((4 / 25, 2 / 25, 1 / 25, 1 / 50), 1 / 50, 8.0),
+        "space": ((2 / 5, 1 / 5, 1 / 10, 1 / 20), 1 / 125, 8.0),
     },
 }
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -413,7 +427,7 @@ class TestPublishedTables:
     @pytest.mark.parametrize("example", list(STUDY_DEFAULTS))
     def test_spec_defaults_are_the_published_tables(self, example, axis):
         spec = _spec_defaults(StudySpec(axis=axis, example=example))
-        assert (spec.taus, spec.hs, spec.t_final) == STUDY_DEFAULTS[example][axis]
+        assert (spec.steps, spec.fixed, spec.t_final) == STUDY_DEFAULTS[example][axis]
 
     def test_table_script_resolves_to_its_docstring(self, tmp_path, monkeypatch):
         path = SCRIPTS / "reproduce_tables.py"
@@ -438,10 +452,11 @@ class TestPublishedTables:
         for num, model, axis, fixed, fixed_v, varied, first, last, t in listed:
             spec = seen[f"table{num}"]
             assert (spec.example, spec.axis) == (models[model], axis)
-            steps = {"tau": spec.taus, "h": spec.hs}
-            assert steps[fixed] == (parse_number(fixed_v),)
-            assert steps[varied][0] == parse_number(first)
-            assert steps[varied][-1] == parse_number(last)
+            assert {"time": ("h", "tau"), "space": ("tau", "h")}[axis] == (
+                fixed, varied)
+            assert spec.fixed == parse_number(fixed_v)
+            assert spec.steps[0] == parse_number(first)
+            assert spec.steps[-1] == parse_number(last)
             assert spec.t_final == float(t)
 
 
