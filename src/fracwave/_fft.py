@@ -3,7 +3,8 @@
 Two concerns are centralized here:
 
 * a process-wide worker count so the CLI ``--threads`` flag reaches every
-  transform without threading state through each call site, and
+  transform without threading state through each call site (``solve`` and
+  the studies set it for their own duration with ``fft_workers``), and
 * an optional transform counter used by tests to assert FFT budgets
   (the fast Toeplitz solve must cost exactly four FFTs of length
   next_fast_len(N)).
@@ -15,6 +16,7 @@ unnormalized and the inverse carries the 1/N factor (numpy/scipy default).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import scipy.fft as _sfft
@@ -32,6 +34,19 @@ def set_fft_workers(workers: int) -> None:
         raise ValidationError(
             f"FFT worker count must lie in [1, {cap}] (the CPU count), got {workers}")
     _WORKERS = int(workers)
+
+
+@contextmanager
+def fft_workers(workers: int):
+    """Set the FFT worker count for the body of a ``with`` block and restore
+    the previous count on exit, whether the body returns or raises."""
+    global _WORKERS
+    previous = _WORKERS
+    set_fft_workers(workers)
+    try:
+        yield
+    finally:
+        _WORKERS = previous
 
 
 @dataclass

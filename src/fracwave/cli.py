@@ -280,86 +280,87 @@ def _cmd_solve(args) -> int:
     m_steps = _steps_for(t_final, tau)
     plan = _snapshot_steps(args.snapshots, tau, m_steps)
     check_scales(problem, grid, tau)
-    _fft.set_fft_workers(args.threads)
-    (outdir / args.summary).parent.mkdir(parents=True, exist_ok=True)
-    if plan:
-        (outdir / f"{args.prefix}_t").parent.mkdir(parents=True, exist_ok=True)
-    log.info("solve: %s alpha=%g scheme=%s N=%d h=%g tau=%g steps=%d",
-             problem.label, problem.alpha, args.scheme, grid.n, grid.h, tau, m_steps)
+    with _fft.fft_workers(args.threads):
+        (outdir / args.summary).parent.mkdir(parents=True, exist_ok=True)
+        if plan:
+            (outdir / f"{args.prefix}_t").parent.mkdir(parents=True, exist_ok=True)
+        log.info("solve: %s alpha=%g scheme=%s N=%d h=%g tau=%g steps=%d",
+                 problem.label, problem.alpha, args.scheme, grid.n, grid.h, tau,
+                 m_steps)
 
-    t0 = time.perf_counter()
-    ops = build_operators(problem, grid, tau)
-    build_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        ops = build_operators(problem, grid, tau)
+        build_seconds = time.perf_counter() - t0
 
-    def write_snap(field_values: np.ndarray, label: str, t_actual: float) -> None:
-        surf = apply_surface(args.surface, field_values)
-        base = outdir / f"{args.prefix}_t{label}"
-        if args.snapshot_format == "csv":
-            write_snapshot_csv(f"{base}.csv", surf)
-        else:
-            write_snapshot_raw(base, surf, h=grid.h, t=t_actual,
-                               alpha=problem.alpha, kappa=problem.kappa,
-                               nonlinearity=str(problem.nonlinearity),
-                               surface=args.surface)
+        def write_snap(field_values: np.ndarray, label: str, t_actual: float) -> None:
+            surf = apply_surface(args.surface, field_values)
+            base = outdir / f"{args.prefix}_t{label}"
+            if args.snapshot_format == "csv":
+                write_snapshot_csv(f"{base}.csv", surf)
+            else:
+                write_snapshot_raw(base, surf, h=grid.h, t=t_actual,
+                                   alpha=problem.alpha, kappa=problem.kappa,
+                                   nonlinearity=str(problem.nonlinearity),
+                                   surface=args.surface)
 
-    if 0 in plan:
-        u0 = problem.initial_fields(grid)[0]
-        write_snap(u0, plan[0], 0.0)
+        if 0 in plan:
+            u0 = problem.initial_fields(grid)[0]
+            write_snap(u0, plan[0], 0.0)
 
-    track_energy = problem.nonlinearity == "zero"
-    energies: list[float] = []
+        track_energy = problem.nonlinearity == "zero"
+        energies: list[float] = []
 
-    def recorder(state) -> None:
-        if track_energy:
-            energies.append(discrete_energy(state, ops, args.scheme))
-        label = plan.get(state.step_index)
-        if label is not None:
-            write_snap(state.u_curr, label, state.time)
+        def recorder(state) -> None:
+            if track_energy:
+                energies.append(discrete_energy(state, ops, args.scheme))
+            label = plan.get(state.step_index)
+            if label is not None:
+                write_snap(state.u_curr, label, state.time)
 
-    state, info = run(problem, grid, tau, m_steps, scheme=args.scheme,
-                      recorder=recorder, ops=ops)
-    info.setup_seconds += build_seconds  # run timed the solver build
+        state, info = run(problem, grid, tau, m_steps, scheme=args.scheme,
+                          recorder=recorder, ops=ops)
+        info.setup_seconds += build_seconds  # run timed the solver build
 
-    u = state.u_curr
-    lines = [
-        f"problem = {problem.label}",
-        f"nonlinearity = {problem.nonlinearity if isinstance(problem.nonlinearity, str) else 'custom'}",
-        f"alpha = {problem.alpha:g}",
-        f"kappa = {problem.kappa:g}",
-        f"domain = ({problem.a:g}, {problem.b:g})",
-        f"scheme = {args.scheme}",
-        f"n = {grid.n}",
-        f"h = {grid.h:.12g}",
-        f"tau = {tau:.12g}",
-        f"steps = {m_steps}",
-        f"t_final = {state.time:.12g}",
-        f"final_max_abs = {float(np.max(np.abs(u))):.12e}",
-        f"final_l2h_norm = {np.sqrt(inner_product('l2', u, u, ops)):.12e}",
-        f"final_energy_seminorm = {np.sqrt(max(inner_product('A', u, u, ops), 0.0)):.12e}",
-        f"snapshots_written = {len(plan)}",
-    ]
-    if track_energy and energies:
-        trace = EnergyTrace(np.asarray(energies))
-        lines += [
-            f"energy_first = {trace.values[0]:.12e}",
-            f"energy_last = {trace.values[-1]:.12e}",
-            f"energy_relative_drift = {trace.relative_drift():.3e}",
+        u = state.u_curr
+        lines = [
+            f"problem = {problem.label}",
+            f"nonlinearity = {problem.nonlinearity if isinstance(problem.nonlinearity, str) else 'custom'}",
+            f"alpha = {problem.alpha:g}",
+            f"kappa = {problem.kappa:g}",
+            f"domain = ({problem.a:g}, {problem.b:g})",
+            f"scheme = {args.scheme}",
+            f"n = {grid.n}",
+            f"h = {grid.h:.12g}",
+            f"tau = {tau:.12g}",
+            f"steps = {m_steps}",
+            f"t_final = {state.time:.12g}",
+            f"final_max_abs = {float(np.max(np.abs(u))):.12e}",
+            f"final_l2h_norm = {np.sqrt(inner_product('l2', u, u, ops)):.12e}",
+            f"final_energy_seminorm = {np.sqrt(max(inner_product('A', u, u, ops), 0.0)):.12e}",
+            f"snapshots_written = {len(plan)}",
         ]
-    if info.pcg_solves:
+        if track_energy and energies:
+            trace = EnergyTrace(np.asarray(energies))
+            lines += [
+                f"energy_first = {trace.values[0]:.12e}",
+                f"energy_last = {trace.values[-1]:.12e}",
+                f"energy_relative_drift = {trace.relative_drift():.3e}",
+            ]
+        if info.pcg_solves:
+            lines += [
+                f"pcg_solves = {info.pcg_solves}",
+                f"pcg_total_iterations = {info.pcg_total_iterations}",
+                f"pcg_max_iterations = {info.pcg_max_iterations}",
+            ]
         lines += [
-            f"pcg_solves = {info.pcg_solves}",
-            f"pcg_total_iterations = {info.pcg_total_iterations}",
-            f"pcg_max_iterations = {info.pcg_max_iterations}",
+            f"# timing setup_seconds = {info.setup_seconds:.4f}",
+            f"# timing loop_seconds = {info.loop_seconds:.4f}",
+            f"# timing total_seconds = {info.total_seconds:.4f}",
         ]
-    lines += [
-        f"# timing setup_seconds = {info.setup_seconds:.4f}",
-        f"# timing loop_seconds = {info.loop_seconds:.4f}",
-        f"# timing total_seconds = {info.total_seconds:.4f}",
-    ]
-    report = "\n".join(lines) + "\n"
-    (outdir / args.summary).write_text(report)
-    sys.stdout.write(report)
-    return EXIT_OK
+        report = "\n".join(lines) + "\n"
+        (outdir / args.summary).write_text(report)
+        sys.stdout.write(report)
+        return EXIT_OK
 
 
 def _cmd_study(args) -> int:

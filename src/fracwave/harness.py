@@ -35,10 +35,13 @@ M the scheme's implicit operator: (I + c delta_x)(I + c delta_y) for sadi,
 I + c L for nonadi. ``discrete_energy`` evaluates this form with the M that
 ``stepper.lookup_scheme`` gives for the scheme name, the operator nonadi's
 PCG solves with; it builds no solver. The pairing h^2 (A w^n, w^{n+1})
-comes with the states of a run (``SchemeState.a_pair``, from the apply the
-step made), so a call costs two 1D Toeplitz sweeps and no BTTB apply for
-sadi, and one BTTB apply for nonadi. On a state built by hand it costs one
-more apply for the pairing.
+comes with the states of a run that applied A to w^n (``SchemeState.a_pair``:
+every sadi step, and the first baseline step), and sadi's M (w^{n+1} - w^n)
+with sadi states (``SchemeState.m_du``, summed from the steps' right-hand
+sides). So a sadi energy of a sadi run state costs two inner products and
+no Toeplitz product or BTTB apply. Any other call applies M to dt: two 1D
+Toeplitz products for sadi, one BTTB apply for nonadi; a state without the
+pairing costs one more BTTB apply.
 """
 
 from __future__ import annotations
@@ -122,10 +125,17 @@ def discrete_energy(
     """Evaluate the energy ``scheme`` conserves for g = 0 on the level pair
     held by ``state``: H_n^2 for sadi, E_n for nonadi, both as
     (M dt, dt) + kappa (A u^{n+1}, u^n) with M the scheme's implicit operator.
-    The pairing is the state's ``a_pair`` when it carries one."""
-    dt = (state.u_curr - state.u_prev) / ops.tau_step
-    m_dt = lookup_scheme(scheme).apply_m(ops, dt)
-    energy = inner_product("l2", m_dt, dt, ops)
+    The pairing is the state's ``a_pair`` when it carries one; the sadi
+    energy reads M (u^{n+1} - u^n) off the state's ``m_du`` when it carries
+    one, and any other call applies M."""
+    impl = lookup_scheme(scheme)
+    du = state.u_curr - state.u_prev
+    if scheme == "sadi" and state.m_du is not None:
+        tau2 = ops.tau_step * ops.tau_step
+        energy = inner_product("l2", state.m_du, du, ops) / tau2
+    else:
+        dt = du / ops.tau_step
+        energy = inner_product("l2", impl.apply_m(ops, dt), dt, ops)
     a_pair = state.a_pair
     if a_pair is None:
         a_pair = inner_product("A", state.u_prev, state.u_curr, ops)
@@ -328,31 +338,32 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     step). Every scheme is looked up, every alpha's problem built and every
     run planned and checked (its grid, operator scales and step count)
     before the output file's directory is made, and that before the first
-    run.
+    run. The FFT worker count is ``spec.threads`` for the call and returns
+    to its previous value after it, refused or not.
     """
     spec = _spec_defaults(spec)
-    _fft.set_fft_workers(spec.threads)
-    schemes = SCHEME_NAMES if spec.scheme == "both" else (spec.scheme,)
-    for scheme in schemes:
-        lookup_scheme(scheme)
-    if not spec.alphas:
-        raise ValidationError("alpha list must not be empty")
+    with _fft.fft_workers(spec.threads):
+        schemes = SCHEME_NAMES if spec.scheme == "both" else (spec.scheme,)
+        for scheme in schemes:
+            lookup_scheme(scheme)
+        if not spec.alphas:
+            raise ValidationError("alpha list must not be empty")
 
-    cells = []
-    for alpha in spec.alphas:
-        problem = example_problem(spec.example, alpha, kappa=spec.kappa)
-        cells.append((problem, _plan_runs(problem, spec.axis, spec.steps,
-                                          spec.fixed, spec.t_final)))
-    if output_path is not None:
-        Path(output_path).parent.mkdir(parents=True, exist_ok=True)
+        cells = []
+        for alpha in spec.alphas:
+            problem = example_problem(spec.example, alpha, kappa=spec.kappa)
+            cells.append((problem, _plan_runs(problem, spec.axis, spec.steps,
+                                              spec.fixed, spec.t_final)))
+        if output_path is not None:
+            Path(output_path).parent.mkdir(parents=True, exist_ok=True)
 
-    rows: list[StudyRow] = []
-    for scheme in schemes:
-        for problem, plan in cells:
-            rows.extend(_refinement_rows(problem, scheme, spec.steps, *plan))
-    if output_path is not None:
-        write_rows_csv(output_path, rows)
-    return rows
+        rows: list[StudyRow] = []
+        for scheme in schemes:
+            for problem, plan in cells:
+                rows.extend(_refinement_rows(problem, scheme, spec.steps, *plan))
+        if output_path is not None:
+            write_rows_csv(output_path, rows)
+        return rows
 
 
 CSV_HEADER = ("scheme", "alpha", "step", "error", "order",

@@ -109,7 +109,13 @@ class SchemeState:
     the next solve takes for its preconditioned warm-start residual. Each
     is None where no step made it: the energy then applies L for its
     pairing, ``nonadi_step`` refuses a state without M u, and a solve
-    without P^{-1} M u applies P^{-1} for it.
+    without P^{-1} M u applies P^{-1} for it. ``m_du`` is sadi's
+    M (u_curr - u_prev), M = (I + c delta_x)(I + c delta_y), a compact
+    N x N field: every sadi step solves M hat{u} = B(u^n), so it is the
+    first step's right-hand side and then B(u^n) plus the previous level's
+    m_du, formed with no apply. The sadi energy reads it instead of
+    applying M; it is None on baseline states and on a sadi step from a
+    state without it.
     """
 
     u_prev: np.ndarray
@@ -121,6 +127,7 @@ class SchemeState:
     m_prev: np.ndarray | None = None
     m_curr: np.ndarray | None = None
     pinv_m_curr: np.ndarray | None = None
+    m_du: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,23 +240,24 @@ def rhs_general(
     """Right-hand side B(u) = -tau^2 kappa L u + tau^2 g(u) of the general
     step, and the L u it applied; the first step uses tau phi2 + B(u^0) / 2."""
     tau2 = ops.tau_step * ops.tau_step
+    lap_u = ops.lap.apply(u)  # first, so no g(u) field lives through the apply
     out = tau2 * g(u)
-    lap_u = ops.lap.apply(u)
     out -= (tau2 * ops.kappa) * lap_u
     return out, lap_u
 
 
 def _hand_over(ops: StepOperators, u_prev: np.ndarray, u_curr: np.ndarray,
                lap_u_prev: np.ndarray | None, step_index: int,
-               **nonadi) -> SchemeState:
+               **carried) -> SchemeState:
     """The state at ``step_index``: a step that made L u_prev hands on the
-    energy pairing h^2 (L u_prev, u_curr). ``nonadi`` holds the baseline's
-    ``pcg_iterations``, ``m_prev``, ``m_curr`` and ``pinv_m_curr``."""
+    energy pairing h^2 (L u_prev, u_curr). ``carried`` holds sadi's
+    ``m_du``, or the baseline's ``pcg_iterations``, ``m_prev``, ``m_curr``
+    and ``pinv_m_curr``."""
     h = ops.grid.h
     a_pair = (None if lap_u_prev is None
               else h * h * float(np.vdot(lap_u_prev, u_curr).real))
     return SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=step_index,
-                       time=step_index * ops.tau_step, a_pair=a_pair, **nonadi)
+                       time=step_index * ops.tau_step, a_pair=a_pair, **carried)
 
 
 def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
@@ -274,12 +282,14 @@ def _sadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
 
 
 def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> SchemeState:
-    """Advance the initial data to the first time level."""
+    """Advance the initial data to the first time level. The right-hand
+    side tau phi2 + B(u^0) / 2 is M (u^1 - u^0), handed on as ``m_du``."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(grid)
     b0, lap_u0 = rhs_general(u0, ops, g)
-    u1 = u0 + adi_solve(ops, 0.5 * b0 + ops.tau_step * phi2_field)
-    return _hand_over(ops, u0, u1, lap_u0, 1)
+    rhs = 0.5 * b0 + ops.tau_step * phi2_field
+    u1 = u0 + adi_solve(ops, rhs)
+    return _hand_over(ops, u0, u1, lap_u0, 1, m_du=rhs)
 
 
 def sadi_step(
@@ -287,10 +297,21 @@ def sadi_step(
     ops: StepOperators,
     g: Callable[[np.ndarray], np.ndarray],
 ) -> SchemeState:
-    """One general step: solve for the second difference and shift levels."""
+    """One general step: solve for the second difference and shift levels.
+
+    M (u^{n+1} - u^n) = B(u^n) + M (u^n - u^{n-1}), so the step hands on
+    ``m_du`` with one addition; from a state without it (built by hand, or
+    by the baseline) it hands on None. u^{n+1} is formed in the solve's
+    output and B(u^n) is released before the hand-over, so the carried
+    field adds no peak memory."""
     b, lap_curr = rhs_general(state.u_curr, ops, g)
-    u_next = adi_solve(ops, b) + 2.0 * state.u_curr - state.u_prev
-    return _hand_over(ops, state.u_curr, u_next, lap_curr, state.step_index + 1)
+    u_next = adi_solve(ops, b)
+    u_next += 2.0 * state.u_curr
+    u_next -= state.u_prev
+    m_du = None if state.m_du is None else b + state.m_du
+    del b
+    return _hand_over(ops, state.u_curr, u_next, lap_curr, state.step_index + 1,
+                      m_du=m_du)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,20 @@ class TestExitCodes:
         assert main(argv + ["--out-dir", str(tmp_path)]) == 5
         assert calls == []
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="needs two CPUs for two FFT workers")
+    @pytest.mark.parametrize("argv, code", [
+        (SOLVE_SMALL, 0),
+        (SOLVE_SMALL + ["--summary", "{file}/s.txt"], 5),
+    ], ids=["solve", "solve-refused"])
+    def test_fft_worker_count_restored(self, argv, code, tmp_path):
+        blocker = tmp_path / "occupied"
+        blocker.write_text("not a directory")
+        argv = [a.replace("{file}", str(blocker)) for a in argv]
+        assert _fft._WORKERS == 1
+        assert main(argv + ["--threads", "2", "--out-dir", str(tmp_path)]) == code
+        assert _fft._WORKERS == 1
+
     def test_missing_output_directories_made(self, tmp_path):
         rc = main(SOLVE_SMALL + ["--summary", "runs/s.txt", "--prefix",
                                  "snaps/deep/snap", "--snapshots", "0.4",

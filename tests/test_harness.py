@@ -1,6 +1,7 @@
 """Discrete norms, energy functionals, refinement studies, CSV I/O."""
 
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 import _oracles as oracle
 import fracwave.harness as harness
+from fracwave import _fft
 from fracwave.errors import ValidationError
 from fracwave.harness import (
     CSV_HEADER,
@@ -29,7 +31,7 @@ from fracwave.harness import (
     write_rows_csv,
 )
 from fracwave.problems import Grid2D, Problem, example_problem
-from fracwave.stepper import SchemeState, build_operators, run
+from fracwave.stepper import SCHEME_NAMES, SchemeState, build_operators, run
 
 
 def small_problem(alpha=1.5, nonlinearity="zero", amp=1.0):
@@ -182,27 +184,41 @@ class TestEnergy:
         discrete_energy(state, ops, scheme)
         assert len(bttb_calls) == applies
 
+    @pytest.mark.parametrize("scheme, products", [("sadi", 2), ("nonadi", 0)])
+    def test_toeplitz_products_per_call(self, scheme, products, ops6, rng,
+                                        toeplitz_calls):
+        # nor does a state built by hand carry sadi's M du, which two
+        # Toeplitz products make
+        _, _, ops = ops6
+        u_prev, u_curr = rng.standard_normal((2, 6, 6))
+        state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
+        discrete_energy(state, ops, scheme)
+        assert len(toeplitz_calls) == products
+
     @pytest.mark.parametrize("scheme, applies", [("sadi", 0), ("nonadi", 2)])
     def test_bttb_applies_on_run_states(self, scheme, applies, ops6,
-                                        bttb_calls):
-        # sadi states carry the pairing from the step's own apply of L u^n;
-        # a general baseline step makes none, so its energy makes the
-        # pairing (the first step's L u^0 gives one). Either way a baseline
-        # step and its energy apply L twice plus once per PCG iteration.
+                                        bttb_calls, toeplitz_calls):
+        # sadi states carry the pairing from the step's own apply of L u^n
+        # and M du from the step's right-hand sides, so their energy makes
+        # neither an apply nor a Toeplitz product; a general baseline step
+        # makes no pairing, so its energy makes it (the first step's L u^0
+        # gives one). Either way a baseline step and its energy apply L
+        # twice plus once per PCG iteration.
         problem, grid, ops = ops6
         counts = []
 
         def recorder(state):
-            before = len(bttb_calls)
+            before = len(bttb_calls), len(toeplitz_calls)
             discrete_energy(state, ops, scheme)
-            counts.append(len(bttb_calls) - before)
+            counts.append((len(bttb_calls) - before[0],
+                           len(toeplitz_calls) - before[1]))
 
         _, info = run(problem, grid, ops.tau_step, 4, scheme=scheme, ops=ops,
                       recorder=recorder)
         if scheme == "sadi":
-            assert counts == [applies] * 4
+            assert counts == [(applies, 0)] * 4
         else:
-            assert counts == [1] + [applies] * 3
+            assert counts == [(1, 0)] + [(applies, 0)] * 3
             assert len(bttb_calls) == 2 * 4 + info.pcg_total_iterations
 
     @pytest.mark.parametrize("scheme", ["sadi", "nonadi"])
@@ -222,8 +238,12 @@ class TestEnergy:
                 assert state.a_pair == pytest.approx(pair, rel=1e-14, abs=0.0)
             by_hand = SchemeState(u_prev=state.u_prev, u_curr=state.u_curr,
                                   step_index=state.step_index, time=state.time)
-            assert discrete_energy(state, ops, scheme) == pytest.approx(
-                discrete_energy(by_hand, ops, scheme), rel=1e-14, abs=0.0)
+            # each scheme's energy of the other's states too: sadi's reads
+            # its M du off sadi states only, and applies it otherwise
+            for energy_scheme in SCHEME_NAMES:
+                assert discrete_energy(state, ops, energy_scheme) == \
+                    pytest.approx(discrete_energy(by_hand, ops, energy_scheme),
+                                  rel=1e-14, abs=0.0)
 
     def test_trace_drift_metric(self):
         t = EnergyTrace(values=np.array([2.0, 2.0, 2.0]))
@@ -378,6 +398,17 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match="unknown scheme"):
             run_study(spec, tmp_path / "dd" / "rows.csv")
         assert not (tmp_path / "dd").exists()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="needs two CPUs for two FFT workers")
+    def test_fft_worker_count_restored_after_a_refusal(self):
+        spec = StudySpec(axis="time", example="zero", scheme="magic",
+                         alphas=(1.5,), steps=(0.2,), fixed=4.0, t_final=0.4,
+                         threads=2)
+        assert _fft._WORKERS == 1
+        with pytest.raises(ValidationError, match="unknown scheme"):
+            run_study(spec)
+        assert _fft._WORKERS == 1
 
     def test_small_study_both_schemes(self, tmp_path):
         spec = StudySpec(axis="time", example="sine-gordon", scheme="both",
