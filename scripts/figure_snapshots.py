@@ -18,6 +18,7 @@ import argparse
 import sys
 
 from fracwave.cli import main as fracwave_main
+from fracwave.snapshots import SURFACE_NAMES
 
 RING_TIMES = "1.25,2.5,3.75,5"
 CUBIC_TIMES = "2,4,6,8"
@@ -28,7 +29,7 @@ def main(argv=None) -> int:
     ap.add_argument("--figure", choices=["ring", "cubic", "all"],
                     default="all")
     ap.add_argument("--alphas", default="1.1,1.5,1.9")
-    ap.add_argument("--surface", choices=["u", "sin_u", "sin_half_u"],
+    ap.add_argument("--surface", choices=SURFACE_NAMES,
                     default="sin_half_u",
                     help="surface transform for the ring figure")
     ap.add_argument("--format", choices=["csv", "raw"], default="raw")

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from fracwave.harness import StudySpec, parse_number_list, run_study
+from fracwave.stepper import SCHEME_NAMES
 
 TABLES = {"1": ("sine-gordon", "time"), "2": ("sine-gordon", "space"),
           "3": ("klein-gordon", "time"), "4": ("klein-gordon", "space")}
@@ -38,10 +39,9 @@ def echo(rows) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--table", choices=[*TABLES, "all"], default="all")
-    ap.add_argument("--scheme", choices=["sadi", "nonadi", "both"],
+    ap.add_argument("--scheme", choices=SCHEME_NAMES + ("both",),
                     default="both")
-    ap.add_argument("--alphas", type=parse_number_list,
-                    default=(1.1, 1.5, 1.9))
+    ap.add_argument("--alphas", type=parse_number_list)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="tables")
     args = ap.parse_args(argv)
@@ -52,7 +52,9 @@ def main(argv=None) -> int:
     for name in names:
         example, axis = TABLES[name]
         spec = StudySpec(axis=axis, example=example, scheme=args.scheme,
-                         alphas=tuple(args.alphas), threads=args.threads)
+                         alphas=(StudySpec.alphas if args.alphas is None
+                                 else args.alphas),
+                         threads=args.threads)
         out = outdir / f"table{name}.csv"
         print(f"== table {name} -> {out}")
         rows = run_study(spec, out)

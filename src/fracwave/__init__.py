@@ -4,8 +4,8 @@ The package is organized as a small stack:
 
 * :mod:`fracwave.coeffs`      difference coefficients (1D Riesz, 2D fractional
   Laplacian) and their quadrature oracle
-* :mod:`fracwave.structured`  Toeplitz/BTTB kernels, the structured Toeplitz
-  inverse, the 2D sine-transform preconditioner, PCG
+* :mod:`fracwave.structured`  the structured Toeplitz inverse, BTTB
+  operators, the 2D sine-transform preconditioner, PCG
 * :mod:`fracwave.problems`    problem statements, grids, nonlinearities
 * :mod:`fracwave.stepper`     the factored splitting scheme and the unfactored
   baseline
@@ -45,7 +45,6 @@ from .structured import (
     BttbOperator,
     GSData,
     PcgReport,
-    SymToeplitz,
     bttb_apply,
     bttb_build,
     gs_precompute,
@@ -60,9 +59,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "BttbOperator", "EnergyTrace", "GSData", "Grid2D",
     "PcgReport", "Problem", "RunInfo", "SchemeState", "SolverError",
-    "StepOperators", "StudyRow", "StudySpec", "SymToeplitz",
-    "ValidationError", "adi_solve", "apply_surface", "bttb_apply",
-    "bttb_build", "build_operators", "coeff_quadrature_oracle",
+    "StepOperators", "StudyRow", "StudySpec", "ValidationError",
+    "adi_solve", "apply_surface", "bttb_apply", "bttb_build",
+    "build_operators", "coeff_quadrature_oracle",
     "discrete_energy", "example_problem", "gs_precompute", "gs_solve",
     "inner_product", "laplacian_coeffs_2d", "nonadi_first_step",
     "nonadi_step", "pcg", "refinement_rows", "rhs_general",

@@ -39,9 +39,9 @@ comes with the states of a run that applied A to w^n (``SchemeState.a_pair``:
 every sadi step, and the first baseline step), and sadi's M (w^{n+1} - w^n)
 with sadi states (``SchemeState.m_du``, summed from the steps' right-hand
 sides). So a sadi energy of a sadi run state costs two inner products and
-no Toeplitz product or BTTB apply. Any other call applies M to dt: two 1D
-Toeplitz products for sadi, one BTTB apply for nonadi; a state without the
-pairing costs one more BTTB apply.
+no BTTB apply. Any other call applies M to dt by one BTTB apply: sadi's M
+is the operator ``StepOperators.sadi_m``, built on that first apply, and
+nonadi's applies L. A state without the pairing costs one more BTTB apply.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def inner_product(kind: str, w1: np.ndarray, w2: np.ndarray, ops: StepOperators)
     elif kind == "A":
         tw1 = ops.lap.apply(w1)
     elif kind == "A_tilde":
-        tw1 = ops.delta_x(w1) + ops.delta_y(w1)
+        tw1 = ops.a_tilde.apply(w1)
     else:
         raise ValidationError(f"unknown norm kind {kind!r}; kinds: {NORM_KINDS}")
     h = ops.grid.h

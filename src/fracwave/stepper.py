@@ -37,7 +37,9 @@ comparisons.
 steps, its implicit operator M and its solver of M (the GS inverse for
 sadi, the tau spectrum for nonadi), read from the module at each call so
 that a wrapper installed over one runs. ``run`` builds only that solver,
-in its set-up; ``build_operators`` builds what both schemes share.
+in its set-up; ``build_operators`` builds what both schemes share. sadi's
+M and the Riesz sum delta_x + delta_y are BTTB operators built on first
+apply, which no run makes.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .problems import Grid2D, Problem, resolve_nonlinearity
 from .structured import (
     BttbOperator,
     GSData,
-    SymToeplitz,
     bttb_build,
     gs_precompute,
     gs_solve,
@@ -114,8 +115,8 @@ class SchemeState:
     N x N field: every sadi step solves M hat{u} = B(u^n), so it is the
     first step's right-hand side and then B(u^n) plus the previous level's
     m_du, formed with no apply. The sadi energy reads it instead of
-    applying M; it is None on baseline states and on a sadi step from a
-    state without it.
+    applying M (``StepOperators.sadi_m``, built on first apply); it is None
+    on baseline states and on a sadi step from a state without it.
     """
 
     u_prev: np.ndarray
@@ -134,21 +135,23 @@ class SchemeState:
 class StepOperators:
     """The operators of the steps and norms, built for one (problem, grid, tau).
 
-    ``riesz`` is T, the h^{-alpha}-scaled symmetric Toeplitz matrix of 1D
-    Riesz weights: delta_x applies it along axis 0, delta_y along axis 1.
-    ``lap`` applies the plain discrete fractional Laplacian h^{-alpha}
-    scaling included, kappa NOT included (kappa enters at the use sites).
-    ``factor`` is tau^2 kappa h^{-alpha} / 2 and ``sweep_col`` the first
-    column of H = I + (tau^2 kappa / 2) T. ``alpha``, ``kappa``, ``grid``
-    and ``tau_step`` record what the operators were built for. The two
-    schemes' solvers, ``gs`` and ``tau2d``, are built on first use.
+    ``riesz_weights`` are the h^{-alpha}-scaled 1D Riesz weights, the first
+    column of the symmetric Toeplitz matrix T that delta_x applies along
+    axis 0 and delta_y along axis 1. ``lap`` applies the plain discrete
+    fractional Laplacian h^{-alpha} scaling included, kappa NOT included
+    (kappa enters at the use sites). ``factor`` is tau^2 kappa h^{-alpha} / 2
+    and ``sweep_col`` the first column of H = I + (tau^2 kappa / 2) T.
+    ``alpha``, ``kappa``, ``grid`` and ``tau_step`` record what the
+    operators were built for. The two schemes' solvers, ``gs`` and
+    ``tau2d``, and the BTTB operators ``sadi_m`` and ``a_tilde``, which
+    only an energy or a norm applies, are built on first use.
     """
 
     tau_step: float
     alpha: float
     kappa: float
     grid: Grid2D
-    riesz: SymToeplitz
+    riesz_weights: np.ndarray
     lap: BttbOperator
     factor: float
     sweep_col: np.ndarray
@@ -164,16 +167,28 @@ class StepOperators:
         eigenvalues in the 2D sine basis."""
         return tau_spec_2d(self.alpha, self.grid.n, self.factor)
 
+    @cached_property
+    def sadi_m(self) -> BttbOperator:
+        """sadi's implicit operator (I + c delta_x)(I + c delta_y) = H x H,
+        the BTTB operator with entries H_{|i-p|} H_{|j-q|}."""
+        return bttb_build(np.outer(self.sweep_col, self.sweep_col), self.grid.n)
+
+    @cached_property
+    def a_tilde(self) -> BttbOperator:
+        """The separable Riesz sum delta_x + delta_y: the BTTB operator whose
+        quadrant holds the weights down column 0 and along row 0 (2 T_0 at
+        the centre) and zeros elsewhere."""
+        n, weights = self.grid.n, self.riesz_weights
+        quadrant = np.zeros((n, n))
+        quadrant[:, 0] = weights
+        quadrant[0, :] = weights
+        quadrant[0, 0] *= 2.0
+        return bttb_build(quadrant, n)
+
     @property
     def c(self) -> float:
         """c = tau^2 kappa / 2, the weight of the implicit operators."""
         return 0.5 * self.tau_step * self.tau_step * self.kappa
-
-    def delta_x(self, w: np.ndarray) -> np.ndarray:
-        return self.riesz.matvec(w)
-
-    def delta_y(self, w: np.ndarray) -> np.ndarray:
-        return self.riesz.matvec(w.T).T
 
 
 def check_scales(problem: Problem, grid: Grid2D,
@@ -214,7 +229,6 @@ def build_operators(
     """Generate the coefficients and the operators both schemes use."""
     h_alpha, factor = check_scales(problem, grid, tau_step)
     weights = riesz_coeffs_1d(problem.alpha, grid.n)
-    riesz_col = h_alpha * weights
     first_col = factor * weights
     quadrant = laplacian_coeffs_2d(problem.alpha, grid.n)
     lap = bttb_build(quadrant, grid.n, scale=h_alpha)
@@ -225,7 +239,7 @@ def build_operators(
         alpha=problem.alpha,
         kappa=problem.kappa,
         grid=grid,
-        riesz=SymToeplitz(riesz_col),
+        riesz_weights=h_alpha * weights,
         lap=lap,
         factor=factor,
         sweep_col=first_col,
@@ -276,9 +290,9 @@ def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
 
 
 def _sadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
-    """sadi's implicit operator: (I + c delta_x)(I + c delta_y) v."""
-    w = v + ops.c * ops.delta_y(v)
-    return w + ops.c * ops.delta_x(w)
+    """sadi's implicit operator: (I + c delta_x)(I + c delta_y) v, one
+    apply of the BTTB ``ops.sadi_m``."""
+    return ops.sadi_m.apply(v)
 
 
 def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> SchemeState:

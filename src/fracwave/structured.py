@@ -1,8 +1,8 @@
 """Structured linear algebra kernels.
 
-Everything the time steppers need reduces to three structured-matrix tools:
+Everything the time steppers and their diagnostics need reduces to three
+structured-matrix tools:
 
-* symmetric Toeplitz matvec via circulant embedding,
 * a direct solver for symmetric positive definite Toeplitz systems based on
   the Gohberg-Semencul representation of the inverse: one Levinson solve
   gives c = H^{-1} e_1, H^{-1} then factorizes into one circulant and one
@@ -14,9 +14,11 @@ Everything the time steppers need reduces to three structured-matrix tools:
   applied by pruned transforms (the N rows along axis 1, then axis 0, each
   zero-padded to L by the transform itself; the inverse passes in the
   opposite order, keeping N rows before the last one), so no L x L
-  zero-padded field is built,
-  plus a 2D sine-transform (tau algebra) preconditioner and a PCG loop
-  for the systems that are BTTB but not factorable.
+  zero-padded field is built: the fractional Laplacian, and the separable
+  operators delta_x + delta_y and (I + c delta_x)(I + c delta_y) of the
+  diagnostics, are all applied this way,
+* a 2D sine-transform (tau algebra) preconditioner and a PCG loop for the
+  systems that are BTTB but not factorable.
 
 Dense constructions live only in the test suite; all operators here are
 matrix-free.
@@ -24,7 +26,7 @@ matrix-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,7 +38,6 @@ from .coeffs import validate_alpha
 from .errors import SolverError, ValidationError
 
 __all__ = [
-    "SymToeplitz",
     "GSData",
     "BttbOperator",
     "PcgReport",
@@ -48,58 +49,6 @@ __all__ = [
     "tau_apply",
     "pcg",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Toeplitz matvec
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymToeplitz:
-    """Symmetric Toeplitz matrix stored as its first column.
-
-    Entry (i, j) equals ``first_col[|i - j|]``. The matvec embeds the matrix
-    into a circulant of FFT-friendly size >= 2N whose first column reads
-    [t_0, t_1, .., t_{N-1}, 0 .., 0, t_{N-1}, .., t_1] and keeps that
-    circulant's (real) spectrum cached.
-    """
-
-    first_col: np.ndarray
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    _length: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        col = np.asarray(self.first_col, dtype=float)
-        if col.ndim != 1 or col.shape[0] < 1:
-            raise ValidationError("first_col must be a nonempty 1D real vector")
-        n = col.shape[0]
-        length = _fft.next_fast_real_len(2 * n)
-        kernel = np.zeros(length)
-        kernel[:n] = col
-        kernel[length - n + 1:] = col[1:][::-1]
-        object.__setattr__(self, "first_col", col)
-        object.__setattr__(self, "_spectrum", _fft.rfft(kernel))
-        object.__setattr__(self, "_length", length)
-
-    @property
-    def n(self) -> int:
-        return self.first_col.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Multiply by the Toeplitz matrix; columns of a matrix input are
-        treated as independent vectors.
-
-        The columns are transformed as the contiguous rows of v.T (copied
-        unless v is F-ordered), zero-padded to the embedding length by the
-        transform itself.
-        """
-        v = np.asarray(v, dtype=float)
-        n = self.n
-        if v.shape[0] != n:
-            raise ValidationError(f"length mismatch: matrix {n}, vector {v.shape[0]}")
-        spec = _fft.rfft(np.ascontiguousarray(v.T), axis=-1, n=self._length)
-        spec *= self._spectrum
-        return _fft.irfft(spec, n=self._length, axis=-1)[..., :n].T
 
 
 # ---------------------------------------------------------------------------

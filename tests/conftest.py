@@ -38,23 +38,6 @@ def bttb_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
-def toeplitz_calls(monkeypatch) -> list:
-    """The operators of every 1D Toeplitz product made while the test
-    runs, in order."""
-    from fracwave.structured import SymToeplitz
-
-    calls = []
-    real_matvec = SymToeplitz.matvec
-
-    def counting_matvec(op, v):
-        calls.append(op)
-        return real_matvec(op, v)
-
-    monkeypatch.setattr(SymToeplitz, "matvec", counting_matvec)
-    return calls
-
-
-@pytest.fixture
 def tau_calls(monkeypatch) -> list:
     """The spectra of every preconditioner apply the baseline steps make
     while the test runs, in order."""

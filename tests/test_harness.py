@@ -174,51 +174,42 @@ class TestEnergy:
         with pytest.raises(ValidationError):
             discrete_energy(state, ops, "magic")
 
-    @pytest.mark.parametrize("scheme, applies", [("sadi", 1), ("nonadi", 2)])
+    @pytest.mark.parametrize("scheme, applies", [("sadi", 2), ("nonadi", 2)])
     def test_bttb_applies_per_call(self, scheme, applies, ops6, rng,
                                    bttb_calls):
-        # a state built by hand carries no pairing: one apply makes it
+        # a state built by hand carries neither the pairing nor sadi's
+        # M du: one apply of M and one of L make them
         _, _, ops = ops6
         u_prev, u_curr = rng.standard_normal((2, 6, 6))
         state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
         discrete_energy(state, ops, scheme)
         assert len(bttb_calls) == applies
-
-    @pytest.mark.parametrize("scheme, products", [("sadi", 2), ("nonadi", 0)])
-    def test_toeplitz_products_per_call(self, scheme, products, ops6, rng,
-                                        toeplitz_calls):
-        # nor does a state built by hand carry sadi's M du, which two
-        # Toeplitz products make
-        _, _, ops = ops6
-        u_prev, u_curr = rng.standard_normal((2, 6, 6))
-        state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
-        discrete_energy(state, ops, scheme)
-        assert len(toeplitz_calls) == products
+        assert bttb_calls[0] is (ops.sadi_m if scheme == "sadi" else ops.lap)
+        assert bttb_calls[1] is ops.lap
 
     @pytest.mark.parametrize("scheme, applies", [("sadi", 0), ("nonadi", 2)])
     def test_bttb_applies_on_run_states(self, scheme, applies, ops6,
-                                        bttb_calls, toeplitz_calls):
+                                        bttb_calls):
         # sadi states carry the pairing from the step's own apply of L u^n
         # and M du from the step's right-hand sides, so their energy makes
-        # neither an apply nor a Toeplitz product; a general baseline step
-        # makes no pairing, so its energy makes it (the first step's L u^0
-        # gives one). Either way a baseline step and its energy apply L
-        # twice plus once per PCG iteration.
+        # no apply; a general baseline step makes no pairing, so its energy
+        # makes it (the first step's L u^0 gives one). Either way a
+        # baseline step and its energy apply L twice plus once per PCG
+        # iteration.
         problem, grid, ops = ops6
         counts = []
 
         def recorder(state):
-            before = len(bttb_calls), len(toeplitz_calls)
+            before = len(bttb_calls)
             discrete_energy(state, ops, scheme)
-            counts.append((len(bttb_calls) - before[0],
-                           len(toeplitz_calls) - before[1]))
+            counts.append(len(bttb_calls) - before)
 
         _, info = run(problem, grid, ops.tau_step, 4, scheme=scheme, ops=ops,
                       recorder=recorder)
         if scheme == "sadi":
-            assert counts == [(applies, 0)] * 4
+            assert counts == [applies] * 4
         else:
-            assert counts == [(1, 0)] + [(applies, 0)] * 3
+            assert counts == [1] + [applies] * 3
             assert len(bttb_calls) == 2 * 4 + info.pcg_total_iterations
 
     @pytest.mark.parametrize("scheme", ["sadi", "nonadi"])

@@ -14,7 +14,8 @@ import pytest
 import _oracles as oracle
 from fracwave import _fft
 from fracwave.errors import BlowUpError, ValidationError
-from fracwave.harness import EnergyTrace, discrete_energy, inner_product
+from fracwave.harness import (EnergyTrace, discrete_energy, inner_product,
+                              splitting_gap)
 from fracwave.problems import Grid2D, Problem, example_problem, resolve_nonlinearity
 from fracwave.stepper import (
     SCHEME_NAMES,
@@ -165,10 +166,27 @@ class TestSadiVsDense:
         grid = Grid2D(a=problem.a, b=problem.b, n=20)
         ops = build_operators(problem, grid, 0.1)
         # H = I + c T with c > 0: the sign pattern of the stored Riesz
-        # operator T puts H's diagonal above one and its off-diagonals below 0
-        assert ops.riesz.first_col[0] > 0.0
-        assert np.all(ops.riesz.first_col[1:] < 0.0)
+        # weights (T's first column) puts H's diagonal above one and its
+        # off-diagonals below 0
+        assert ops.riesz_weights[0] > 0.0
+        assert np.all(ops.riesz_weights[1:] < 0.0)
         assert ops.gs.p1 > 0.0
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.9])
+    @pytest.mark.parametrize("tau", [0.05, 10.0])
+    def test_bttb_m_matches_dense_kronecker(self, alpha, tau, rng):
+        # sadi's M as one BTTB operator against the dense H x H; at tau = 10
+        # sweep_col[0] is 124 (alpha 1.1) to 277 (alpha 1.9), so M's centre
+        # entry is 1.5e4 to 7.6e4 and the identity in H is negligible
+        problem = gaussian_problem(alpha=alpha)
+        grid = Grid2D(a=problem.a, b=problem.b, n=13)
+        ops = build_operators(problem, grid, tau)
+        hmat = oracle.dense_sadi_system(alpha, grid.n, grid.h, tau,
+                                        problem.kappa)[0]
+        u = rng.standard_normal((grid.n, grid.n))
+        want = oracle.unvec_f(np.kron(hmat, hmat) @ oracle.vec_f(u), grid.n)
+        got = ops.sadi_m.apply(u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestNonAdiVsDense:
@@ -623,7 +641,8 @@ class TestExactTimeNonlinear:
 
 class TestSchemeSolvers:
     """Operators hold what both schemes share; a run builds its own
-    scheme's solver and not the other's."""
+    scheme's solver and not the other's, and neither of the BTTB operators
+    only the diagnostics apply."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -653,6 +672,48 @@ class TestSchemeSolvers:
         assert builds == {"gs": 0, "tau": 0}
         run(problem, grid, 0.05, 3, scheme=scheme)
         assert builds == want
+
+    @pytest.fixture
+    def bttb_builds(self, monkeypatch):
+        from fracwave import stepper
+
+        built = []
+        real_build = stepper.bttb_build
+
+        def bttb_build(quadrant, n, scale=1.0):
+            built.append(n)
+            return real_build(quadrant, n, scale)
+
+        monkeypatch.setattr(stepper, "bttb_build", bttb_build)
+        return built
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_run_builds_no_energy_operator(self, scheme, bttb_builds):
+        # the operators hold L; sadi's M and the Riesz sum are built only
+        # when an energy or a norm applies them, which a run's own-scheme
+        # energies never do
+        problem = gaussian_problem(nonlinearity="zero")
+        grid = Grid2D(a=problem.a, b=problem.b, n=10)
+        ops = build_operators(problem, grid, 0.05)
+        assert len(bttb_builds) == 1
+        run(problem, grid, 0.05, 3, scheme=scheme, ops=ops,
+            recorder=lambda s: discrete_energy(s, ops, scheme))
+        assert len(bttb_builds) == 1
+
+    def test_energy_operators_built_once_on_first_apply(self, bttb_builds,
+                                                         rng):
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=10)
+        ops = build_operators(problem, grid, 0.05)
+        u_prev, u_curr = rng.standard_normal((2, 10, 10))
+        by_hand = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
+                              time=0.05)
+        discrete_energy(by_hand, ops)
+        assert len(bttb_builds) == 2
+        discrete_energy(by_hand, ops)
+        assert len(bttb_builds) == 2
+        splitting_gap(u_curr, ops)
+        assert len(bttb_builds) == 3
 
 
 class TestUnconditionalStability:

@@ -1,16 +1,13 @@
 """Structured linear algebra against dense references.
 
-Every fast path (Toeplitz, the four-FFT inverse representation,
-block-Toeplitz application, sine-transform preconditioner, PCG) is checked
+Every fast path (the four-FFT inverse representation, block-Toeplitz
+application, sine-transform preconditioner, PCG) is checked
 against an explicit dense matrix built entry by entry.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import _oracles as oracle
 from fracwave import _fft
@@ -18,7 +15,6 @@ from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError, ValidationError
 from fracwave.structured import (
     BttbOperator,
-    SymToeplitz,
     bttb_apply,
     bttb_build,
     gs_precompute,
@@ -50,43 +46,6 @@ class TestSkewCirculant:
         assert dense[0, 2] == -1.0
         assert dense[1, 0] == 1.0
         assert dense[0, 1] == 0.0
-
-
-class TestSymToeplitz:
-    def test_matches_dense(self, rng):
-        for n in (1, 2, 7, 40):
-            col = rng.standard_normal(n)
-            v = rng.standard_normal(n)
-            got = SymToeplitz(first_col=col).matvec(v)
-            want = oracle.dense_sym_toeplitz(col) @ v
-            np.testing.assert_allclose(got, want, atol=1e-11)
-
-    def test_batched_columns(self, rng):
-        n, k = 17, 5
-        col = rng.standard_normal(n)
-        v = rng.standard_normal((n, k))
-        got = SymToeplitz(first_col=col).matvec(v)
-        want = oracle.dense_sym_toeplitz(col) @ v
-        np.testing.assert_allclose(got, want, atol=1e-11)
-
-    def test_second_difference_stencil(self):
-        # first col [2,-1,0,...] acting on all-ones leaves 1 at the ends only
-        col = np.zeros(6)
-        col[0], col[1] = 2.0, -1.0
-        out = SymToeplitz(col).matvec(np.ones(6))
-        np.testing.assert_allclose(out, [1, 0, 0, 0, 0, 1], atol=1e-13)
-
-    @given(hnp.arrays(np.float64, st.integers(2, 24),
-                      elements=st.floats(-5, 5, allow_nan=False)))
-    @settings(max_examples=40, deadline=None)
-    def test_linearity(self, col):
-        n = col.size
-        t = SymToeplitz(first_col=col)
-        rng = np.random.default_rng(5)
-        u, v = rng.standard_normal(n), rng.standard_normal(n)
-        lhs = t.matvec(2.0 * u - 3.0 * v)
-        rhs = 2.0 * t.matvec(u) - 3.0 * t.matvec(v)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
 class TestGsInverse:
@@ -124,9 +83,9 @@ class TestGsInverse:
         n = 33
         col = oracle.random_spd_toeplitz(n, rng)
         data = gs_precompute(col)
-        t = SymToeplitz(first_col=col)
         b = rng.standard_normal(n)
-        np.testing.assert_allclose(t.matvec(gs_solve(data, b)), b, atol=1e-10)
+        np.testing.assert_allclose(scipy.linalg.toeplitz(col) @ gs_solve(data, b),
+                                   b, atol=1e-10)
 
     def test_batched_matches_loop(self, rng):
         n, k = 21, 6
@@ -459,14 +418,14 @@ class TestPcg:
 
     def test_exact_warm_start(self, rng):
         n = 15
-        col = oracle.random_spd_toeplitz(n, rng)
-        t = SymToeplitz(first_col=col)
+        t = scipy.linalg.toeplitz(oracle.random_spd_toeplitz(n, rng))
         b = rng.standard_normal(n)
-        x_star = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
-        x, report, ax, _ = pcg(t.matvec, lambda v: v, b, tol=1e-10, x0=x_star)
+        x_star = np.linalg.solve(t, b)
+        x, report, ax, _ = pcg(lambda v: t @ v, lambda v: v, b, tol=1e-10,
+                               x0=x_star)
         assert report.iterations <= 1
         np.testing.assert_allclose(x, x_star, atol=1e-9)
-        np.testing.assert_allclose(ax, t.matvec(x), atol=1e-12)
+        np.testing.assert_allclose(ax, t @ x, atol=1e-12)
 
     def test_dense_2d_system(self, rng):
         # full (I + c L) solve on a 16x16 grid against numpy.linalg.solve
@@ -499,10 +458,11 @@ class TestPcg:
         # direction with its residual: same iterations and solution as one
         # that copies
         rng = np.random.default_rng(3)
-        t = SymToeplitz(first_col=oracle.random_spd_toeplitz(30, rng))
+        t = scipy.linalg.toeplitz(oracle.random_spd_toeplitz(30, rng))
         b = rng.standard_normal(30)
         b_kept = b.copy()
-        apply_a = t.matvec if returns_input == "m_inv" else (lambda v: v)
+        apply_a = ((lambda v: t @ v) if returns_input == "m_inv"
+                   else (lambda v: v))
         runs = [pcg(a, m_inv, b, tol=1e-10) for a, m_inv in (
             (apply_a, lambda v: v),
             (lambda v: apply_a(v).copy(), lambda v: v.copy()))]
