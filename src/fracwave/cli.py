@@ -252,8 +252,10 @@ def _solve_defaults(args) -> tuple[float, float, float]:
 
 
 def _snapshot_steps(tokens: str, tau: float, m_steps: int) -> dict[int, str]:
-    """Map requested snapshot times to step indices, validating alignment."""
+    """Map requested snapshot times to step indices, validating alignment
+    and refusing two steps whose file labels coincide."""
     plan: dict[int, str] = {}
+    first: dict[str, tuple[int, str]] = {}  # label -> (step, token)
     for token in (t.strip() for t in tokens.split(",")):
         if not token:
             continue
@@ -265,7 +267,14 @@ def _snapshot_steps(tokens: str, tau: float, m_steps: int) -> dict[int, str]:
             raise ValidationError(
                 f"snapshot time {token} lies beyond t_final (step {k} > {m_steps})"
             )
-        plan[k] = f"{t_req:g}"
+        label = f"{t_req:g}"
+        k_first, token_first = first.setdefault(label, (k, token))
+        if k_first != k:
+            raise ValidationError(
+                f"snapshot times {token_first} and {token} lie on different "
+                f"steps but share the file label t{label}"
+            )
+        plan[k] = label
     return plan
 
 

@@ -56,7 +56,8 @@ import numpy as np
 
 from . import _fft
 from .errors import ValidationError
-from .problems import Grid2D, Problem, example_problem, paper_runs
+from .problems import (Grid2D, Problem, example_problem, paper_runs,
+                       whole_steps)
 from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
                       check_scales, lookup_scheme, run)
 
@@ -171,13 +172,8 @@ class StudyRow:
 
 def _step_index(t: float, tau: float, what: str) -> int:
     """Return k with k tau = t, rejecting a t that is not on a step."""
-    ratio = t / tau
-    if not np.isfinite(ratio):
-        raise ValidationError(
-            f"{what} {t:g} is not a finite number of steps of tau={tau:g}"
-        )
-    k = round(ratio)
-    if abs(k * tau - t) > 1e-9 * max(1.0, abs(t)):
+    k = whole_steps(t, tau)
+    if k is None:
         raise ValidationError(
             f"{what} {t:g} does not land on a step of tau={tau:g}"
         )

@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 
-# Relative slack within which (b - a) / h counts as an integral interval count.
-_SPACING_RTOL = 1e-9
-
-
 def sech(z: np.ndarray) -> np.ndarray:
     """Overflow-safe hyperbolic secant: 2 e^{-|z|} / (1 + e^{-2|z|})."""
     z = np.abs(np.asarray(z, dtype=float))
@@ -82,19 +78,25 @@ class Grid2D:
         integral number of intervals (h = (b - a)/(N + 1) with integer N)."""
         if not h > 0:
             raise ValidationError(f"spacing must be positive, got h={h}")
-        ratio = (b - a) / h
-        if not np.isfinite(ratio):
-            raise ValidationError(
-                f"spacing h={h} gives no finite interval count on ({a}, {b})"
-            )
-        n_intervals = round(ratio)
-        if (n_intervals < 2
-                or abs(ratio - n_intervals) > _SPACING_RTOL * max(1.0, ratio)):
+        n_intervals = whole_steps(b - a, h)
+        if n_intervals is None or n_intervals < 2:
             raise ValidationError(
                 f"spacing h={h} does not divide the domain ({a}, {b}) into an "
-                f"integral interval count (got {ratio})"
+                f"integral interval count of at least 2 (got {(b - a) / h})"
             )
         return cls(a, b, n_intervals - 1)
+
+
+def whole_steps(x: float, step: float) -> int | None:
+    """The integer k with x = k step: round(x / step) when
+    |x / step - k| <= 1e-9 max(1, |x / step|), else None (also for a
+    non-finite x / step). The slack is relative to the step count, so a
+    small step gains none: x = 1.4 steps is refused at any step size."""
+    ratio = x / step
+    if not np.isfinite(ratio):
+        return None
+    k = round(ratio)
+    return k if abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
 def _g_sine_gordon(u: np.ndarray) -> np.ndarray:

@@ -109,8 +109,8 @@ class SchemeState:
     ``pinv_m_curr`` is P^{-1} M u_curr, P the tau preconditioner, which
     the next solve takes for its preconditioned warm-start residual. Each
     is None where no step made it: the energy then applies L for its
-    pairing, ``nonadi_step`` refuses a state without M u, and a solve
-    without P^{-1} M u applies P^{-1} for it. ``m_du`` is sadi's
+    pairing, and ``nonadi_step`` refuses a state without the three baseline
+    fields. ``m_du`` is sadi's
     M (u_curr - u_prev), M = (I + c delta_x)(I + c delta_y), a compact
     N x N field: every sadi step solves M hat{u} = B(u^n), so it is the
     first step's right-hand side and then B(u^n) plus the previous level's
@@ -342,18 +342,16 @@ def _nonadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
 
 
 def _nonadi_solve(ops: StepOperators, b: np.ndarray, x0: np.ndarray,
-                  m_x0: np.ndarray, step_index: int, tol: float,
-                  lap_x0: np.ndarray | None = None,
-                  pinv_m_x0: np.ndarray | None = None) -> SchemeState:
+                  m_x0: np.ndarray, pinv_m_x0: np.ndarray, step_index: int,
+                  tol: float, lap_x0: np.ndarray | None = None) -> SchemeState:
     """Solve (I + c L) x = b by PCG with the 2D sine-transform
     preconditioner P, warm-started from the previous level x0 with its
-    M x0 and, when carried, P^{-1} M x0, and hand on the levels (x0, x)
-    with M x0, M x and P^{-1} M x, read off the final residual and its
-    preconditioned form. ``lap_x0``, L x0 when the caller made it, gives
-    the energy pairing."""
+    M x0 and P^{-1} M x0, and hand on the levels (x0, x) with M x0, M x and
+    P^{-1} M x, read off the final residual and its preconditioned form.
+    ``lap_x0``, L x0 when the caller made it, gives the energy pairing."""
     x, report, m_x, pinv_m_x = pcg(
-        partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b, tol=tol,
-        max_iter=400, x0=x0, ax0=m_x0, m_inv_ax0=pinv_m_x0)
+        partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b, x0, m_x0,
+        pinv_m_x0, tol=tol, max_iter=400)
     if not report.converged:
         raise SolverError(
             f"step solve did not converge: {report.iterations} iterations, "
@@ -371,15 +369,17 @@ def nonadi_first_step(
     tol: float = STEP_TOL,
 ) -> SchemeState:
     """First step of the baseline: (I + c L) u^1 = u^0 + tau phi2
-    + (tau^2/2) g(u^0). Its one apply outside the solve, L u^0, makes the
-    warm-start residual and the energy pairing; with no P^{-1} M u^0 to
-    carry, the solve preconditions that residual by an apply."""
+    + (tau^2/2) g(u^0). Its two applies outside the solve, L u^0 and
+    P^{-1} M u^0, make the warm start's M u^0 and P^{-1} M u^0; L u^0 also
+    gives the energy pairing."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(grid)
     tau = ops.tau_step
     b = u0 + tau * phi2_field + (0.5 * tau * tau) * g(u0)
     lap_u0 = ops.lap.apply(u0)
-    return _nonadi_solve(ops, b, u0, u0 + ops.c * lap_u0, 1, tol, lap_u0)
+    m_u0 = u0 + ops.c * lap_u0
+    return _nonadi_solve(ops, b, u0, m_u0, tau_apply(ops.tau2d, m_u0), 1, tol,
+                         lap_u0)
 
 
 def nonadi_step(
@@ -389,20 +389,18 @@ def nonadi_step(
     tol: float = STEP_TOL,
 ) -> SchemeState:
     """General baseline step: (I + c L) u^{n+1} = 2 u^n - (I + c L) u^{n-1}
-    + tau^2 g(u^n). M u^{n-1} and M u^n, the warm start's M, come from the
-    state, so the step applies L only in its PCG iterations. A state that
-    does not carry them (built by hand, or by sadi) is refused. P^{-1} M u^n
-    comes from the state too, so the solve applies P^{-1} once outside its
-    iterations. The step hands on no energy pairing."""
-    if state.m_prev is None or state.m_curr is None:
+    + tau^2 g(u^n). M u^{n-1}, M u^n and P^{-1} M u^n come from the state,
+    so the step applies L only in its PCG iterations and P^{-1} once more,
+    for the solve's scale. A state that does not carry them (built by hand,
+    or by sadi) is refused. The step hands on no energy pairing."""
+    if state.m_prev is None or state.m_curr is None or state.pinv_m_curr is None:
         raise ValidationError(
-            "nonadi_step needs a state that carries M u_prev and M u_curr: "
-            "start the baseline with nonadi_first_step")
+            "nonadi_step needs a state that carries M u_prev, M u_curr and "
+            "P^-1 M u_curr: start the baseline with nonadi_first_step")
     tau = ops.tau_step
     b = 2.0 * state.u_curr - state.m_prev + tau * tau * g(state.u_curr)
-    return _nonadi_solve(ops, b, state.u_curr, state.m_curr,
-                         state.step_index + 1, tol,
-                         pinv_m_x0=state.pinv_m_curr)
+    return _nonadi_solve(ops, b, state.u_curr, state.m_curr, state.pinv_m_curr,
+                         state.step_index + 1, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -320,13 +320,15 @@ def pcg(
     apply_a: Callable[[np.ndarray], np.ndarray],
     apply_m_inv: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
+    x0: np.ndarray,
+    ax0: np.ndarray,
+    m_inv_ax0: np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 500,
-    x0: np.ndarray | None = None,
-    ax0: np.ndarray | None = None,
-    m_inv_ax0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PcgReport, np.ndarray, np.ndarray]:
-    """Preconditioned conjugate gradients on an SPD operator.
+    """Preconditioned conjugate gradients on an SPD operator, continued
+    from x0 with its A x0 (``ax0``) and M^{-1} A x0 (``m_inv_ax0``) made by
+    the caller. A cold start passes zeros for all three.
 
     Works on arrays of any shape (fields included); inner products are full
     contractions. Convergence is declared when the preconditioned residual
@@ -334,14 +336,10 @@ def pcg(
     initial guess, i.e. tol * sqrt(<b, M^{-1} b>), making the criterion
     independent of the (possibly warm) starting point; tol lies in (0, 1),
     since at 1 or more the zero guess itself would pass. A zero right-hand
-    side returns zeros immediately with 0 iterations. ``ax0``, when given
-    with ``x0``, is A x0 already computed by the caller: the warm-start
-    residual b - ax0 then costs no application of A. ``m_inv_ax0``, given
-    with ``ax0``, is M^{-1} A x0: the preconditioned residual
-    M^{-1} b - m_inv_ax0 then costs no application of M^{-1}. So a solve
-    applies M^{-1} once outside its iterations (for the scale), twice when
-    a warm start comes without ``m_inv_ax0``, and each iteration applies A
-    and M^{-1} once.
+    side returns zeros immediately with 0 iterations. The start's residual
+    b - ax0 and its preconditioned form M^{-1} b - m_inv_ax0 cost no
+    apply, so a solve applies M^{-1} once outside its iterations (for the
+    scale), and each iteration applies A and M^{-1} once.
 
     Returns x, the report, A x and M^{-1} A x, formed at exit as b - r and
     M^{-1} b - z from the recursive residual r and its preconditioned z,
@@ -355,10 +353,6 @@ def pcg(
     """
     if not 0 < tol < 1:
         raise ValidationError(f"tol must lie in (0, 1), got {tol}")
-    if ax0 is not None and x0 is None:
-        raise ValidationError("ax0 (A x0) was given without the x0 it applies")
-    if m_inv_ax0 is not None and ax0 is None:
-        raise ValidationError("m_inv_ax0 (M^-1 A x0) was given without ax0")
     b = np.asarray(b, dtype=float)
     zb = apply_m_inv(b)
     scale = np.sqrt(float(np.vdot(b, zb).real))
@@ -366,15 +360,10 @@ def pcg(
         return (np.zeros_like(b), PcgReport(0, 0.0, True), np.zeros_like(b),
                 np.zeros_like(b))
 
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-        z = zb
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-        r = b - (apply_a(x) if ax0 is None else ax0)
-        z = apply_m_inv(r) if m_inv_ax0 is None else zb - m_inv_ax0
-        del ax0, m_inv_ax0  # the caller's arrays need not live through the loop
+    x = np.array(x0, dtype=float, copy=True)
+    r = b - ax0
+    z = zb - m_inv_ax0
+    del ax0, m_inv_ax0  # the caller's arrays need not live through the loop
     rho = float(np.vdot(r, z).real)
     rel = np.sqrt(max(rho, 0.0)) / scale
     it = 0

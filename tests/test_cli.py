@@ -20,7 +20,7 @@ import fracwave.harness as harness
 from fracwave import _fft, stepper
 from fracwave.cli import main
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
-from fracwave.errors import SolverError
+from fracwave.errors import SolverError, ValidationError
 from fracwave.harness import StudySpec
 from fracwave.snapshots import read_snapshot_raw
 
@@ -156,6 +156,39 @@ class TestExitCodes:
         rc = main(SOLVE_SMALL + ["--snapshots", "0.33",
                                  "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_off_step_time_at_a_tiny_step_makes_no_directory(self, tmp_path,
+                                                              capsys):
+        # 1.4 steps of tau = 1e-9: refused, not rounded down to one step
+        out = tmp_path / "X"
+        rc = main(["solve", "--example", "zero", "--alpha", "1.5", "--n", "3",
+                   "--tau", "1e-9", "--t-final", "1.4e-9",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "does not land on a step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_times_sharing_a_label_refused(self):
+        with pytest.raises(ValidationError, match="1.000001 and 1.000002"):
+            cli._snapshot_steps("1.000001,1.000002", 1e-6, 2000000)
+        # one step asked for twice writes one file: no clash
+        assert cli._snapshot_steps("0,0.5,1,1.0", 0.5, 4) == {
+            0: "0", 1: "0.5", 2: "1"}
+
+    def test_snapshot_label_clash_exits_two_before_any_step(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a step ran")
+        monkeypatch.setattr(cli, "run", no_run)
+        out = tmp_path / "X"
+        rc = main(["solve", "--example", "zero", "--alpha", "1.5", "--n", "3",
+                   "--tau", "1e-6", "--t-final", "2", "--snapshots",
+                   "1.000001,1.000002", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "1.000001 and 1.000002" in err and "t1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         SOLVE_SMALL + ["--tau", "nan"],

@@ -20,6 +20,7 @@ from fracwave.harness import (
     _check_halving,
     _l2h_diff,
     _spec_defaults,
+    _step_index,
     _steps_for,
     discrete_energy,
     inner_product,
@@ -30,7 +31,7 @@ from fracwave.harness import (
     run_study,
     write_rows_csv,
 )
-from fracwave.problems import Grid2D, Problem, example_problem
+from fracwave.problems import Grid2D, Problem, example_problem, whole_steps
 from fracwave.stepper import SCHEME_NAMES, SchemeState, build_operators, run
 
 
@@ -255,6 +256,30 @@ class TestRefinementMechanics:
         assert _steps_for(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
         with pytest.raises(ValidationError):
             _steps_for((MAX_STEPS + 1) * 0.5, 0.5)
+
+    @pytest.mark.parametrize("tau", [1e-9, 1e-3, 1.0, 1e3])
+    def test_off_step_time_refused_at_any_step_size(self, tau):
+        # the slack is relative to the step count, not to the time: a time
+        # of 1.4 or 0.5 steps is refused however small the step
+        assert _step_index(3.0 * tau, tau, "t") == 3
+        for steps in (0.5, 1.4, 2.0 + 1e-6):
+            with pytest.raises(ValidationError, match="does not land"):
+                _step_index(steps * tau, tau, "t")
+        with pytest.raises(ValidationError, match="does not land"):
+            _steps_for(1.4 * tau, tau)
+
+    def test_spacing_and_step_share_one_rule(self):
+        # whole_steps backs both the time-step and the grid-spacing checks
+        assert whole_steps(2.0, 0.01) == 200
+        assert whole_steps(1.0 + 5e-10, 1.0) == 1
+        assert whole_steps(1.0 + 2e-9, 1.0) is None
+        assert whole_steps(1.4e-9, 1e-9) is None
+        assert whole_steps(float("inf"), 0.1) is None
+        assert whole_steps(1e300, 1e-300) is None
+        assert Grid2D.from_spacing(-10.0, 10.0, 0.5).n == 39
+        for h in (0.3, 8.0, 20.0):  # 66.7 and 2.5 intervals, and only 1
+            with pytest.raises(ValidationError, match="integral interval"):
+                Grid2D.from_spacing(-10.0, 10.0, h)
 
     def test_check_halving(self):
         _check_halving([0.2, 0.1, 0.05], "tau")

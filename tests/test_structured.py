@@ -380,10 +380,16 @@ class TestTauPreconditioner:
         np.testing.assert_allclose(spec, want, atol=1e-13)
 
 
+def cold_start(b):
+    """pcg's start triple (x0, A x0, M^-1 A x0) for the zero guess."""
+    return np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+
+
 class TestPcg:
     def test_identity_converges_immediately(self, rng):
         b = rng.standard_normal(20)
-        x, report, ax, m_inv_ax = pcg(lambda v: v, lambda v: v, b, tol=1e-12)
+        x, report, ax, m_inv_ax = pcg(lambda v: v, lambda v: v, b,
+                                      *cold_start(b), tol=1e-12)
         np.testing.assert_allclose(x, b, atol=1e-12)
         np.testing.assert_allclose(ax, x, atol=1e-12)
         np.testing.assert_allclose(m_inv_ax, x, atol=1e-12)
@@ -392,7 +398,8 @@ class TestPcg:
 
     def test_zero_rhs_returns_zero(self):
         x, report, ax, m_inv_ax = pcg(lambda v: 2.0 * v, lambda v: v,
-                                      np.zeros(7), tol=1e-12)
+                                      np.zeros(7), *cold_start(np.zeros(7)),
+                                      tol=1e-12)
         assert np.all(x == 0.0) and np.all(ax == 0.0) and np.all(m_inv_ax == 0.0)
         assert report.iterations == 0
         assert report.converged
@@ -406,23 +413,13 @@ class TestPcg:
                                  m_inv_ax0=2.0 * x0)
         assert np.all(x == 0.0) and np.all(ax == 0.0) and np.all(m_inv_ax == 0.0)
 
-    def test_ax0_without_x0_refused(self):
-        with pytest.raises(ValidationError, match="ax0"):
-            pcg(lambda v: v, lambda v: v, np.ones(4), tol=1e-12,
-                ax0=np.ones(4))
-
-    def test_m_inv_ax0_without_ax0_refused(self):
-        with pytest.raises(ValidationError, match="m_inv_ax0"):
-            pcg(lambda v: v, lambda v: v, np.ones(4), tol=1e-12,
-                x0=np.ones(4), m_inv_ax0=np.ones(4))
-
     def test_exact_warm_start(self, rng):
         n = 15
         t = scipy.linalg.toeplitz(oracle.random_spd_toeplitz(n, rng))
         b = rng.standard_normal(n)
         x_star = np.linalg.solve(t, b)
-        x, report, ax, _ = pcg(lambda v: t @ v, lambda v: v, b, tol=1e-10,
-                               x0=x_star)
+        x, report, ax, _ = pcg(lambda v: t @ v, lambda v: v, b, x_star,
+                               t @ x_star, t @ x_star, tol=1e-10)
         assert report.iterations <= 1
         np.testing.assert_allclose(x, x_star, atol=1e-9)
         np.testing.assert_allclose(ax, t @ x, atol=1e-12)
@@ -442,7 +439,7 @@ class TestPcg:
             return u + bttb_apply(op, u)
 
         x, report, ax, m_inv_ax = pcg(apply_a, lambda r: tau_apply(spec, r), b,
-                                      tol=1e-13, max_iter=200)
+                                      *cold_start(b), tol=1e-13, max_iter=200)
         want = oracle.unvec_f(np.linalg.solve(a_dense, oracle.vec_f(b)), n)
         assert report.converged
         np.testing.assert_allclose(x, want, atol=1e-10)
@@ -463,7 +460,7 @@ class TestPcg:
         b_kept = b.copy()
         apply_a = ((lambda v: t @ v) if returns_input == "m_inv"
                    else (lambda v: v))
-        runs = [pcg(a, m_inv, b, tol=1e-10) for a, m_inv in (
+        runs = [pcg(a, m_inv, b, *cold_start(b), tol=1e-10) for a, m_inv in (
             (apply_a, lambda v: v),
             (lambda v: apply_a(v).copy(), lambda v: v.copy()))]
         assert runs[0][1].iterations == runs[1][1].iterations
@@ -472,8 +469,8 @@ class TestPcg:
         assert np.array_equal(b, b_kept)
 
     def test_carried_preconditioned_residual(self, rng):
-        # with M^-1 A x0 handed in, the solve makes one M^-1 apply fewer and
-        # agrees with the one that applies it
+        # with M^-1 A x0 handed in, the solve applies M^-1 once outside its
+        # iterations, for the scale, and reaches the cold start's solution
         n, alpha, factor = 12, 1.5, 0.7
         op = bttb_build(laplacian_coeffs_2d(alpha, n), n, scale=factor)
         spec = tau_spec_2d(alpha, n, factor)
@@ -488,25 +485,24 @@ class TestPcg:
 
         b, x0 = rng.standard_normal((2, n, n))
         ax0 = apply_a(x0)
-        fresh = pcg(apply_a, apply_m_inv, b, tol=1e-12, x0=x0, ax0=ax0)
-        assert len(calls) == 2 + fresh[1].iterations
-        del calls[:]
-        carried = pcg(apply_a, apply_m_inv, b, tol=1e-12, x0=x0, ax0=ax0,
-                      m_inv_ax0=tau_apply(spec, ax0))
+        carried = pcg(apply_a, apply_m_inv, b, x0, ax0, tau_apply(spec, ax0),
+                      tol=1e-12)
         assert len(calls) == 1 + carried[1].iterations
-        assert carried[1].iterations == fresh[1].iterations
-        np.testing.assert_allclose(carried[0], fresh[0], rtol=0, atol=1e-12)
+        # the two starts stop at different residuals below tol (7e-13 apart)
+        cold = pcg(apply_a, apply_m_inv, b, *cold_start(b), tol=1e-12)
+        np.testing.assert_allclose(carried[0], cold[0], rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-11, 1.0, 10.0, float("nan")])
     def test_tolerance_outside_unit_interval_refused(self, tol):
         # at tol >= 1 the zero guess itself passes, before any iteration
         with pytest.raises(ValidationError, match="tol"):
-            pcg(lambda v: v, lambda v: v, np.ones(4), tol=tol)
+            pcg(lambda v: v, lambda v: v, np.ones(4), *cold_start(np.ones(4)),
+                tol=tol)
 
     def test_indefinite_operator_rejected(self, rng):
         b = rng.standard_normal(6)
         with pytest.raises(SolverError):
-            pcg(lambda v: -v, lambda v: v, b, tol=1e-12)
+            pcg(lambda v: -v, lambda v: v, b, *cold_start(b), tol=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_preconditioned_iterations_stay_small(self, alpha):
@@ -519,7 +515,7 @@ class TestPcg:
         spec = tau_spec_2d(alpha, n, factor)
         b = np.random.default_rng(512).standard_normal((n, n))
         _, report, _, _ = pcg(lambda u: u + bttb_apply(op, u),
-                              lambda r: tau_apply(spec, r), b, tol=1e-13,
-                              max_iter=60)
+                              lambda r: tau_apply(spec, r), b, *cold_start(b),
+                              tol=1e-13, max_iter=60)
         assert report.converged
         assert report.iterations <= 8
