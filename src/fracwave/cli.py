@@ -309,7 +309,7 @@ def _cmd_solve(args) -> int:
             else:
                 write_snapshot_raw(base, surf, h=grid.h, t=t_actual,
                                    alpha=problem.alpha, kappa=problem.kappa,
-                                   nonlinearity=str(problem.nonlinearity),
+                                   nonlinearity=problem.nonlinearity,
                                    surface=args.surface)
 
         if 0 in plan:
@@ -333,7 +333,7 @@ def _cmd_solve(args) -> int:
         u = state.u_curr
         lines = [
             f"problem = {problem.label}",
-            f"nonlinearity = {problem.nonlinearity if isinstance(problem.nonlinearity, str) else 'custom'}",
+            f"nonlinearity = {problem.nonlinearity}",
             f"alpha = {problem.alpha:g}",
             f"kappa = {problem.kappa:g}",
             f"domain = ({problem.a:g}, {problem.b:g})",

@@ -8,12 +8,13 @@ Error metrics (self-refinement, no exact solution needed):
 
 with observed order log2 of consecutive error ratios. Halving h turns N
 interior nodes into 2N + 1, so coarse node i coincides with fine node 2i
-and the comparison needs no interpolation. Both axes run through
-``refinement_rows``: ``_plan_runs`` checks the (grid, tau) runs and picks
-the restriction of the finer final onto the coarser grid (identity for
-time, every other node for space); ``_refinement_rows`` runs them and
-turns consecutive finals into rows. Each run builds its own operators
-and, in its set-up, only its scheme's solver.
+and the comparison needs no interpolation. ``refinement_rows`` is the one
+study runner: ``_plan_runs`` checks the (grid, tau) runs and picks the
+restriction of the finer final onto the coarser grid (identity for time,
+every other node for space); ``refinement_rows`` runs them and turns
+consecutive finals into rows. ``run_study`` plans every cell before its
+first run, then concatenates the cells' rows. Each run builds its own
+operators and, in its set-up, only its scheme's solver.
 
 The linear (g = 0) schemes conserve discrete energies. For the level pair
 (w^n, w^{n+1}), dt = (w^{n+1} - w^n)/tau and c = tau^2 kappa / 2, the paper
@@ -50,7 +51,7 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -240,15 +241,20 @@ def _plan_runs(problem: Problem, axis: str, steps: Sequence[float],
     return runs, counts, restrict
 
 
-def _refinement_rows(problem: Problem, scheme: str, steps: Sequence[float],
-                     runs: Sequence[tuple[Grid2D, float]], counts: Sequence[int],
-                     restrict: Callable[[np.ndarray], np.ndarray]) -> list[StudyRow]:
-    """Run a plan from ``_plan_runs`` and turn consecutive finals into rows.
+def refinement_rows(problem: Problem, axis: str, steps: Sequence[float],
+                    fixed: float, t_final: float,
+                    scheme: str = "sadi") -> list[StudyRow]:
+    """Error/order rows along the halving list ``steps`` at one fixed step.
 
-    Row k compares the final field of run k with that of run k + 1 mapped
-    onto run k's grid by ``restrict``; its timings are run k's. ``steps``
-    holds the row labels, one fewer than the runs.
+    ``axis`` "time" halves tau at the fixed h, and each row compares the
+    final field at tau with the one at tau/2 on the same grid; "space"
+    halves h at the fixed tau, and each row compares the final field at h
+    with the h/2 field restricted to the coincident (even-index) nodes.
+    Consecutive rows share runs, so a K-row study costs K+1 runs; the
+    timings of a row belong to the run at that row's step. Every run is
+    checked before the first one starts.
     """
+    runs, counts, restrict = _plan_runs(problem, axis, steps, fixed, t_final)
     finals: list[np.ndarray] = []
     infos: list[RunInfo] = []
     for (grid, tau), m_steps in zip(runs, counts):
@@ -270,23 +276,6 @@ def _refinement_rows(problem: Problem, scheme: str, steps: Sequence[float],
             cpu_setup=infos[k].setup_seconds, cpu_loop=infos[k].loop_seconds,
         ))
     return rows
-
-
-def refinement_rows(problem: Problem, axis: str, steps: Sequence[float],
-                    fixed: float, t_final: float,
-                    scheme: str = "sadi") -> list[StudyRow]:
-    """Error/order rows along the halving list ``steps`` at one fixed step.
-
-    ``axis`` "time" halves tau at the fixed h, and each row compares the
-    final field at tau with the one at tau/2 on the same grid; "space"
-    halves h at the fixed tau, and each row compares the final field at h
-    with the h/2 field restricted to the coincident (even-index) nodes.
-    Consecutive rows share runs, so a K-row study costs K+1 runs; the
-    timings of a row belong to the run at that row's step. Every run is
-    checked before the first one starts.
-    """
-    return _refinement_rows(problem, scheme, steps,
-                            *_plan_runs(problem, axis, steps, fixed, t_final))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +320,12 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
     Cells run sequentially in declaration order (scheme, then alpha, then
-    step). Every scheme is looked up, every alpha's problem built and every
-    run planned and checked (its grid, operator scales and step count)
-    before the output file's directory is made, and that before the first
-    run. The FFT worker count is ``spec.threads`` for the call and returns
-    to its previous value after it, refused or not.
+    step), each through ``refinement_rows``. Every scheme is looked up,
+    every alpha's problem built and every run planned and checked (its
+    grid, operator scales and step count) before the output file's
+    directory is made, and that before the first run. The FFT worker
+    count is ``spec.threads`` for the call and returns to its previous
+    value after it, refused or not.
     """
     spec = _spec_defaults(spec)
     with _fft.fft_workers(spec.threads):
@@ -345,18 +335,16 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
         if not spec.alphas:
             raise ValidationError("alpha list must not be empty")
 
-        cells = []
-        for alpha in spec.alphas:
-            problem = example_problem(spec.example, alpha, kappa=spec.kappa)
-            cells.append((problem, _plan_runs(problem, spec.axis, spec.steps,
-                                              spec.fixed, spec.t_final)))
+        problems = [example_problem(spec.example, alpha, kappa=spec.kappa)
+                    for alpha in spec.alphas]
+        for problem in problems:
+            _plan_runs(problem, spec.axis, spec.steps, spec.fixed, spec.t_final)
         if output_path is not None:
             Path(output_path).parent.mkdir(parents=True, exist_ok=True)
 
-        rows: list[StudyRow] = []
-        for scheme in schemes:
-            for problem, plan in cells:
-                rows.extend(_refinement_rows(problem, scheme, spec.steps, *plan))
+        rows = [row for scheme in schemes for problem in problems
+                for row in refinement_rows(problem, spec.axis, spec.steps,
+                                           spec.fixed, spec.t_final, scheme)]
         if output_path is not None:
             write_rows_csv(output_path, rows)
         return rows

@@ -58,6 +58,9 @@ class Grid2D:
             raise ValidationError(f"domain requires b > a, got ({self.a}, {self.b})")
         if self.n < 1:
             raise ValidationError(f"grid needs at least one interior node, got n={self.n}")
+        if not np.isfinite(self.h):
+            raise ValidationError(
+                f"grid spacing must be finite, got h={self.h} on ({self.a}, {self.b})")
 
     @property
     def h(self) -> float:
@@ -175,7 +178,9 @@ def _sg_phi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _bump(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return sech(np.cosh(x * x + y * y))
+    # cosh(r^2) overflows past |r| ~ 26.6, where sech of it is exactly 0
+    with np.errstate(over="ignore"):
+        return sech(np.cosh(x * x + y * y))
 
 
 def _kg_phi1(x: np.ndarray, y: np.ndarray) -> np.ndarray:

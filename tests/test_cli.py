@@ -168,6 +168,16 @@ class TestExitCodes:
         assert "does not land on a step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_domain_makes_no_directory(self, tmp_path, capsys):
+        # (-1e308, 1e308) has an infinite length: h = inf is refused
+        out = tmp_path / "X"
+        rc = main(["solve", "--alpha", "1.5", "--a=-1e308", "--b", "1e308",
+                   "--n", "9", "--tau", "0.1", "--t-final", "0.2",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "spacing must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snapshot_times_sharing_a_label_refused(self):
         with pytest.raises(ValidationError, match="1.000001 and 1.000002"):
             cli._snapshot_steps("1.000001,1.000002", 1e-6, 2000000)
@@ -387,6 +397,19 @@ class TestStudyCommands:
         assert rc == 0
         lines = (tmp_path / "study_space.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_scale_refusal_of_a_later_alpha_makes_no_directory(
+            self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run", no_run)
+        out = tmp_path / "X"
+        rc = main(["study-time", "--example", "zero", "--alphas", "1.1,1.9",
+                   "--taus", "1/5,1/10", "--h", "1/2", "--t-final", "0.4",
+                   "--kappa=1.5e155", "--out-dir", str(out)])
+        assert rc == 2
+        assert "alpha=1.9" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["time", "space"])
     def test_every_spec_field_is_a_study_flag(self, axis, tmp_path,

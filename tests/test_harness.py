@@ -281,6 +281,12 @@ class TestRefinementMechanics:
             with pytest.raises(ValidationError, match="integral interval"):
                 Grid2D.from_spacing(-10.0, 10.0, h)
 
+    def test_overflowing_domain_refused(self):
+        # b - a overflows to inf, so h would be inf at any node count
+        with pytest.raises(ValidationError, match="spacing must be finite"):
+            Grid2D(-1e308, 1e308, 9)
+        assert Grid2D(-1e307, 1e307, 9).h == pytest.approx(2e306)
+
     def test_check_halving(self):
         _check_halving([0.2, 0.1, 0.05], "tau")
         with pytest.raises(ValidationError):
@@ -395,6 +401,22 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match="alpha"):
             run_study(spec)
         assert calls == []
+
+    def test_every_cell_scale_checked_before_the_first_run(self, tmp_path,
+                                                            monkeypatch):
+        # both alphas are valid problems; only check_scales refuses alpha =
+        # 1.9, whose factor^2 overflows at tau = 0.2, while alpha = 1.1
+        # passes at every tau and would run first
+        calls = []
+        monkeypatch.setattr(harness, "run",
+                            lambda *args, **kwargs: calls.append(args))
+        spec = StudySpec(axis="time", example="zero", alphas=(1.1, 1.9),
+                         steps=(0.2, 0.1), fixed=0.5, t_final=0.4,
+                         kappa=1.5e155)
+        with pytest.raises(ValidationError, match="alpha=1.9"):
+            run_study(spec, tmp_path / "dd" / "rows.csv")
+        assert calls == []
+        assert not (tmp_path / "dd").exists()
 
     def test_output_directory_made_before_the_first_run(self, tmp_path,
                                                          monkeypatch):

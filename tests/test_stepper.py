@@ -6,6 +6,7 @@ and advances the same recurrences with ``numpy.linalg.solve``. The fast
 stepper must match to solver tolerance.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,8 @@ from fracwave import _fft
 from fracwave.errors import BlowUpError, ValidationError
 from fracwave.harness import (EnergyTrace, discrete_energy, inner_product,
                               splitting_gap)
-from fracwave.problems import Grid2D, Problem, example_problem, resolve_nonlinearity
+from fracwave.problems import (CUSTOM_INITIAL_DATA, Grid2D, Problem,
+                               example_problem, resolve_nonlinearity, sech)
 from fracwave.stepper import (
     SCHEME_NAMES,
     SchemeState,
@@ -579,6 +581,25 @@ class TestDihedralSymmetry:
         bound = 1e-12 * np.max(np.abs(u))
         for image in (u.T, u[::-1], u[:, ::-1]):
             assert np.max(np.abs(u - image)) <= bound
+
+
+class TestInitialData:
+    def test_bump_finite_and_silent_on_a_wide_domain(self):
+        # past |r| ~ 26.6 cosh(r^2) overflows and sech of it is exactly 0
+        phi1, phi2 = CUSTOM_INITIAL_DATA["bump"]
+        problem = Problem(a=-40.0, b=40.0, alpha=1.5, phi1=phi1, phi2=phi2)
+        grid = Grid2D(problem.a, problem.b, 79)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u0, v0 = problem.initial_fields(grid)
+        assert np.all(np.isfinite(u0)) and np.all(v0 == 0.0)
+        assert u0[0, 0] == u0[0, -1] == u0[-1, 0] == u0[-1, -1] == 0.0
+        xx, yy = grid.meshgrid()
+        r2 = xx * xx + yy * yy
+        with np.errstate(over="ignore"):
+            inside = np.isfinite(np.cosh(r2))
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(u0[inside], sech(np.cosh(r2[inside])))
 
 
 class TestExactTime:
