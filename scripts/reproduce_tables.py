@@ -9,8 +9,10 @@ Four benchmark tables are covered:
   4  cubic model, space refinement  (tau = 1/125, h = 2/5 ... 1/20,  t = 8)
 
 These are the study defaults of (example, axis) in fracwave.problems.PAPER_RUNS.
-Each table is written as a CSV (columns: scheme, alpha, step, error, order,
-cpu_setup, cpu_loop, cpu_seconds) and echoed to stdout. Running everything
+Each table is one `fracwave study-time` or `study-space` run, written as
+--out-dir/table<K>.csv (columns: scheme, alpha, step, error, order,
+cpu_setup, cpu_loop, cpu_seconds) and echoed to stdout; a refused table
+exits with the command's code and makes no directory. Running everything
 with --scheme both at full scale takes on the order of an hour or two on a
 single core; pass --table and --scheme to trim the workload, or --alphas to
 restrict the fractional orders.
@@ -20,45 +22,36 @@ import argparse
 import sys
 from pathlib import Path
 
-from fracwave.harness import StudySpec, parse_number_list, run_study
-from fracwave.stepper import SCHEME_NAMES
+from fracwave.cli import main as fracwave_main
 
 TABLES = {"1": ("sine-gordon", "time"), "2": ("sine-gordon", "space"),
           "3": ("klein-gordon", "time"), "4": ("klein-gordon", "space")}
 
 
-def echo(rows) -> None:
-    print(f"{'scheme':8s} {'alpha':5s} {'step':>9s} {'error':>12s} "
-          f"{'order':>7s} {'cpu':>8s}")
-    for r in rows:
-        order = f"{r.order:.4f}" if r.order is not None else "-"
-        print(f"{r.scheme:8s} {r.alpha:<5g} {r.step:>9.6g} {r.error:>12.4e} "
-              f"{order:>7s} {r.cpu_seconds:>8.2f}")
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--table", choices=[*TABLES, "all"], default="all")
-    ap.add_argument("--scheme", choices=SCHEME_NAMES + ("both",),
-                    default="both")
-    ap.add_argument("--alphas", type=parse_number_list)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--scheme", default="both",
+                    help="sadi, nonadi or both (default both)")
+    ap.add_argument("--alphas",
+                    help="comma-separated fractional orders (default 1.1,1.5,1.9)")
+    ap.add_argument("--threads", default="1")
     ap.add_argument("--out-dir", default="tables")
     args = ap.parse_args(argv)
 
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     names = list(TABLES) if args.table == "all" else [args.table]
+    alphas = [] if args.alphas is None else ["--alphas", args.alphas]
     for name in names:
         example, axis = TABLES[name]
-        spec = StudySpec(axis=axis, example=example, scheme=args.scheme,
-                         alphas=(StudySpec.alphas if args.alphas is None
-                                 else args.alphas),
-                         threads=args.threads)
-        out = outdir / f"table{name}.csv"
-        print(f"== table {name} -> {out}")
-        rows = run_study(spec, out)
-        echo(rows)
+        out = Path(args.out_dir) / f"table{name}.csv"
+        print(f"== table {name} -> {out}", flush=True)
+        rc = fracwave_main([
+            f"study-{axis}", "--example", example, "--scheme", args.scheme,
+            *alphas, "--threads", args.threads, "--out", str(out),
+        ])
+        if rc != 0:
+            return rc
+        print(out.read_text(), end="")
     return 0
 
 

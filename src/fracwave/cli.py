@@ -45,8 +45,6 @@ from .harness import (
     _steps_for,
     discrete_energy,
     inner_product,
-    parse_number,
-    parse_number_list,
     run_study,
 )
 from .problems import (
@@ -89,17 +87,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(text: str) -> float:
+    """Parse a finite decimal or a p/q fraction (the benchmark steps are
+    naturally fractions like 1/40)."""
+    text = text.strip()
     try:
-        return parse_number(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        if "/" in text:
+            num, _, den = text.partition("/")
+            value = float(num) / float(den)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"number must be finite, got {text!r}")
+    return value
 
 
 def _fraction_list(text: str) -> tuple[float, ...]:
-    try:
-        return parse_number_list(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """Parse comma-separated numbers; empty entries are skipped."""
+    return tuple(_fraction(t) for t in text.split(",") if t.strip())
 
 
 def _add_common_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_custom_problem_flags(solve)
     _add_numeric_flags(solve)
     _add_output_flags(solve)
-    solve.add_argument("--snapshots", type=str, default="",
+    solve.add_argument("--snapshots", type=_fraction_list, default=(),
                        help="comma-separated output times; each must land on a "
                             "time step (fractions allowed)")
     solve.add_argument("--surface", choices=SURFACE_NAMES, default="u",
@@ -251,27 +257,26 @@ def _solve_defaults(args) -> tuple[float, float, float]:
             paper_runs(args.example)[0] if args.t_final is None else args.t_final)
 
 
-def _snapshot_steps(tokens: str, tau: float, m_steps: int) -> dict[int, str]:
+def _snapshot_steps(times: tuple[float, ...], tau: float,
+                    m_steps: int) -> dict[int, str]:
     """Map requested snapshot times to step indices, validating alignment
     and refusing two steps whose file labels coincide."""
     plan: dict[int, str] = {}
-    first: dict[str, tuple[int, str]] = {}  # label -> (step, token)
-    for token in (t.strip() for t in tokens.split(",")):
-        if not token:
-            continue
-        t_req = parse_number(token)
+    first: dict[str, tuple[int, float]] = {}  # label -> (step, time)
+    for t_req in times:
         k = _step_index(t_req, tau, "snapshot time")
         if k < 0:
-            raise ValidationError(f"snapshot time {token} lies before t = 0")
+            raise ValidationError(f"snapshot time {t_req!r} lies before t = 0")
         if k > m_steps:
             raise ValidationError(
-                f"snapshot time {token} lies beyond t_final (step {k} > {m_steps})"
+                f"snapshot time {t_req!r} lies beyond t_final "
+                f"(step {k} > {m_steps})"
             )
         label = f"{t_req:g}"
-        k_first, token_first = first.setdefault(label, (k, token))
+        k_first, t_first = first.setdefault(label, (k, t_req))
         if k_first != k:
             raise ValidationError(
-                f"snapshot times {token_first} and {token} lie on different "
+                f"snapshot times {t_first!r} and {t_req!r} lie on different "
                 f"steps but share the file label t{label}"
             )
         plan[k] = label

@@ -73,8 +73,6 @@ __all__ = [
     "refinement_rows",
     "run_study",
     "write_rows_csv",
-    "parse_number",
-    "parse_number_list",
 ]
 
 log = logging.getLogger(__name__)
@@ -372,28 +370,3 @@ def write_rows_csv(path, rows: Iterable[StudyRow]) -> None:
                 f"{row.cpu_seconds:.4f}",
             ])
 
-
-# ---------------------------------------------------------------------------
-# numbers from the command line
-# ---------------------------------------------------------------------------
-
-def parse_number(text: str) -> float:
-    """Parse a finite decimal or a p/q fraction (the benchmark steps are
-    naturally fractions like 1/40)."""
-    text = text.strip()
-    try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            value = float(num) / float(den)
-        else:
-            value = float(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"bad number {text!r}") from None
-    if not np.isfinite(value):
-        raise ValidationError(f"number must be finite, got {text!r}")
-    return value
-
-
-def parse_number_list(text: str) -> tuple[float, ...]:
-    items = [t for t in (p.strip() for p in text.split(",")) if t]
-    return tuple(parse_number(t) for t in items)

@@ -123,34 +123,29 @@ _REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 NONLINEARITY_NAMES = tuple(sorted(_REGISTRY))
 
 
-def resolve_nonlinearity(
-    g: str | Callable[[np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(g):
-        return g
-    try:
-        return _REGISTRY[g]
-    except KeyError:
+def resolve_nonlinearity(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    if not (isinstance(name, str) and name in _REGISTRY):
         raise ValidationError(
-            f"unknown nonlinearity {g!r}; registered names: {', '.join(NONLINEARITY_NAMES)}"
-        ) from None
+            f"unknown nonlinearity {name!r}; registered names: "
+            f"{', '.join(NONLINEARITY_NAMES)}")
+    return _REGISTRY[name]
 
 
 @dataclass(frozen=True)
 class Problem:
     """Full problem statement, independent of any discretization.
 
-    ``nonlinearity`` is a registry name or a callable acting pointwise on
-    fields; ``phi1`` and ``phi2`` map coordinate fields (X, Y) to initial
-    displacement and velocity. kappa = 0 is accepted as a degenerate test
-    mode in which all spatial coupling vanishes.
+    ``nonlinearity`` is a registry name (``NONLINEARITY_NAMES``); ``phi1``
+    and ``phi2`` map coordinate fields (X, Y) to initial displacement and
+    velocity. kappa = 0 is accepted as a degenerate test mode in which all
+    spatial coupling vanishes.
     """
 
     a: float
     b: float
     alpha: float
     kappa: float = 1.0
-    nonlinearity: str | Callable[[np.ndarray], np.ndarray] = "zero"
+    nonlinearity: str = "zero"
     phi1: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, y: np.zeros_like(x)
     phi2: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, y: np.zeros_like(x)
     label: str = "custom"

@@ -143,7 +143,7 @@ def _check_step_equation_residuals() -> None:
     lap = ops.lap.apply
     g = resolve_nonlinearity(problem.nonlinearity)
 
-    state1 = sadi_first_step(problem, grid, ops)
+    state1 = sadi_first_step(problem, ops)
     u0, u1 = state1.u_prev, state1.u_curr
     phi2_field = problem.initial_fields(grid)[1]
     res_first = (
@@ -176,7 +176,7 @@ def _check_baseline_residual() -> None:
     problem, grid, ops = _small_ops()
     tau, kappa = ops.tau_step, ops.kappa
     g = resolve_nonlinearity(problem.nonlinearity)
-    state1 = nonadi_first_step(problem, grid, ops, tol=1e-12)
+    state1 = nonadi_first_step(problem, ops, tol=1e-12)
     state2 = nonadi_step(state1, ops, g, tol=1e-12)
     u0, u1, u2 = state1.u_prev, state1.u_curr, state2.u_curr
     lap = ops.lap.apply

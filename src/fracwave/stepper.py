@@ -195,7 +195,9 @@ def check_scales(problem: Problem, grid: Grid2D,
                  tau_step: float) -> tuple[float, float]:
     """Refuse a step, grid or operator scale that ``build_operators`` cannot
     use, and return h^-alpha and factor = tau^2 kappa h^-alpha / 2. A grid
-    beyond MAX_GRID_N exceeds the symbol-sampling budget.
+    beyond MAX_GRID_N exceeds the symbol-sampling budget. A tau whose square
+    is below the smallest normal double (tau below about 1.4917e-154) is
+    refused, because the energy divides by tau^2.
 
     The scaled Riesz weights h^-alpha a_k and factor * a_k, and the squares
     of the latter (the sadi operator (I + factor T)^2 squares factor * T),
@@ -205,6 +207,12 @@ def check_scales(problem: Problem, grid: Grid2D,
     """
     if not tau_step > 0:
         raise ValidationError(f"tau_step must be positive, got {tau_step}")
+    tiny = np.finfo(float).tiny
+    if tau_step * tau_step < tiny:
+        raise ValidationError(
+            f"tau_step={tau_step:g} is too small: tau^2 must be at least "
+            f"{tiny:.4g}, the smallest normal double (tau >= "
+            f"{math.sqrt(tiny):.5g})")
     if grid.n > MAX_GRID_N:
         raise ValidationError(f"grid N={Decimal(grid.n):.6g} is beyond the "
                               f"largest supported N={MAX_GRID_N}")
@@ -295,11 +303,12 @@ def _sadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
     return ops.sadi_m.apply(v)
 
 
-def sadi_first_step(problem: Problem, grid: Grid2D, ops: StepOperators) -> SchemeState:
-    """Advance the initial data to the first time level. The right-hand
-    side tau phi2 + B(u^0) / 2 is M (u^1 - u^0), handed on as ``m_du``."""
+def sadi_first_step(problem: Problem, ops: StepOperators) -> SchemeState:
+    """Advance the initial data, sampled on ``ops.grid``, to the first time
+    level. The right-hand side tau phi2 + B(u^0) / 2 is M (u^1 - u^0),
+    handed on as ``m_du``."""
     g = resolve_nonlinearity(problem.nonlinearity)
-    u0, phi2_field = problem.initial_fields(grid)
+    u0, phi2_field = problem.initial_fields(ops.grid)
     b0, lap_u0 = rhs_general(u0, ops, g)
     rhs = 0.5 * b0 + ops.tau_step * phi2_field
     u1 = u0 + adi_solve(ops, rhs)
@@ -364,16 +373,15 @@ def _nonadi_solve(ops: StepOperators, b: np.ndarray, x0: np.ndarray,
 
 def nonadi_first_step(
     problem: Problem,
-    grid: Grid2D,
     ops: StepOperators,
     tol: float = STEP_TOL,
 ) -> SchemeState:
     """First step of the baseline: (I + c L) u^1 = u^0 + tau phi2
-    + (tau^2/2) g(u^0). Its two applies outside the solve, L u^0 and
-    P^{-1} M u^0, make the warm start's M u^0 and P^{-1} M u^0; L u^0 also
-    gives the energy pairing."""
+    + (tau^2/2) g(u^0), the initial data sampled on ``ops.grid``. Its two
+    applies outside the solve, L u^0 and P^{-1} M u^0, make the warm
+    start's M u^0 and P^{-1} M u^0; L u^0 also gives the energy pairing."""
     g = resolve_nonlinearity(problem.nonlinearity)
-    u0, phi2_field = problem.initial_fields(grid)
+    u0, phi2_field = problem.initial_fields(ops.grid)
     tau = ops.tau_step
     b = u0 + tau * phi2_field + (0.5 * tau * tau) * g(u0)
     lap_u0 = ops.lap.apply(u0)
@@ -411,7 +419,7 @@ class Scheme(NamedTuple):
     """A scheme's first and general steps, its implicit operator
     (``apply_m(ops, v)`` is M v) and ``solver(ops)``, its solver of M."""
 
-    first_step: Callable[[Problem, Grid2D, StepOperators], SchemeState]
+    first_step: Callable[[Problem, StepOperators], SchemeState]
     step: Callable[[SchemeState, StepOperators, Callable], SchemeState]
     apply_m: Callable[[StepOperators, np.ndarray], np.ndarray]
     solver: Callable[[StepOperators], object]
@@ -495,7 +503,7 @@ def run(
     g = resolve_nonlinearity(problem.nonlinearity)
     t1 = time.perf_counter()
     for n in range(m_steps):
-        state = impl.first_step(problem, grid, ops) if n == 0 else impl.step(state, ops, g)
+        state = impl.first_step(problem, ops) if n == 0 else impl.step(state, ops, g)
         if state.pcg_iterations is not None:
             info.pcg_solves += 1
             info.pcg_total_iterations += state.pcg_iterations

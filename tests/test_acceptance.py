@@ -131,7 +131,7 @@ def test_04_dense_oracle_equivalence():
     ops = build_operators(problem, grid, tau)
     g = resolve_nonlinearity(problem.nonlinearity)
 
-    state = sadi_first_step(problem, grid, ops)
+    state = sadi_first_step(problem, ops)
     up, uc = dense.sadi_first()
     rel_first = (np.linalg.norm(state.u_curr - uc)
                  / np.linalg.norm(uc))
@@ -145,7 +145,7 @@ def test_04_dense_oracle_equivalence():
     dense_b = DenseScheme(problem_b, grid_b, tau)
     ops_b = build_operators(problem_b, grid_b, tau)
     g_b = resolve_nonlinearity(problem_b.nonlinearity)
-    state_b = nonadi_first_step(problem_b, grid_b, ops_b, tol=1e-13)
+    state_b = nonadi_first_step(problem_b, ops_b, tol=1e-13)
     up_b, uc_b = dense_b.nonadi_first()
     state_b = nonadi_step(state_b, ops_b, g_b, tol=1e-13)
     uc_b2 = dense_b.nonadi_general(up_b, uc_b)

@@ -1,5 +1,6 @@
 """Command-line interface: files written, exit codes, determinism."""
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -180,10 +181,37 @@ class TestExitCodes:
 
     def test_snapshot_times_sharing_a_label_refused(self):
         with pytest.raises(ValidationError, match="1.000001 and 1.000002"):
-            cli._snapshot_steps("1.000001,1.000002", 1e-6, 2000000)
+            cli._snapshot_steps((1.000001, 1.000002), 1e-6, 2000000)
         # one step asked for twice writes one file: no clash
-        assert cli._snapshot_steps("0,0.5,1,1.0", 0.5, 4) == {
+        assert cli._snapshot_steps((0.0, 0.5, 1.0, 1.0), 0.5, 4) == {
             0: "0", 1: "0.5", 2: "1"}
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scheme", "sadi"],
+        ["solve", "--scheme", "nonadi"],
+        ["study-time", "--scheme", "both", "--taus", "2e-200,1e-200",
+         "--h", "4"],
+        ["study-space", "--scheme", "both", "--hs", "4,2", "--tau", "1e-200"],
+    ], ids=["solve-sadi", "solve-nonadi", "study-time", "study-space"])
+    def test_tau_with_a_subnormal_square_makes_no_directory(self, argv,
+                                                            tmp_path, capsys):
+        # tau^2 = 0 in floating point: refused before the division by it
+        out = tmp_path / "X"
+        common = (["--alpha", "1.5", "--n", "5", "--tau", "1e-200"]
+                  if argv[0] == "solve" else ["--alphas", "1.5"])
+        rc = main(argv + ["--example", "zero", *common, "--t-final", "2e-200",
+                          "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "smallest normal double" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_smallest_accepted_tau_solves(self, tmp_path):
+        rc = main(["solve", "--example", "zero", "--alpha", "1.5", "--n", "5",
+                   "--tau", "1.5e-154", "--t-final", "3e-154",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert "energy_relative_drift" in (tmp_path / "summary.txt").read_text()
 
     def test_snapshot_label_clash_exits_two_before_any_step(self, tmp_path,
                                                             capsys,
@@ -659,6 +687,37 @@ class TestArgvFuzz:
                 _fft._WORKERS = workers
         assert rc in (0, 2, 3, 4, 5), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+class TestParsing:
+    def test_parse_number(self):
+        assert cli._fraction("1/40") == pytest.approx(0.025)
+        assert cli._fraction(" 0.5 ") == 0.5
+        assert cli._fraction("4/25") == pytest.approx(0.16)
+        for text in ("abc", "1/0", "nan", "inf", "-inf", "1e400", "1/nan"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._fraction(text)
+
+    def test_parse_number_list(self):
+        assert cli._fraction_list("1, 1/2, 0.25") == (1.0, 0.5, 0.25)
+        assert cli._fraction_list(" , ") == ()
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._fraction_list("1,abc")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau", "abc"), ("--t-final", "1/0"), ("--kappa", "nan"),
+        ("--h", "1e400"), ("--snapshots", "0.1,abc"), ("--snapshots", "1/0"),
+    ])
+    def test_bad_number_exits_two_through_main(self, flag, value, tmp_path,
+                                                capsys):
+        argv = ["solve", "--example", "zero", "--alpha", "1.5",
+                f"{flag}={value}", "--out-dir", str(tmp_path / "X")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "Traceback" not in err
+        assert not (tmp_path / "X").exists()
 
 
 class TestFigureScript:

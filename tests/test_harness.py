@@ -3,12 +3,14 @@
 import importlib.util
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _oracles as oracle
+import fracwave.cli as cli
 import fracwave.harness as harness
 from fracwave import _fft
 from fracwave.errors import ValidationError
@@ -26,8 +28,6 @@ from fracwave.harness import (
     inner_product,
     refinement_rows,
     splitting_gap,
-    parse_number,
-    parse_number_list,
     run_study,
     write_rows_csv,
 )
@@ -498,18 +498,27 @@ class TestPublishedTables:
         spec = _spec_defaults(StudySpec(axis=axis, example=example))
         assert (spec.steps, spec.fixed, spec.t_final) == STUDY_DEFAULTS[example][axis]
 
-    def test_table_script_resolves_to_its_docstring(self, tmp_path, monkeypatch):
+    @staticmethod
+    def table_script():
         path = SCRIPTS / "reproduce_tables.py"
         module_spec = importlib.util.spec_from_file_location("reproduce_tables", path)
         script = importlib.util.module_from_spec(module_spec)
         module_spec.loader.exec_module(script)
+        return script
+
+    def test_table_script_resolves_to_its_docstring(self, tmp_path, monkeypatch):
+        # the script runs each table through the fracwave command, so the
+        # specs are recorded where the command hands them on
         seen = {}
 
         def record(spec, out):
             seen[Path(out).stem] = _spec_defaults(spec)
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            write_rows_csv(out, [])
             return []
 
-        monkeypatch.setattr(script, "run_study", record)
+        monkeypatch.setattr(cli, "run_study", record)
+        script = self.table_script()
         assert script.main(["--out-dir", str(tmp_path)]) == 0
         # e.g. "  3  cubic model, time refinement (h = 1/50, tau = 4/25 ... 1/50, t = 8)"
         listed = re.findall(
@@ -523,28 +532,28 @@ class TestPublishedTables:
             assert (spec.example, spec.axis) == (models[model], axis)
             assert {"time": ("h", "tau"), "space": ("tau", "h")}[axis] == (
                 fixed, varied)
-            assert spec.fixed == parse_number(fixed_v)
-            assert spec.steps[0] == parse_number(first)
-            assert spec.steps[-1] == parse_number(last)
+            assert spec.fixed == float(Fraction(fixed_v))
+            assert spec.steps[0] == float(Fraction(first))
+            assert spec.steps[-1] == float(Fraction(last))
             assert spec.t_final == float(t)
 
+    @pytest.mark.parametrize("flags", [
+        ["--alphas", "2.5"],
+        ["--threads", str((os.cpu_count() or 1) + 1)],
+    ], ids=["alpha-beyond-two", "threads-beyond-cpus"])
+    def test_refused_table_exits_two_and_makes_no_directory(self, flags,
+                                                            tmp_path, capsys):
+        out = tmp_path / "X"
+        rc = self.table_script().main(["--table", "2", "--scheme", "sadi",
+                                       *flags, "--out-dir", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "error:" in captured.err
+        assert not out.exists()
 
-class TestParsing:
-    def test_parse_number(self):
-        assert parse_number("1/40") == pytest.approx(0.025)
-        assert parse_number(" 0.5 ") == 0.5
-        assert parse_number("4/25") == pytest.approx(0.16)
-        with pytest.raises(ValidationError):
-            parse_number("abc")
-        with pytest.raises(ValidationError):
-            parse_number("1/0")
-        for text in ("nan", "inf", "-inf", "1e400", "1/nan"):
-            with pytest.raises(ValidationError):
-                parse_number(text)
 
-    def test_parse_number_list(self):
-        assert parse_number_list("1, 1/2, 0.25") == (1.0, 0.5, 0.25)
-
+class TestStudyCsv:
     def test_csv_formatting(self, tmp_path):
         from fracwave.harness import StudyRow
         rows = [

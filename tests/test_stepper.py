@@ -24,6 +24,7 @@ from fracwave.stepper import (
     SchemeState,
     adi_solve,
     build_operators,
+    check_scales,
     lookup_scheme,
     nonadi_first_step,
     nonadi_step,
@@ -105,7 +106,7 @@ class TestSadiVsDense:
         ops = build_operators(problem, grid, tau)
         g = resolve_nonlinearity(problem.nonlinearity)
 
-        state = sadi_first_step(problem, grid, ops)
+        state = sadi_first_step(problem, ops)
         up, uc = dense.sadi_first()
         np.testing.assert_allclose(state.u_curr, uc, atol=1e-11)
 
@@ -200,7 +201,7 @@ class TestNonAdiVsDense:
         ops = build_operators(problem, grid, tau)
         g = resolve_nonlinearity(problem.nonlinearity)
 
-        state = nonadi_first_step(problem, grid, ops, tol=1e-13)
+        state = nonadi_first_step(problem, ops, tol=1e-13)
         up, uc = dense.nonadi_first()
         np.testing.assert_allclose(state.u_curr, uc, atol=1e-9)
 
@@ -214,11 +215,11 @@ class TestNonAdiVsDense:
         grid = Grid2D(a=problem.a, b=problem.b, n=12)
         ops = build_operators(problem, grid, 0.05)
         g = resolve_nonlinearity(problem.nonlinearity)
-        first = nonadi_first_step(problem, grid, ops)
+        first = nonadi_first_step(problem, ops)
         second = nonadi_step(first, ops, g)
         assert first.pcg_iterations >= 1
         assert second.pcg_iterations >= 1
-        assert sadi_first_step(problem, grid, ops).pcg_iterations is None
+        assert sadi_first_step(problem, ops).pcg_iterations is None
 
 
 class TestSchemeRelations:
@@ -232,8 +233,8 @@ class TestSchemeRelations:
         diffs = []
         for tau in (0.1, 0.05, 0.025):
             ops = build_operators(problem, grid, tau)
-            s1 = sadi_first_step(problem, grid, ops)
-            s2 = nonadi_first_step(problem, grid, ops, tol=1e-14)
+            s1 = sadi_first_step(problem, ops)
+            s2 = nonadi_first_step(problem, ops, tol=1e-14)
             diffs.append(np.max(np.abs(s1.u_curr - s2.u_curr)))
         assert diffs[0] > 0.0
         ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
@@ -371,6 +372,18 @@ class TestRunLoop:
         with pytest.raises(ValidationError, match="tol"):
             run(problem, grid, 0.1, 3, scheme="nonadi", step_tol=1.0)
 
+    def test_tau_with_a_subnormal_square_refused(self):
+        # the steps and the energy divide by tau^2, which is 0 at 1e-200
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=5)
+        with pytest.raises(ValidationError, match="smallest normal double"):
+            check_scales(problem, grid, 1e-200)
+        check_scales(problem, grid, 1.5e-154)
+
+    def test_callable_nonlinearity_refused(self):
+        with pytest.raises(ValidationError, match="unknown nonlinearity"):
+            gaussian_problem(nonlinearity=np.sin)
+
     def test_unknown_scheme_rejected(self):
         problem = gaussian_problem()
         grid = Grid2D(a=problem.a, b=problem.b, n=8)
@@ -422,7 +435,7 @@ class TestCarriedApplies:
         grid = Grid2D(a=problem.a, b=problem.b, n=12)
         ops = build_operators(problem, grid, 0.05)
         g = resolve_nonlinearity(problem.nonlinearity)
-        state = nonadi_first_step(problem, grid, ops)
+        state = nonadi_first_step(problem, ops)
         # the run's one warm-start apply, L u^0
         assert len(bttb_calls) == 1 + state.pcg_iterations
         for _ in range(3):
@@ -436,7 +449,7 @@ class TestCarriedApplies:
         # a state without the carried M (built by hand, or by sadi)
         # is refused, naming the step that starts the baseline
         for bare in (replace(state, m_prev=None, m_curr=None),
-                     sadi_first_step(problem, grid, ops)):
+                     sadi_first_step(problem, ops)):
             with pytest.raises(ValidationError, match="nonadi_first_step"):
                 nonadi_step(bare, ops, g)
 
@@ -449,7 +462,7 @@ class TestCarriedApplies:
         grid = Grid2D(a=problem.a, b=problem.b, n=12)
         ops = build_operators(problem, grid, 0.05)
         g = resolve_nonlinearity(problem.nonlinearity)
-        state = nonadi_first_step(problem, grid, ops)
+        state = nonadi_first_step(problem, ops)
         assert len(tau_calls) == 2 + state.pcg_iterations
         for _ in range(3):
             del tau_calls[:]
@@ -538,7 +551,7 @@ class TestCarriedApplies:
         # baseline) hands on none
         g = resolve_nonlinearity(problem.nonlinearity)
         for bare in (replace(states[-1], m_du=None),
-                     nonadi_first_step(problem, grid, ops)):
+                     nonadi_first_step(problem, ops)):
             assert sadi_step(bare, ops, g).m_du is None
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
