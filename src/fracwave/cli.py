@@ -13,8 +13,8 @@ numbers and thread counts outside 1 .. CPU count included), 3
 iterative-solver non-convergence, 4 solution blow-up, 5 I/O failure;
 ``selftest`` exits 1 when a check fails. The output directory of
 ``solve`` and the studies is ``--out-dir`` (default the current directory).
-A command makes only the directories it writes to, after its flags and
-operator scales are checked and before the first operator is built.
+A command makes only the directories it writes to, after its flags,
+operator scales and output paths are checked and before any operator is built.
 
 All numeric flags accept plain decimals or p/q fractions (``--tau 1/100``);
 join a value such as -1e1 or -1/2 to its flag with ``=`` (``--a=-1/2``).
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 from dataclasses import fields
@@ -41,6 +42,7 @@ from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
     EnergyTrace,
     StudySpec,
+    _check_output_file,
     _step_index,
     _steps_for,
     discrete_energy,
@@ -295,6 +297,7 @@ def _cmd_solve(args) -> int:
     plan = _snapshot_steps(args.snapshots, tau, m_steps)
     check_scales(problem, grid, tau)
     with _fft.fft_workers(args.threads):
+        _check_output_file(os.path.join(outdir, args.summary))
         (outdir / args.summary).parent.mkdir(parents=True, exist_ok=True)
         if plan:
             (outdir / f"{args.prefix}_t").parent.mkdir(parents=True, exist_ok=True)
@@ -381,7 +384,7 @@ def _cmd_study(args) -> int:
     # every StudySpec field is a study flag; a flag left out keeps its default
     spec = StudySpec(**{f.name: getattr(args, f.name) for f in fields(StudySpec)
                         if getattr(args, f.name) is not None})
-    out_path = (Path(args.out) if args.out
+    out_path = (args.out if args.out
                 else Path(args.out_dir or ".") / f"study_{args.axis}.csv")
     rows = run_study(spec, out_path)
     sys.stderr.write(f"wrote {len(rows)} rows to {out_path}\n")

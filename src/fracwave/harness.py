@@ -33,22 +33,21 @@ and I + c Atilde + c^2 B = (I + c delta_x)(I + c delta_y), both reduce to
     (M dt, dt) + kappa (A w^{n+1}, w^n),
 
 M the scheme's implicit operator: (I + c delta_x)(I + c delta_y) for sadi,
-I + c L for nonadi. ``discrete_energy`` evaluates this form with the M that
-``stepper.lookup_scheme`` gives for the scheme name, the operator nonadi's
-PCG solves with; it builds no solver. The pairing h^2 (A w^n, w^{n+1})
-comes with the states of a run that applied A to w^n (``SchemeState.a_pair``:
-every sadi step, and the first baseline step), and sadi's M (w^{n+1} - w^n)
-with sadi states (``SchemeState.m_du``, summed from the steps' right-hand
-sides). So a sadi energy of a sadi run state costs two inner products and
-no BTTB apply. Any other call applies M to dt by one BTTB apply: sadi's M
-is the operator ``StepOperators.sadi_m``, built on that first apply, and
-nonadi's applies L. A state without the pairing costs one more BTTB apply.
+I + c L for nonadi. ``discrete_energy`` evaluates this form in two cases.
+sadi reads M (w^{n+1} - w^n) off a sadi run state (``SchemeState.m_du``,
+summed from the steps' right-hand sides) and refuses any other state;
+nonadi applies its M, the operator its PCG solves with, to dt by one BTTB
+apply of L. The pairing h^2 (A w^n, w^{n+1}) comes with the states of a
+run that applied A to w^n (``SchemeState.a_pair``: every sadi step, and
+the first baseline step); a state without it costs one more BTTB apply.
+So a sadi energy costs two inner products and no BTTB apply.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -60,7 +59,7 @@ from .errors import ValidationError
 from .problems import (Grid2D, Problem, example_problem, paper_runs,
                        whole_steps)
 from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
-                      check_scales, lookup_scheme, run)
+                      _nonadi_m, check_scales, lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
@@ -125,17 +124,18 @@ def discrete_energy(
     """Evaluate the energy ``scheme`` conserves for g = 0 on the level pair
     held by ``state``: H_n^2 for sadi, E_n for nonadi, both as
     (M dt, dt) + kappa (A u^{n+1}, u^n) with M the scheme's implicit operator.
-    The pairing is the state's ``a_pair`` when it carries one; the sadi
-    energy reads M (u^{n+1} - u^n) off the state's ``m_du`` when it carries
-    one, and any other call applies M."""
-    impl = lookup_scheme(scheme)
+    The pairing is the state's ``a_pair`` when it carries one; sadi reads
+    M (u^{n+1} - u^n) off ``m_du`` and refuses a state without it."""
+    lookup_scheme(scheme)
     du = state.u_curr - state.u_prev
-    if scheme == "sadi" and state.m_du is not None:
+    if scheme == "sadi":
+        if state.m_du is None:
+            raise ValidationError("the sadi energy needs a sadi run state")
         tau2 = ops.tau_step * ops.tau_step
         energy = inner_product("l2", state.m_du, du, ops) / tau2
     else:
         dt = du / ops.tau_step
-        energy = inner_product("l2", impl.apply_m(ops, dt), dt, ops)
+        energy = inner_product("l2", _nonadi_m(ops, dt), dt, ops)
     a_pair = state.a_pair
     if a_pair is None:
         a_pair = inner_product("A", state.u_prev, state.u_curr, ops)
@@ -314,16 +314,25 @@ def _spec_defaults(spec: StudySpec) -> StudySpec:
                    t_final=t_final if spec.t_final is None else spec.t_final)
 
 
+def _check_output_file(path) -> None:
+    """Refuse an output file path that names no file or a directory."""
+    text = os.fspath(path)
+    if os.path.basename(text) in ("", ".", ".."):
+        raise ValidationError(f"output path {text!r} names no file")
+    if os.path.isdir(text):
+        raise IsADirectoryError(f"output path {text!r} is a directory")
+
+
 def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
     Cells run sequentially in declaration order (scheme, then alpha, then
     step), each through ``refinement_rows``. Every scheme is looked up,
     every alpha's problem built and every run planned and checked (its
-    grid, operator scales and step count) before the output file's
-    directory is made, and that before the first run. The FFT worker
-    count is ``spec.threads`` for the call and returns to its previous
-    value after it, refused or not.
+    grid, operator scales and step count) before the output path is
+    checked and its directory made, and that before the first run. The
+    FFT worker count is ``spec.threads`` for the call and returns to its
+    previous value after it, refused or not.
     """
     spec = _spec_defaults(spec)
     with _fft.fft_workers(spec.threads):
@@ -338,6 +347,7 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
         for problem in problems:
             _plan_runs(problem, spec.axis, spec.steps, spec.fixed, spec.t_final)
         if output_path is not None:
+            _check_output_file(output_path)
             Path(output_path).parent.mkdir(parents=True, exist_ok=True)
 
         rows = [row for scheme in schemes for problem in problems

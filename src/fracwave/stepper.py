@@ -34,12 +34,12 @@ a preconditioned CG solve per step; it exists for accuracy and timing
 comparisons.
 
 ``lookup_scheme``, the one place a scheme name is read, gives the scheme's
-steps, its implicit operator M and its solver of M (the GS inverse for
-sadi, the tau spectrum for nonadi), read from the module at each call so
-that a wrapper installed over one runs. ``run`` builds only that solver,
-in its set-up; ``build_operators`` builds what both schemes share. sadi's
-M and the Riesz sum delta_x + delta_y are BTTB operators built on first
-apply, which no run makes.
+steps and its solver of M (the GS inverse for sadi, the tau spectrum for
+nonadi), read from the module at each call so that a wrapper installed
+over one runs. ``run`` builds only that solver, in its set-up;
+``build_operators`` builds what both schemes share. sadi's states carry
+the M (u^{n+1} - u^n) its energy reads; the Riesz sum delta_x + delta_y,
+which only a norm applies, is a BTTB operator built on first apply.
 """
 
 from __future__ import annotations
@@ -110,13 +110,12 @@ class SchemeState:
     the next solve takes for its preconditioned warm-start residual. Each
     is None where no step made it: the energy then applies L for its
     pairing, and ``nonadi_step`` refuses a state without the three baseline
-    fields. ``m_du`` is sadi's
-    M (u_curr - u_prev), M = (I + c delta_x)(I + c delta_y), a compact
-    N x N field: every sadi step solves M hat{u} = B(u^n), so it is the
-    first step's right-hand side and then B(u^n) plus the previous level's
-    m_du, formed with no apply. The sadi energy reads it instead of
-    applying M (``StepOperators.sadi_m``, built on first apply); it is None
-    on baseline states and on a sadi step from a state without it.
+    fields. ``m_du`` is sadi's M (u_curr - u_prev),
+    M = (I + c delta_x)(I + c delta_y), a compact N x N field: every sadi
+    step solves M hat{u} = B(u^n), so it is the first step's right-hand
+    side and then B(u^n) plus the previous level's m_du, formed with no
+    apply. The sadi energy reads it, and refuses a state without it: a
+    baseline state, or a sadi step from a state without it.
     """
 
     u_prev: np.ndarray
@@ -143,8 +142,8 @@ class StepOperators:
     and ``sweep_col`` the first column of H = I + (tau^2 kappa / 2) T.
     ``alpha``, ``kappa``, ``grid`` and ``tau_step`` record what the
     operators were built for. The two schemes' solvers, ``gs`` and
-    ``tau2d``, and the BTTB operators ``sadi_m`` and ``a_tilde``, which
-    only an energy or a norm applies, are built on first use.
+    ``tau2d``, and the BTTB operator ``a_tilde``, which only a norm
+    applies, are built on first use.
     """
 
     tau_step: float
@@ -166,12 +165,6 @@ class StepOperators:
         """nonadi's preconditioner for I + (tau^2 kappa / 2) L: its
         eigenvalues in the 2D sine basis."""
         return tau_spec_2d(self.alpha, self.grid.n, self.factor)
-
-    @cached_property
-    def sadi_m(self) -> BttbOperator:
-        """sadi's implicit operator (I + c delta_x)(I + c delta_y) = H x H,
-        the BTTB operator with entries H_{|i-p|} H_{|j-q|}."""
-        return bttb_build(np.outer(self.sweep_col, self.sweep_col), self.grid.n)
 
     @cached_property
     def a_tilde(self) -> BttbOperator:
@@ -297,12 +290,6 @@ def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
     return gs_solve(ops.gs, x_swept.T).T
 
 
-def _sadi_m(ops: StepOperators, v: np.ndarray) -> np.ndarray:
-    """sadi's implicit operator: (I + c delta_x)(I + c delta_y) v, one
-    apply of the BTTB ``ops.sadi_m``."""
-    return ops.sadi_m.apply(v)
-
-
 def sadi_first_step(problem: Problem, ops: StepOperators) -> SchemeState:
     """Advance the initial data, sampled on ``ops.grid``, to the first time
     level. The right-hand side tau phi2 + B(u^0) / 2 is M (u^1 - u^0),
@@ -416,22 +403,20 @@ def nonadi_step(
 # ---------------------------------------------------------------------------
 
 class Scheme(NamedTuple):
-    """A scheme's first and general steps, its implicit operator
-    (``apply_m(ops, v)`` is M v) and ``solver(ops)``, its solver of M."""
+    """A scheme's first and general steps and ``solver(ops)``, its solver
+    of the implicit operator M."""
 
     first_step: Callable[[Problem, StepOperators], SchemeState]
     step: Callable[[SchemeState, StepOperators, Callable], SchemeState]
-    apply_m: Callable[[StepOperators, np.ndarray], np.ndarray]
     solver: Callable[[StepOperators], object]
 
 
 def lookup_scheme(name: str, step_tol: float = STEP_TOL) -> Scheme:
     """The scheme called ``name``; the baseline's steps solve to ``step_tol``."""
     schemes = dict(zip(SCHEME_NAMES, (
-        Scheme(sadi_first_step, sadi_step, _sadi_m, lambda ops: ops.gs),
+        Scheme(sadi_first_step, sadi_step, lambda ops: ops.gs),
         Scheme(partial(nonadi_first_step, tol=step_tol),
-               partial(nonadi_step, tol=step_tol), _nonadi_m,
-               lambda ops: ops.tau2d),
+               partial(nonadi_step, tol=step_tol), lambda ops: ops.tau2d),
     )))
     if name not in schemes:
         raise ValidationError(f"unknown scheme {name!r}; "
@@ -489,7 +474,7 @@ def run(
     t0 = time.perf_counter()
     if ops is None:
         ops = build_operators(problem, grid, tau_step)
-    elif abs(ops.tau_step - tau_step) > 1e-15 * max(1.0, tau_step):
+    elif abs(ops.tau_step - tau_step) > 1e-15 * tau_step:
         raise ValidationError("prebuilt operators were made for a different tau")
     elif (ops.grid, ops.alpha, ops.kappa) != (grid, problem.alpha, problem.kappa):
         raise ValidationError(

@@ -330,13 +330,19 @@ class TestExitCodes:
         SOLVE_SMALL + ["--prefix", "{file}/snap", "--snapshots", "0.4"],
         ["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
          "--out", "{file}/rows.csv"],
-    ], ids=["solve-summary", "solve-prefix", "study-out"])
+        SOLVE_SMALL + ["--summary", "{dir}"],
+        ["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
+         "--out", "{dir}"],
+    ], ids=["solve-summary", "solve-prefix", "study-out", "solve-summary-dir",
+            "study-out-dir"])
     def test_unusable_output_refused_before_the_first_step(self, argv, tmp_path,
                                                            monkeypatch):
-        # a path under a regular file: its directory cannot be made, which
+        # a path under a regular file, whose directory cannot be made, or
+        # an existing directory, which cannot be written as a file: either
         # must surface before any operator is built or run
         blocker = tmp_path / "occupied"
         blocker.write_text("not a directory")
+        (tmp_path / "a-dir").mkdir()
         calls = []
 
         def record(*args, **kwargs):
@@ -345,9 +351,11 @@ class TestExitCodes:
         for module in (cli, harness):
             monkeypatch.setattr(module, "run", record)
         monkeypatch.setattr(cli, "build_operators", record)
-        argv = [a.replace("{file}", str(blocker)) for a in argv]
+        argv = [a.replace("{file}", str(blocker)).replace(
+            "{dir}", str(tmp_path / "a-dir")) for a in argv]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 5
         assert calls == []
+
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="needs two CPUs for two FFT workers")
@@ -383,12 +391,21 @@ class TestExitCodes:
           "--kappa", "1e308", "--out-dir", "x"], 2, []),
         (["study-time", *STUDY_SMALL, "--taus", "1/5,1/7", "--h", "4",
           "--out-dir", "x"], 2, []),
+        # an output path whose last component is empty, '.' or '..' names
+        # no file (an empty --summary once wrote a file named "out")
+        (SOLVE_SMALL + ["--summary", "", "--out-dir", "out"], 2, []),
+        (SOLVE_SMALL + ["--summary", ".", "--out-dir", "out"], 2, []),
+        (SOLVE_SMALL + ["--summary", "runs/..", "--out-dir", "out"], 2, []),
+        (["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
+          "--out", "runs/."], 2, []),
     ], ids=["solve-refused", "study-out-elsewhere", "solve-scale-refused",
-            "study-scale-refused", "study-steps-refused"])
+            "study-scale-refused", "study-steps-refused", "summary-empty",
+            "summary-dot", "summary-dotdot", "study-out-dot"])
     def test_unused_output_directory_not_made(self, argv, rc, left, tmp_path,
                                               monkeypatch):
         # a directory is made only when something is written there, and
-        # only after the flags and the operator scales are checked
+        # only after the flags, the operator scales and the output paths
+        # are checked
         monkeypatch.chdir(tmp_path)
         assert main(argv) == rc
         assert sorted(p.name for p in tmp_path.iterdir()) == left

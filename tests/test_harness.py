@@ -32,7 +32,7 @@ from fracwave.harness import (
     write_rows_csv,
 )
 from fracwave.problems import Grid2D, Problem, example_problem, whole_steps
-from fracwave.stepper import SCHEME_NAMES, SchemeState, build_operators, run
+from fracwave.stepper import SchemeState, build_operators, run
 
 
 def small_problem(alpha=1.5, nonlinearity="zero", amp=1.0):
@@ -127,7 +127,8 @@ class TestEnergy:
     def test_zero_state_has_zero_energy(self, ops6):
         _, _, ops = ops6
         z = np.zeros((6, 6))
-        state = SchemeState(u_prev=z, u_curr=z, step_index=1, time=0.05)
+        state = SchemeState(u_prev=z, u_curr=z, step_index=1, time=0.05,
+                            m_du=z)
         assert discrete_energy(state, ops) == 0.0
 
     def test_conserved_without_forcing(self):
@@ -150,7 +151,8 @@ class TestEnergy:
     @pytest.mark.parametrize("tau", [0.05, 0.5])
     def test_matches_paper_forms(self, alpha, tau, rng):
         # the paper's four-term H_n^2 (sadi) and two-term E_n (nonadi),
-        # built from dense matrices, on random level pairs
+        # built from dense matrices, on random level pairs; the sadi state
+        # carries its M du from the dense H x H
         problem = small_problem(alpha=alpha)
         grid = Grid2D(a=-2.0, b=2.0, n=6)
         ops = build_operators(problem, grid, tau)
@@ -160,11 +162,13 @@ class TestEnergy:
         cross = oracle.dense_riesz_sum_2d(alpha, n, sc)
         t1 = oracle.dense_riesz_1d(alpha, n, sc)
         tensor = np.kron(t1, t1)
+        hmat = oracle.dense_sadi_system(alpha, n, grid.h, tau, kappa)[0]
         for _ in range(5):
             u_prev, u_curr = rng.standard_normal((2, n, n))
-            state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
-                                time=tau)
             a, b = oracle.vec_f(u_curr), oracle.vec_f(u_prev)
+            m_du = oracle.unvec_f(np.kron(hmat, hmat) @ (a - b), n)
+            state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
+                                time=tau, m_du=m_du)
             dt = (a - b) / tau
             e_n = h2 * (dt @ dt + 0.5 * kappa * (a @ lap @ a + b @ lap @ b))
             h_n2 = e_n + h2 * (c * (dt @ cross @ dt - dt @ lap @ dt)
@@ -175,18 +179,34 @@ class TestEnergy:
         with pytest.raises(ValidationError):
             discrete_energy(state, ops, "magic")
 
-    @pytest.mark.parametrize("scheme, applies", [("sadi", 2), ("nonadi", 2)])
+    @pytest.mark.parametrize("scheme, applies", [("sadi", 1), ("nonadi", 2)])
     def test_bttb_applies_per_call(self, scheme, applies, ops6, rng,
                                    bttb_calls):
-        # a state built by hand carries neither the pairing nor sadi's
-        # M du: one apply of M and one of L make them
+        # a state built by hand carries no pairing: one apply of L makes
+        # it, and nonadi's M dt one more; the sadi state carries its M du
         _, _, ops = ops6
         u_prev, u_curr = rng.standard_normal((2, 6, 6))
-        state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, time=0.05)
+        state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
+                            time=0.05, m_du=rng.standard_normal((6, 6)))
         discrete_energy(state, ops, scheme)
         assert len(bttb_calls) == applies
-        assert bttb_calls[0] is (ops.sadi_m if scheme == "sadi" else ops.lap)
-        assert bttb_calls[1] is ops.lap
+        assert all(op is ops.lap for op in bttb_calls)
+
+    def test_sadi_energy_refuses_states_without_m_du(self, ops6, rng,
+                                                     bttb_calls):
+        # a state built by hand without M du, and a baseline run state,
+        # are refused before any apply
+        problem, grid, ops = ops6
+        u_prev, u_curr = rng.standard_normal((2, 6, 6))
+        by_hand = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
+                              time=0.05)
+        baseline, _ = run(problem, grid, ops.tau_step, 2, scheme="nonadi",
+                          ops=ops)
+        for state in (by_hand, baseline):
+            del bttb_calls[:]
+            with pytest.raises(ValidationError, match="sadi run state"):
+                discrete_energy(state, ops)
+            assert bttb_calls == []
 
     @pytest.mark.parametrize("scheme, applies", [("sadi", 0), ("nonadi", 2)])
     def test_bttb_applies_on_run_states(self, scheme, applies, ops6,
@@ -228,14 +248,12 @@ class TestEnergy:
             else:
                 pair = inner_product("A", state.u_curr, state.u_prev, ops)
                 assert state.a_pair == pytest.approx(pair, rel=1e-14, abs=0.0)
+            # the same levels without the pairing: the energy applies L
             by_hand = SchemeState(u_prev=state.u_prev, u_curr=state.u_curr,
-                                  step_index=state.step_index, time=state.time)
-            # each scheme's energy of the other's states too: sadi's reads
-            # its M du off sadi states only, and applies it otherwise
-            for energy_scheme in SCHEME_NAMES:
-                assert discrete_energy(state, ops, energy_scheme) == \
-                    pytest.approx(discrete_energy(by_hand, ops, energy_scheme),
-                                  rel=1e-14, abs=0.0)
+                                  step_index=state.step_index, time=state.time,
+                                  m_du=state.m_du)
+            assert discrete_energy(state, ops, scheme) == pytest.approx(
+                discrete_energy(by_hand, ops, scheme), rel=1e-14, abs=0.0)
 
     def test_trace_drift_metric(self):
         t = EnergyTrace(values=np.array([2.0, 2.0, 2.0]))

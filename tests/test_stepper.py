@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import _oracles as oracle
 from fracwave import _fft
@@ -21,11 +22,9 @@ from fracwave.problems import (CUSTOM_INITIAL_DATA, Grid2D, Problem,
                                example_problem, resolve_nonlinearity, sech)
 from fracwave.stepper import (
     SCHEME_NAMES,
-    SchemeState,
     adi_solve,
     build_operators,
     check_scales,
-    lookup_scheme,
     nonadi_first_step,
     nonadi_step,
     run,
@@ -174,22 +173,6 @@ class TestSadiVsDense:
         assert ops.riesz_weights[0] > 0.0
         assert np.all(ops.riesz_weights[1:] < 0.0)
         assert ops.gs.p1 > 0.0
-
-    @pytest.mark.parametrize("alpha", [1.1, 1.9])
-    @pytest.mark.parametrize("tau", [0.05, 10.0])
-    def test_bttb_m_matches_dense_kronecker(self, alpha, tau, rng):
-        # sadi's M as one BTTB operator against the dense H x H; at tau = 10
-        # sweep_col[0] is 124 (alpha 1.1) to 277 (alpha 1.9), so M's centre
-        # entry is 1.5e4 to 7.6e4 and the identity in H is negligible
-        problem = gaussian_problem(alpha=alpha)
-        grid = Grid2D(a=problem.a, b=problem.b, n=13)
-        ops = build_operators(problem, grid, tau)
-        hmat = oracle.dense_sadi_system(alpha, grid.n, grid.h, tau,
-                                        problem.kappa)[0]
-        u = rng.standard_normal((grid.n, grid.n))
-        want = oracle.unvec_f(np.kron(hmat, hmat) @ oracle.vec_f(u), grid.n)
-        got = ops.sadi_m.apply(u)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestNonAdiVsDense:
@@ -407,15 +390,29 @@ class TestRunLoop:
                 run(problem, grid, 0.05, 2, ops=ops)
         run(built, built_grid, 0.05, 2, ops=ops)
 
+    @pytest.mark.parametrize("built, given", [(0.1, 0.05), (1e-20, 5e-20)])
+    def test_operators_for_another_tau_refused(self, built, given):
+        # the slack is relative to tau alone, so two steps below 1e-15
+        # differ as much as two steps near one do
+        problem = example_problem("zero", 1.5)
+        grid = Grid2D(problem.a, problem.b, 3)
+        ops = build_operators(problem, grid, built)
+        with pytest.raises(ValidationError, match="prebuilt operators"):
+            run(problem, grid, given, 3, ops=ops)
+        state, _ = run(problem, grid, built, 3, ops=ops)
+        assert state.time == 3 * built
+
 
 def nonadi_m(ops, u):
-    """M u = (I + c L) u by a fresh apply."""
-    return lookup_scheme("nonadi").apply_m(ops, u)
+    """M u = (I + c L) u, the baseline's implicit operator."""
+    return u + ops.c * ops.lap.apply(u)
 
 
 def sadi_m(ops, u):
-    """M u = (I + c delta_x)(I + c delta_y) u by a fresh apply."""
-    return lookup_scheme("sadi").apply_m(ops, u)
+    """M u = (I + c delta_x)(I + c delta_y) u = H u H, H the dense 1D
+    sweep matrix (symmetric Toeplitz)."""
+    hmat = scipy.linalg.toeplitz(ops.sweep_col)
+    return hmat @ u @ hmat
 
 
 def close_in_max_norm(got, want, rel):
@@ -682,8 +679,8 @@ class TestExactTimeNonlinear:
 
 class TestSchemeSolvers:
     """Operators hold what both schemes share; a run builds its own
-    scheme's solver and not the other's, and neither of the BTTB operators
-    only the diagnostics apply."""
+    scheme's solver and not the other's, nor the Riesz sum only a norm
+    applies."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -730,9 +727,8 @@ class TestSchemeSolvers:
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_run_builds_no_energy_operator(self, scheme, bttb_builds):
-        # the operators hold L; sadi's M and the Riesz sum are built only
-        # when an energy or a norm applies them, which a run's own-scheme
-        # energies never do
+        # the operators hold L; the Riesz sum is built only when a norm
+        # applies it, which a run's energies never do
         problem = gaussian_problem(nonlinearity="zero")
         grid = Grid2D(a=problem.a, b=problem.b, n=10)
         ops = build_operators(problem, grid, 0.05)
@@ -743,18 +739,16 @@ class TestSchemeSolvers:
 
     def test_energy_operators_built_once_on_first_apply(self, bttb_builds,
                                                          rng):
+        # the Riesz sum of the A_tilde norm, built on the first apply
         problem = gaussian_problem()
         grid = Grid2D(a=problem.a, b=problem.b, n=10)
         ops = build_operators(problem, grid, 0.05)
-        u_prev, u_curr = rng.standard_normal((2, 10, 10))
-        by_hand = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
-                              time=0.05)
-        discrete_energy(by_hand, ops)
+        w = rng.standard_normal((10, 10))
+        assert len(bttb_builds) == 1
+        splitting_gap(w, ops)
         assert len(bttb_builds) == 2
-        discrete_energy(by_hand, ops)
+        splitting_gap(w, ops)
         assert len(bttb_builds) == 2
-        splitting_gap(u_curr, ops)
-        assert len(bttb_builds) == 3
 
 
 class TestUnconditionalStability:
