@@ -99,10 +99,6 @@ def irfft(x, n: int, axis: int = 0):
     return _sfft.irfft(x, n=n, axis=axis, workers=_WORKERS)
 
 
-def rfft2(x):
-    return _sfft.rfft2(x, workers=_WORKERS)
-
-
 def dct_type1_inplace(x, axis: int = -1):
     """Unnormalized DCT-I along ``axis``; a contiguous float64 ``x`` is
     overwritten with the result, which is also returned."""

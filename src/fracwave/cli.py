@@ -296,8 +296,13 @@ def _cmd_solve(args) -> int:
     m_steps = _steps_for(t_final, tau)
     plan = _snapshot_steps(args.snapshots, tau, m_steps)
     check_scales(problem, grid, tau)
+    suffixes = (".csv",) if args.snapshot_format == "csv" else (".f64", ".meta")
     with _fft.fft_workers(args.threads):
+        # every file the solve will write, checked before any directory
         _check_output_file(os.path.join(outdir, args.summary))
+        for label in plan.values():
+            for suffix in suffixes:
+                _check_output_file(f"{outdir / args.prefix}_t{label}{suffix}")
         (outdir / args.summary).parent.mkdir(parents=True, exist_ok=True)
         if plan:
             (outdir / f"{args.prefix}_t").parent.mkdir(parents=True, exist_ok=True)

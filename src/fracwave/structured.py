@@ -10,13 +10,12 @@ structured-matrix tools:
   in place, so every subsequent solve costs exactly four FFTs of length
   next_fast_len(N) (a bad N is embedded in a larger Toeplitz system and
   corrected by a rank-k update, k = next_fast_len(N) - N),
-* a block-Toeplitz-Toeplitz-block (BTTB) matvec via 2D circulant embedding,
-  applied by pruned transforms (the N rows along axis 1, then axis 0, each
-  zero-padded to L by the transform itself; the inverse passes in the
-  opposite order, keeping N rows before the last one), so no L x L
-  zero-padded field is built: the fractional Laplacian, and the separable
-  operators delta_x + delta_y and (I + c delta_x)(I + c delta_y) of the
-  diagnostics, are all applied this way,
+* a block-Toeplitz-Toeplitz-block (BTTB) matvec via 2D circulant embedding
+  on an even L x L torus, its real spectrum stored as the (L/2 + 1)^2
+  quarter that a 2D DCT-I of the quadrant gives, and applied by pruned
+  transforms over column and row blocks of a fixed byte budget, so no
+  L x L array is ever built: the fractional Laplacian and the separable
+  delta_x + delta_y of the energy norms are both applied this way,
 * a 2D sine-transform (tau algebra) preconditioner and a PCG loop for the
   systems that are BTTB but not factorable.
 
@@ -210,20 +209,34 @@ def gs_solve(data: GSData, v: np.ndarray) -> np.ndarray:
 # BTTB operator via 2D circulant embedding
 # ---------------------------------------------------------------------------
 
+# Bytes of working array that one column block of the BTTB apply's axis-0
+# passes (L x width complex) or one row block of its last pass (rows x L
+# real) may hold: about one core's L2 cache.
+_BLOCK_BYTES = 2 * 2**20
+
+
 @dataclass(frozen=True)
 class BttbOperator:
     """Block-Toeplitz-Toeplitz-block operator on N x N fields.
 
     The doubly Toeplitz matrix with entries scale * a_{|i-p|, |j-q|} embeds
-    into a block-circulant-circulant-block matrix on an L x L torus
-    (L fast length >= 2N), where it is diagonal in 2D Fourier space. The
-    embedded kernel is real and even, so the spectrum (L x (L/2 + 1), the
-    rfft2 half plane) is real and applications return real fields. An
-    application never builds the zero-padded L x L field: it transforms
-    the N rows along axis 1 and then axis 0, each pass padding to L
-    itself, multiplies by the spectrum, and runs the inverse passes in the
-    opposite order, keeping N rows before the last pass and N columns
-    after it.
+    into a block-circulant-circulant-block matrix on an L x L torus, L = 2K
+    with K = next_fast_real_len(N) >= N, where it is diagonal in 2D Fourier
+    space. The embedded kernel is real and even in both axes, so its
+    spectrum is real and even too: row (or column) L - p equals row p.
+    ``spectrum`` holds only the (K + 1) x (K + 1) quarter of frequencies
+    0 ... K in each axis, the 2D DCT-I of the quadrant zero-padded to
+    (K + 1) x (K + 1) (Martucci 1994); frequencies K + 1 ... L - 1 read it
+    through the reversed view ``spectrum[K - 1:0:-1]``.
+
+    An application never builds the zero-padded L x L field. It transforms
+    the N rows along axis 1 (N x (K + 1) complex). Then, one column block
+    at a time, it copies the block's columns into one reused L-row buffer
+    zero-padded below row N, runs the axis-0 transform, the spectrum
+    product and the inverse in place, and writes the block's first N rows
+    back. The inverse along axis 1 runs over row blocks into the N x N
+    result. A block holds at most ``_BLOCK_BYTES`` of working array (but
+    no fewer than eight columns or one row).
     """
 
     n: int
@@ -235,39 +248,57 @@ class BttbOperator:
 
 
 def bttb_build(quadrant: np.ndarray, n: int, scale: float = 1.0) -> BttbOperator:
-    """Build the BTTB operator for a coefficient quadrant and grid size n."""
+    """Build the BTTB operator for a coefficient quadrant and grid size n:
+    the quarter spectrum as one DCT-I along each axis of the zero-padded
+    n x n corner of the quadrant, in place (see :class:`BttbOperator`)."""
     quad = np.asarray(quadrant, dtype=float)
     if quad.shape[0] < n or quad.shape[1] < n:
         raise ValidationError(
             f"coefficient quadrant {quad.shape} too small for grid size {n}"
         )
-    length = _fft.next_fast_real_len(2 * n)
-    offsets = np.minimum(np.arange(length), length - np.arange(length))
-    inside = offsets <= n - 1
-    kernel = np.zeros((length, length))
-    kernel[np.ix_(inside, inside)] = quad[np.ix_(offsets[inside], offsets[inside])]
-    # the embedded kernel is palindromic in both dimensions, so its transform
-    # is real; dropping the round-off imaginary part keeps the apply exact
-    spectrum = _fft.rfft2(kernel).real * scale
-    return BttbOperator(n=n, length=length, spectrum=spectrum)
+    half = _fft.next_fast_real_len(n)
+    quarter = np.zeros((half + 1, half + 1))
+    quarter[:n, :n] = quad[:n, :n]
+    quarter = _fft.dct_type1_inplace(quarter, axis=1)
+    quarter = _fft.dct_type1_inplace(quarter, axis=0)
+    quarter *= scale
+    return BttbOperator(n=n, length=2 * half, spectrum=quarter)
 
 
 def bttb_apply(op: BttbOperator, u: np.ndarray) -> np.ndarray:
-    """Apply the BTTB operator to an N x N field by pruned 2D FFTs (the
-    pass order is in :class:`BttbOperator`).
+    """Apply the BTTB operator to an N x N field by pruned, blocked 2D FFTs
+    (the passes are in :class:`BttbOperator`).
 
-    The result is a C-contiguous N x N array that owns its memory. The last
-    pass yields an N x L array; a field that outlives the call must not pin
-    that buffer, and the copy costs what a view's first flattening would."""
+    The result is a C-contiguous N x N array that owns its memory: each
+    row block of the last pass is cropped into it, so no N x L array is
+    kept or pinned."""
     u = np.asarray(u, dtype=float)
     n, length = op.n, op.length
     if u.shape != (n, n):
         raise ValidationError(f"field shape {u.shape} does not match grid ({n}, {n})")
-    spec = _fft.cfft(_fft.rfft(u, axis=1, n=length), axis=0, n=length,
-                     overwrite_x=True)
-    spec *= op.spectrum
-    rows = _fft.cifft(spec, axis=0, overwrite_x=True)[:n]
-    return np.ascontiguousarray(_fft.irfft(rows, n=length, axis=1)[:, :n])
+    half = length // 2
+    quarter = op.spectrum
+    mirror = quarter[half - 1:0:-1]
+    spec = _fft.rfft(u, axis=1, n=length)
+    width = min(half + 1, max(8, _BLOCK_BYTES // (16 * length)))
+    buffer = np.empty(length * width, dtype=complex)
+    for start in range(0, half + 1, width):
+        cols = slice(start, min(start + width, half + 1))
+        # the block's columns of spec, zero-padded to L rows in the buffer
+        block = buffer[:length * (cols.stop - start)].reshape(length, -1)
+        block[:n] = spec[:, cols]
+        block[n:] = 0.0
+        block = _fft.cfft(block, axis=0, overwrite_x=True)
+        block[:half + 1] *= quarter[:, cols]
+        block[half + 1:] *= mirror[:, cols]
+        spec[:, cols] = _fft.cifft(block, axis=0, overwrite_x=True)[:n]
+    del buffer, block  # free before the last pass allocates its own blocks
+    out = np.empty((n, n))
+    rows = max(1, _BLOCK_BYTES // (8 * length))
+    for start in range(0, n, rows):
+        out[start:start + rows] = _fft.irfft(spec[start:start + rows], n=length,
+                                             axis=1)[:, :n]
+    return out
 
 
 # ---------------------------------------------------------------------------

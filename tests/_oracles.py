@@ -134,14 +134,21 @@ def semi_discrete_nonlinear(lap: np.ndarray, kappa: float, g, u0: np.ndarray,
     return unvec_f(sol.y[:m, -1], u0.shape[0])
 
 
-def padded_bttb_apply(op, u: np.ndarray) -> np.ndarray:
-    """BTTB apply in its unpruned form: zero-pad the field to the L x L
-    torus, one real 2D FFT, the spectrum product, one inverse, crop."""
+def padded_bttb_apply(op, quad: np.ndarray, u: np.ndarray,
+                      scale: float = 1.0) -> np.ndarray:
+    """BTTB apply in its unpruned form, independent of ``op.spectrum``: the
+    quadrant embedded as the even L x L torus kernel (L = ``op.length``),
+    the field zero-padded to the torus, one real 2D FFT of each, their
+    product, one inverse, crop."""
     n, length = op.n, op.length
+    offsets = np.minimum(np.arange(length), length - np.arange(length))
+    inside = offsets < n
+    kernel = np.zeros((length, length))
+    kernel[np.ix_(inside, inside)] = quad[np.ix_(offsets[inside], offsets[inside])]
     padded = np.zeros((length, length))
     padded[:n, :n] = u
-    out = np.fft.irfft2(np.fft.rfft2(padded) * op.spectrum, s=(length, length))
-    return out[:n, :n]
+    product = np.fft.rfft2(scale * kernel) * np.fft.rfft2(padded)
+    return np.fft.irfft2(product, s=(length, length))[:n, :n]
 
 
 def random_spd_toeplitz(n: int, rng: np.random.Generator) -> np.ndarray:

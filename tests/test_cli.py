@@ -333,8 +333,10 @@ class TestExitCodes:
         SOLVE_SMALL + ["--summary", "{dir}"],
         ["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
          "--out", "{dir}"],
+        SOLVE_SMALL + ["--snapshots", "0.2"],
+        SOLVE_SMALL + ["--snapshots", "0.2", "--format", "raw"],
     ], ids=["solve-summary", "solve-prefix", "study-out", "solve-summary-dir",
-            "study-out-dir"])
+            "study-out-dir", "solve-snapshot-dir", "solve-raw-snapshot-dir"])
     def test_unusable_output_refused_before_the_first_step(self, argv, tmp_path,
                                                            monkeypatch):
         # a path under a regular file, whose directory cannot be made, or
@@ -343,6 +345,10 @@ class TestExitCodes:
         blocker = tmp_path / "occupied"
         blocker.write_text("not a directory")
         (tmp_path / "a-dir").mkdir()
+        # a directory where a snapshot file would go (the csv, or the raw
+        # format's .meta sidecar, written after its .f64)
+        for name in ("snap_t0.2.csv", "snap_t0.2.meta"):
+            (tmp_path / name).mkdir()
         calls = []
 
         def record(*args, **kwargs):

@@ -5,12 +5,14 @@ application, sine-transform preconditioner, PCG) is checked
 against an explicit dense matrix built entry by entry.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import _oracles as oracle
-from fracwave import _fft
+from fracwave import _fft, structured
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError, ValidationError
 from fracwave.structured import (
@@ -237,11 +239,12 @@ class TestBttb:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
     def test_matches_padded_reference(self, n, rng):
-        # n = 7 and n = 33 embed into L = 15 and L = 72, both > 2n
+        # L = 2 next_fast_real_len(n) is even: n = 7 and n = 33 embed into
+        # L = 16 and L = 72, both > 2n
         quad = laplacian_coeffs_2d(1.5, n)
         op = bttb_build(quad, n, scale=2.3)
         u = rng.standard_normal((n, n))
-        want = oracle.padded_bttb_apply(op, u)
+        want = oracle.padded_bttb_apply(op, quad, u, scale=2.3)
         got = bttb_apply(op, u)
         assert got.shape == (n, n)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -284,6 +287,52 @@ class TestBttb:
         assert isinstance(op, BttbOperator)
         assert op.n == n
         assert op.length >= 2 * n
+        assert op.spectrum.shape == (op.length // 2 + 1,) * 2
+
+    @pytest.mark.parametrize("n", [19, 39, 79, 159, 399, 799, 999, 1599, 2047])
+    def test_even_torus_of_the_paper_grids(self, n):
+        # L = 2 next_fast_real_len(n) is the fast length >= 2n at every grid
+        # the paper, the gates and the benchmark use
+        op = bttb_build(np.broadcast_to(1.0, (n, n)), n)
+        assert op.length % 2 == 0
+        assert op.length >= 2 * n
+        assert op.length == _fft.next_fast_real_len(2 * n)
+
+    @pytest.mark.parametrize("n", [7, 33])
+    def test_column_and_row_blocks_change_no_bit(self, n, rng, monkeypatch):
+        # the smallest budget gives blocks of eight columns (the last one
+        # partial) and of one row
+        quad = laplacian_coeffs_2d(1.5, n)
+        op = bttb_build(quad, n, scale=2.3)
+        u = rng.standard_normal((n, n))
+        whole = bttb_apply(op, u)
+        monkeypatch.setattr(structured, "_BLOCK_BYTES", 1)
+        blocked = bttb_apply(op, u)
+        np.testing.assert_array_equal(blocked, whole)
+        want = oracle.padded_bttb_apply(op, quad, u, scale=2.3)
+        assert np.max(np.abs(blocked - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_memory_stays_within_the_blocks(self, rng):
+        # the apply holds the N x (L/2 + 1) first pass, the N x N result and
+        # one block; the build the quarter spectrum and a copy of the
+        # quadrant at most, never an L x L array
+        n = 399
+        quad = laplacian_coeffs_2d(1.5, n)
+        u = rng.standard_normal((n, n))
+
+        def peak(call, *args):
+            tracemalloc.start()
+            try:
+                result = call(*args)
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        op, build_peak = peak(bttb_build, quad, n)
+        _, apply_peak = peak(bttb_apply, op, u)
+        cols = op.length // 2 + 1
+        assert build_peak < 3 * cols * cols * 8 + quad.nbytes
+        assert apply_peak < n * cols * 16 + n * n * 8 + structured._BLOCK_BYTES + 2**20
 
 
 class TestExactOperator:
