@@ -11,10 +11,11 @@ Subcommands:
 Exit codes: 0 success, 2 validation error (argparse errors, non-finite
 numbers and thread counts outside 1 .. CPU count included), 3
 iterative-solver non-convergence, 4 solution blow-up, 5 I/O failure;
-``selftest`` exits 1 when a check fails. The output directory of
-``solve`` and the studies is ``--out-dir`` (default the current directory).
-A command makes only the directories it writes to, after its flags,
-operator scales and output paths are checked and before any operator is built.
+``selftest`` exits 1 when a check fails; running out of memory exits 2.
+Runs are planned by ``harness.plan_run``. ``solve`` and the studies write
+into ``--out-dir`` (default the current directory); every file a command
+writes is checked by ``harness.prepare_outputs`` before any directory is
+made or any operator or coefficient computed.
 
 All numeric flags accept plain decimals or p/q fractions (``--tau 1/100``);
 join a value such as -1e1 or -1/2 to its flag with ``=`` (``--a=-1/2``).
@@ -37,16 +38,17 @@ from pathlib import Path
 import numpy as np
 
 from . import _fft
-from .coeffs import OVERSAMPLING, laplacian_coeffs_2d, riesz_coeffs_1d
+from .coeffs import (OVERSAMPLING, laplacian_coeffs_2d, riesz_coeffs_1d,
+                     sampling_size, validate_alpha)
 from .errors import BlowUpError, SolverError, ValidationError
 from .harness import (
     EnergyTrace,
+    RunPlan,
     StudySpec,
-    _check_output_file,
-    _step_index,
-    _steps_for,
     discrete_energy,
     inner_product,
+    plan_run,
+    prepare_outputs,
     run_study,
 )
 from .problems import (
@@ -67,8 +69,7 @@ from .snapshots import (
     write_snapshot_csv,
     write_snapshot_raw,
 )
-from .stepper import (MAX_GRID_N, SCHEME_NAMES, build_operators,
-                      check_scales, run)
+from .stepper import MAX_GRID_N, SCHEME_NAMES, build_operators, run
 
 log = logging.getLogger("fracwave")
 
@@ -259,64 +260,45 @@ def _solve_defaults(args) -> tuple[float, float, float]:
             paper_runs(args.example)[0] if args.t_final is None else args.t_final)
 
 
-def _snapshot_steps(times: tuple[float, ...], tau: float,
-                    m_steps: int) -> dict[int, str]:
-    """Map requested snapshot times to step indices, validating alignment
-    and refusing two steps whose file labels coincide."""
-    plan: dict[int, str] = {}
+def _snapshot_steps(times: tuple[float, ...], plan: RunPlan) -> dict[int, str]:
+    """Map requested snapshot times to the plan's steps, refusing two steps
+    whose file labels coincide."""
     first: dict[str, tuple[int, float]] = {}  # label -> (step, time)
     for t_req in times:
-        k = _step_index(t_req, tau, "snapshot time")
-        if k < 0:
-            raise ValidationError(f"snapshot time {t_req!r} lies before t = 0")
-        if k > m_steps:
-            raise ValidationError(
-                f"snapshot time {t_req!r} lies beyond t_final "
-                f"(step {k} > {m_steps})"
-            )
+        k = plan.step_of(t_req, "snapshot time")
         label = f"{t_req:g}"
         k_first, t_first = first.setdefault(label, (k, t_req))
         if k_first != k:
             raise ValidationError(
                 f"snapshot times {t_first!r} and {t_req!r} lie on different "
-                f"steps but share the file label t{label}"
-            )
-        plan[k] = label
-    return plan
+                f"steps but share the file label t{label}")
+    return {k: label for label, (k, _) in first.items()}
 
 
 def _cmd_solve(args) -> int:
     outdir = Path(args.out_dir or ".")
     problem = _build_problem(args)
     tau, h, t_final = _solve_defaults(args)
-    if args.n is not None:
-        grid = Grid2D(problem.a, problem.b, args.n)
-    else:
-        grid = Grid2D.from_spacing(problem.a, problem.b, h)
-    m_steps = _steps_for(t_final, tau)
-    plan = _snapshot_steps(args.snapshots, tau, m_steps)
-    check_scales(problem, grid, tau)
+    grid = (Grid2D(problem.a, problem.b, args.n) if args.n is not None
+            else Grid2D.from_spacing(problem.a, problem.b, h))
+    plan = plan_run(problem, grid, tau, t_final)
+    snaps = {k: outdir / f"{args.prefix}_t{label}"  # step -> file stem
+             for k, label in _snapshot_steps(args.snapshots, plan).items()}
+    summary = os.path.join(outdir, args.summary)
     suffixes = (".csv",) if args.snapshot_format == "csv" else (".f64", ".meta")
     with _fft.fft_workers(args.threads):
-        # every file the solve will write, checked before any directory
-        _check_output_file(os.path.join(outdir, args.summary))
-        for label in plan.values():
-            for suffix in suffixes:
-                _check_output_file(f"{outdir / args.prefix}_t{label}{suffix}")
-        (outdir / args.summary).parent.mkdir(parents=True, exist_ok=True)
-        if plan:
-            (outdir / f"{args.prefix}_t").parent.mkdir(parents=True, exist_ok=True)
+        prepare_outputs([summary] + [f"{base}{suffix}" for base in snaps.values()
+                                     for suffix in suffixes])
         log.info("solve: %s alpha=%g scheme=%s N=%d h=%g tau=%g steps=%d",
                  problem.label, problem.alpha, args.scheme, grid.n, grid.h, tau,
-                 m_steps)
+                 plan.steps)
 
         t0 = time.perf_counter()
         ops = build_operators(problem, grid, tau)
         build_seconds = time.perf_counter() - t0
 
-        def write_snap(field_values: np.ndarray, label: str, t_actual: float) -> None:
+        def write_snap(field_values: np.ndarray, base: Path, t_actual: float) -> None:
             surf = apply_surface(args.surface, field_values)
-            base = outdir / f"{args.prefix}_t{label}"
             if args.snapshot_format == "csv":
                 write_snapshot_csv(f"{base}.csv", surf)
             else:
@@ -325,9 +307,9 @@ def _cmd_solve(args) -> int:
                                    nonlinearity=problem.nonlinearity,
                                    surface=args.surface)
 
-        if 0 in plan:
+        if 0 in snaps:
             u0 = problem.initial_fields(grid)[0]
-            write_snap(u0, plan[0], 0.0)
+            write_snap(u0, snaps[0], 0.0)
 
         track_energy = problem.nonlinearity == "zero"
         energies: list[float] = []
@@ -335,12 +317,11 @@ def _cmd_solve(args) -> int:
         def recorder(state) -> None:
             if track_energy:
                 energies.append(discrete_energy(state, ops, args.scheme))
-            label = plan.get(state.step_index)
-            if label is not None:
-                write_snap(state.u_curr, label, state.time)
+            base = snaps.get(state.step_index)
+            if base is not None:
+                write_snap(state.u_curr, base, state.time)
 
-        state, info = run(problem, grid, tau, m_steps, scheme=args.scheme,
-                          recorder=recorder, ops=ops)
+        state, info = run(*plan, scheme=args.scheme, recorder=recorder, ops=ops)
         info.setup_seconds += build_seconds  # run timed the solver build
 
         u = state.u_curr
@@ -354,12 +335,12 @@ def _cmd_solve(args) -> int:
             f"n = {grid.n}",
             f"h = {grid.h:.12g}",
             f"tau = {tau:.12g}",
-            f"steps = {m_steps}",
+            f"steps = {plan.steps}",
             f"t_final = {state.time:.12g}",
             f"final_max_abs = {float(np.max(np.abs(u))):.12e}",
             f"final_l2h_norm = {np.sqrt(inner_product('l2', u, u, ops)):.12e}",
             f"final_energy_seminorm = {np.sqrt(max(inner_product('A', u, u, ops), 0.0)):.12e}",
-            f"snapshots_written = {len(plan)}",
+            f"snapshots_written = {len(snaps)}",
         ]
         if track_energy and energies:
             trace = EnergyTrace(np.asarray(energies))
@@ -380,7 +361,7 @@ def _cmd_solve(args) -> int:
             f"# timing total_seconds = {info.total_seconds:.4f}",
         ]
         report = "\n".join(lines) + "\n"
-        (outdir / args.summary).write_text(report)
+        Path(summary).write_text(report)
         sys.stdout.write(report)
         return EXIT_OK
 
@@ -389,7 +370,7 @@ def _cmd_study(args) -> int:
     # every StudySpec field is a study flag; a flag left out keeps its default
     spec = StudySpec(**{f.name: getattr(args, f.name) for f in fields(StudySpec)
                         if getattr(args, f.name) is not None})
-    out_path = (args.out if args.out
+    out_path = (args.out if args.out is not None
                 else Path(args.out_dir or ".") / f"study_{args.axis}.csv")
     rows = run_study(spec, out_path)
     sys.stderr.write(f"wrote {len(rows)} rows to {out_path}\n")
@@ -400,6 +381,11 @@ def _cmd_coeffs(args) -> int:
     if not 1 <= args.count <= MAX_GRID_N:
         raise ValidationError(
             f"--count must lie in [1, {MAX_GRID_N}], got {args.count}")
+    validate_alpha(args.alpha, allow_classical=True)  # before any directory
+    if args.kind == "2d":
+        sampling_size(args.count, args.oversampling)
+    if args.out != "-":
+        prepare_outputs([args.out])
     if args.kind == "1d":
         table = riesz_coeffs_1d(args.alpha, args.count)[:, None]
     else:
@@ -446,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return EXIT_IO
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -104,7 +104,13 @@ def riesz_coeffs_1d(alpha: float, count: int) -> np.ndarray:
     return w
 
 
-def _sampling_size(count: int, oversampling: int) -> int:
+def sampling_size(count: int, oversampling: int) -> int:
+    """Refuse a count or oversampling ``laplacian_coeffs_2d`` cannot use, and
+    return its M, the smallest power of two >= oversampling * count."""
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
+    if oversampling < 2:
+        raise ValidationError(f"oversampling must be >= 2, got {oversampling}")
     m = 1
     while m < oversampling * count:
         m *= 2
@@ -143,11 +149,7 @@ def laplacian_coeffs_2d(
     the test suite.
     """
     alpha = validate_alpha(alpha, allow_classical=True)
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    if oversampling < 2:
-        raise ValidationError(f"oversampling must be >= 2, got {oversampling}")
-    m = _sampling_size(count, oversampling)
+    m = sampling_size(count, oversampling)
     k = m // 2
     theta = np.pi * np.arange(k + 1) / k
     s = 4.0 * np.sin(theta / 2.0) ** 2

@@ -8,12 +8,13 @@ Error metrics (self-refinement, no exact solution needed):
 
 with observed order log2 of consecutive error ratios. Halving h turns N
 interior nodes into 2N + 1, so coarse node i coincides with fine node 2i
-and the comparison needs no interpolation. ``refinement_rows`` is the one
-study runner: ``_plan_runs`` checks the (grid, tau) runs and picks the
-restriction of the finer final onto the coarser grid (identity for time,
-every other node for space); ``refinement_rows`` runs them and turns
-consecutive finals into rows. ``run_study`` plans every cell before its
-first run, then concatenates the cells' rows. Each run builds its own
+and the comparison needs no interpolation. ``plan_run`` makes every check
+a run needs, once, and returns a ``RunPlan`` that unpacks into ``run``.
+``_plan_runs`` plans a refinement's runs and picks the restriction of the
+finer final onto the coarser grid (identity for time, every other node for
+space); ``_study_rows`` runs them and turns consecutive finals into rows.
+``run_study`` plans every cell once, before its first run and before
+``prepare_outputs`` makes the CSV's directory. Each run builds its own
 operators and, in its set-up, only its scheme's solver.
 
 The linear (g = 0) schemes conserve discrete energies. For the level pair
@@ -50,7 +51,7 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,17 +59,20 @@ from . import _fft
 from .errors import ValidationError
 from .problems import (Grid2D, Problem, example_problem, paper_runs,
                        whole_steps)
-from .stepper import (SCHEME_NAMES, RunInfo, SchemeState, StepOperators,
+from .stepper import (SCHEME_NAMES, SchemeState, StepOperators,
                       _nonadi_m, check_scales, lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
     "EnergyTrace",
+    "RunPlan",
     "StudyRow",
     "StudySpec",
     "inner_product",
     "splitting_gap",
     "discrete_energy",
+    "plan_run",
+    "prepare_outputs",
     "refinement_rows",
     "run_study",
     "write_rows_csv",
@@ -169,30 +173,34 @@ class StudyRow:
         return self.cpu_setup + self.cpu_loop
 
 
-def _step_index(t: float, tau: float, what: str) -> int:
-    """Return k with k tau = t, rejecting a t that is not on a step."""
-    k = whole_steps(t, tau)
-    if k is None:
-        raise ValidationError(
-            f"{what} {t:g} does not land on a step of tau={tau:g}"
-        )
-    return k
+class RunPlan(NamedTuple):
+    """One checked run; it unpacks into ``run(problem, grid, tau, m_steps)``."""
+
+    problem: Problem
+    grid: Grid2D
+    tau: float
+    steps: int
+
+    def step_of(self, t: float, what: str) -> int:
+        """Return the step k in 0 .. steps with k tau = t; refuse a t off the
+        step grid, before t = 0 or past the horizon."""
+        k = whole_steps(t, self.tau)
+        if k is None or not 0 <= k <= self.steps:
+            raise ValidationError(f"{what} {t:g} does not land on a step of "
+                                  f"tau={self.tau:g} within 0 .. {self.steps} steps")
+        return k
 
 
-def _steps_for(t_final: float, tau: float) -> int:
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    m = _step_index(t_final, tau, "t_final")
-    if m < 1:
+def plan_run(problem: Problem, grid: Grid2D, tau: float,
+             t_final: float) -> RunPlan:
+    """Check a run's operator scales and its horizon, which must be 1 ..
+    MAX_STEPS whole steps of tau, and return its plan."""
+    check_scales(problem, grid, tau)
+    steps = RunPlan(problem, grid, tau, MAX_STEPS).step_of(t_final, "t_final")
+    if steps < 1:
         raise ValidationError(
-            f"t_final {t_final:g} is shorter than one step of tau={tau:g}"
-        )
-    if m > MAX_STEPS:
-        raise ValidationError(
-            f"t_final {t_final:g} needs {m:.3g} steps of tau={tau:g}, "
-            f"more than the largest supported {MAX_STEPS:.0e}"
-        )
-    return m
+            f"t_final {t_final:g} is shorter than one step of tau={tau:g}")
+    return RunPlan(problem, grid, tau, steps)
 
 
 def _l2h_diff(h: float, u_coarse: np.ndarray, u_fine_restricted: np.ndarray) -> float:
@@ -212,10 +220,10 @@ def _check_halving(values: Sequence[float], what: str) -> None:
 
 def _plan_runs(problem: Problem, axis: str, steps: Sequence[float],
                fixed: float, t_final: float):
-    """Plan and check the runs of a refinement along ``axis``: the halving
-    ``steps`` and their last entry halved, at the ``fixed`` h (time) or tau
-    (space). Returns the (grid, tau) runs, their step counts, and the
-    restriction of a finer final onto the next coarser grid."""
+    """Plan the runs of a refinement along ``axis``: the halving ``steps``
+    and their last entry halved, at the ``fixed`` h (time) or tau (space).
+    Returns the plans and the restriction of a finer final onto the next
+    coarser grid."""
     if axis not in ("time", "space"):
         raise ValidationError(f"axis must be 'time' or 'space', got {axis!r}")
     _check_halving(steps, "tau" if axis == "time" else "h")
@@ -232,11 +240,32 @@ def _plan_runs(problem: Problem, axis: str, steps: Sequence[float],
                 raise ValidationError(f"grids N={coarse.n} and N={fine.n} "
                                       "have no coincident nodes")
         restrict = lambda u: u[1::2, 1::2]  # the coincident even-index nodes
-    counts = []
-    for grid, tau in runs:
-        check_scales(problem, grid, tau)
-        counts.append(_steps_for(t_final, tau))
-    return runs, counts, restrict
+    return [plan_run(problem, grid, tau, t_final) for grid, tau in runs], restrict
+
+
+def _study_rows(plans: Sequence[RunPlan], restrict, steps: Sequence[float],
+                scheme: str) -> list[StudyRow]:
+    """Run the plans of one refinement and turn consecutive finals into the
+    rows at ``steps``; row k's timings belong to run k."""
+    finals, infos = [], []
+    for plan in plans:
+        log.info("run %s alpha=%g h=%g tau=%g (%d steps, N=%d)", scheme,
+                 plan.problem.alpha, plan.grid.h, plan.tau, plan.steps,
+                 plan.grid.n)
+        state, info = run(*plan, scheme=scheme)
+        finals.append(state.u_curr)
+        infos.append(info)
+    rows: list[StudyRow] = []
+    for k, step in enumerate(steps):
+        err = _l2h_diff(plans[k].grid.h, finals[k], restrict(finals[k + 1]))
+        order = None
+        if rows:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a zero error has no order: inf or nan, not a crash
+                order = float(np.log2(np.float64(rows[-1].error) / err))
+        rows.append(StudyRow(scheme, plans[k].problem.alpha, step, err, order,
+                             infos[k].setup_seconds, infos[k].loop_seconds))
+    return rows
 
 
 def refinement_rows(problem: Problem, axis: str, steps: Sequence[float],
@@ -250,30 +279,10 @@ def refinement_rows(problem: Problem, axis: str, steps: Sequence[float],
     with the h/2 field restricted to the coincident (even-index) nodes.
     Consecutive rows share runs, so a K-row study costs K+1 runs; the
     timings of a row belong to the run at that row's step. Every run is
-    checked before the first one starts.
+    planned and checked before the first one starts.
     """
-    runs, counts, restrict = _plan_runs(problem, axis, steps, fixed, t_final)
-    finals: list[np.ndarray] = []
-    infos: list[RunInfo] = []
-    for (grid, tau), m_steps in zip(runs, counts):
-        log.info("run %s alpha=%g h=%g tau=%g (%d steps, N=%d)",
-                 scheme, problem.alpha, grid.h, tau, m_steps, grid.n)
-        state, info = run(problem, grid, tau, m_steps, scheme=scheme)
-        finals.append(state.u_curr)
-        infos.append(info)
-    rows: list[StudyRow] = []
-    for k, step in enumerate(steps):
-        err = _l2h_diff(runs[k][0].h, finals[k], restrict(finals[k + 1]))
-        order = None
-        if rows:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # a zero error has no order: inf or nan, not a crash
-                order = float(np.log2(np.float64(rows[-1].error) / err))
-        rows.append(StudyRow(
-            scheme=scheme, alpha=problem.alpha, step=step, error=err, order=order,
-            cpu_setup=infos[k].setup_seconds, cpu_loop=infos[k].loop_seconds,
-        ))
-    return rows
+    plans, restrict = _plan_runs(problem, axis, steps, fixed, t_final)
+    return _study_rows(plans, restrict, steps, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +323,29 @@ def _spec_defaults(spec: StudySpec) -> StudySpec:
                    t_final=t_final if spec.t_final is None else spec.t_final)
 
 
-def _check_output_file(path) -> None:
-    """Refuse an output file path that names no file or a directory."""
-    text = os.fspath(path)
-    if os.path.basename(text) in ("", ".", ".."):
-        raise ValidationError(f"output path {text!r} names no file")
-    if os.path.isdir(text):
-        raise IsADirectoryError(f"output path {text!r} is a directory")
+def prepare_outputs(paths: Iterable) -> None:
+    """Refuse every output file path that names no file (its last component
+    empty, '.' or '..') or an existing directory, then make the directories
+    of them all."""
+    paths = [os.fspath(path) for path in paths]
+    for text in paths:
+        if os.path.basename(text) in ("", ".", ".."):
+            raise ValidationError(f"output path {text!r} names no file")
+        if os.path.isdir(text):
+            raise IsADirectoryError(f"output path {text!r} is a directory")
+    for text in paths:
+        Path(text).parent.mkdir(parents=True, exist_ok=True)
 
 
 def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
     """Execute a study spec; optionally write rows to a CSV file.
 
-    Cells run sequentially in declaration order (scheme, then alpha, then
-    step), each through ``refinement_rows``. Every scheme is looked up,
-    every alpha's problem built and every run planned and checked (its
-    grid, operator scales and step count) before the output path is
-    checked and its directory made, and that before the first run. The
-    FFT worker count is ``spec.threads`` for the call and returns to its
-    previous value after it, refused or not.
+    Every scheme is looked up and every alpha's runs planned (``plan_run``)
+    before ``prepare_outputs`` checks the output path and makes its
+    directory, and that before the first run. Cells then run in declaration
+    order (scheme, then alpha, then step) from those plans, one per run for
+    all schemes. The FFT worker count is ``spec.threads`` for the call and
+    returns to its previous value after it, refused or not.
     """
     spec = _spec_defaults(spec)
     with _fft.fft_workers(spec.threads):
@@ -341,18 +354,13 @@ def run_study(spec: StudySpec, output_path=None) -> list[StudyRow]:
             lookup_scheme(scheme)
         if not spec.alphas:
             raise ValidationError("alpha list must not be empty")
-
-        problems = [example_problem(spec.example, alpha, kappa=spec.kappa)
-                    for alpha in spec.alphas]
-        for problem in problems:
-            _plan_runs(problem, spec.axis, spec.steps, spec.fixed, spec.t_final)
+        cells = [_plan_runs(example_problem(spec.example, alpha, kappa=spec.kappa),
+                            spec.axis, spec.steps, spec.fixed, spec.t_final)
+                 for alpha in spec.alphas]
         if output_path is not None:
-            _check_output_file(output_path)
-            Path(output_path).parent.mkdir(parents=True, exist_ok=True)
-
-        rows = [row for scheme in schemes for problem in problems
-                for row in refinement_rows(problem, spec.axis, spec.steps,
-                                           spec.fixed, spec.t_final, scheme)]
+            prepare_outputs([output_path])
+        rows = [row for scheme in schemes for plans, restrict in cells
+                for row in _study_rows(plans, restrict, spec.steps, scheme)]
         if output_path is not None:
             write_rows_csv(output_path, rows)
         return rows

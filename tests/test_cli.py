@@ -22,7 +22,8 @@ from fracwave import _fft, stepper
 from fracwave.cli import main
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError, ValidationError
-from fracwave.harness import StudySpec
+from fracwave.harness import StudySpec, plan_run
+from fracwave.problems import Grid2D, example_problem
 from fracwave.snapshots import read_snapshot_raw
 
 
@@ -180,10 +181,14 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_snapshot_times_sharing_a_label_refused(self):
+        grid = Grid2D(-10.0, 10.0, 3)
+        plan = plan_run(example_problem("zero", 1.5), grid, 1e-6, 2.0)
+        assert plan.steps == 2000000
         with pytest.raises(ValidationError, match="1.000001 and 1.000002"):
-            cli._snapshot_steps((1.000001, 1.000002), 1e-6, 2000000)
+            cli._snapshot_steps((1.000001, 1.000002), plan)
         # one step asked for twice writes one file: no clash
-        assert cli._snapshot_steps((0.0, 0.5, 1.0, 1.0), 0.5, 4) == {
+        plan = plan_run(example_problem("zero", 1.5), grid, 0.5, 2.0)
+        assert cli._snapshot_steps((0.0, 0.5, 1.0, 1.0), plan) == {
             0: "0", 1: "0.5", 2: "1"}
 
     @pytest.mark.parametrize("argv", [
@@ -310,6 +315,23 @@ class TestExitCodes:
         rc = main(SOLVE_SMALL + ["--out-dir", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv, module, name", [
+        (SOLVE_SMALL, cli, "build_operators"),
+        (["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4"], harness,
+         "run"),
+        (["coeffs", "--alpha", "1.5", "--count", "4"], cli,
+         "laplacian_coeffs_2d"),
+    ], ids=["solve", "study", "coeffs"])
+    def test_out_of_memory_exits_two(self, argv, module, name, tmp_path,
+                                     monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 128. MiB")
+        monkeypatch.setattr(module, name, exhausted)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 128. MiB\n"
+
     def test_blow_up_exits_four(self, tmp_path, capsys):
         # kappa = 0 reduces the update to an explicit pointwise recurrence;
         # a huge step on the cubic model then grows past the guard quickly
@@ -404,9 +426,18 @@ class TestExitCodes:
         (SOLVE_SMALL + ["--summary", "runs/..", "--out-dir", "out"], 2, []),
         (["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
           "--out", "runs/."], 2, []),
+        # an empty --out is refused, not replaced by the default name
+        (["study-time", *STUDY_SMALL, "--taus", "1/5", "--h", "4",
+          "--out", ""], 2, []),
+        (["coeffs", "--alpha", "2.5", "--count", "4", "--out", "new/c.csv"],
+         2, []),
+        (["coeffs", "--alpha", "1.5", "--count", "4", "--oversampling", "1",
+          "--out", "new/c.csv"], 2, []),
     ], ids=["solve-refused", "study-out-elsewhere", "solve-scale-refused",
             "study-scale-refused", "study-steps-refused", "summary-empty",
-            "summary-dot", "summary-dotdot", "study-out-dot"])
+            "summary-dot", "summary-dotdot", "study-out-dot",
+            "study-out-empty", "coeffs-alpha-refused",
+            "coeffs-oversampling-refused"])
     def test_unused_output_directory_not_made(self, argv, rc, left, tmp_path,
                                               monkeypatch):
         # a directory is made only when something is written there, and
@@ -553,6 +584,24 @@ class TestCoeffsCommand:
         assert rc == 0
         assert peak <= 5 * 2**20
 
+    def test_directory_out_refused_before_any_coefficient(self, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "laplacian_coeffs_2d",
+                            lambda *args, **kwargs: calls.append(args))
+        for out, rc in ((tmp_path, 5), (f"{tmp_path}/runs/.", 2)):
+            assert main(["coeffs", "--alpha", "1.5", "--count", "4",
+                         "--out", str(out)]) == rc
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_out_directories_made(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["coeffs", "--alpha", "1.5", "--count", "2", "--kind", "1d",
+                     "--out", "new/sub/c.csv"]) == 0
+        assert (tmp_path / "new" / "sub" / "c.csv").read_text().startswith(
+            "i,j,value\n0,0,")
+
     def test_bad_count_rejected(self):
         assert main(["coeffs", "--alpha", "1.5", "--count", "0",
                      "--kind", "1d", "--out", "-"]) == 2
@@ -679,8 +728,8 @@ def _coeffs_argv(draw):
     argv += draw(_optional("--kind", (["1d", "2d"], ["3d"])))
     argv += draw(_optional("--oversampling",
                            (["2", "8", "64"], ["1", "0", "-3", "100000", "x"])))
-    argv += draw(_optional("--out", (["-", "{dir}/c.csv"],
-                                     ["{dir}/missing/c.csv"])))
+    argv += draw(_optional("--out", (["-", "{dir}/c.csv", "{dir}/missing/c.csv"],
+                                     ["{dir}", "{file}/c.csv", ""])))
     return argv
 
 

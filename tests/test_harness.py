@@ -22,10 +22,9 @@ from fracwave.harness import (
     _check_halving,
     _l2h_diff,
     _spec_defaults,
-    _step_index,
-    _steps_for,
     discrete_energy,
     inner_product,
+    plan_run,
     refinement_rows,
     splitting_gap,
     run_study,
@@ -262,29 +261,50 @@ class TestEnergy:
         assert t2.relative_drift() == pytest.approx(0.1, rel=1e-12)
 
 
+def plan_steps(t_final, tau):
+    return plan_run(small_problem(), Grid2D(-2.0, 2.0, 3), tau, t_final).steps
+
+
 class TestRefinementMechanics:
     def test_steps_for(self):
-        assert _steps_for(5.0, 0.1) == 50
-        assert _steps_for(1.0, 0.25) == 4
+        assert plan_steps(5.0, 0.1) == 50
+        assert plan_steps(1.0, 0.25) == 4
         with pytest.raises(ValidationError):
-            _steps_for(1.0, 0.3)
+            plan_steps(1.0, 0.3)
         for tau in (0.0, -0.1):
             with pytest.raises(ValidationError):
-                _steps_for(1.0, tau)
-        assert _steps_for(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+                plan_steps(1.0, tau)
+        assert plan_steps(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
         with pytest.raises(ValidationError):
-            _steps_for((MAX_STEPS + 1) * 0.5, 0.5)
+            plan_steps((MAX_STEPS + 1) * 0.5, 0.5)
+        with pytest.raises(ValidationError, match="shorter than one step"):
+            plan_steps(0.0, 0.5)
 
     @pytest.mark.parametrize("tau", [1e-9, 1e-3, 1.0, 1e3])
     def test_off_step_time_refused_at_any_step_size(self, tau):
         # the slack is relative to the step count, not to the time: a time
         # of 1.4 or 0.5 steps is refused however small the step
-        assert _step_index(3.0 * tau, tau, "t") == 3
+        plan = plan_run(small_problem(), Grid2D(-2.0, 2.0, 3), tau, 4.0 * tau)
+        assert plan.step_of(3.0 * tau, "t") == 3
         for steps in (0.5, 1.4, 2.0 + 1e-6):
             with pytest.raises(ValidationError, match="does not land"):
-                _step_index(steps * tau, tau, "t")
+                plan.step_of(steps * tau, "t")
         with pytest.raises(ValidationError, match="does not land"):
-            _steps_for(1.4 * tau, tau)
+            plan_steps(1.4 * tau, tau)
+
+    def test_step_of_refuses_times_outside_the_run(self):
+        plan = plan_run(small_problem(), Grid2D(-2.0, 2.0, 3), 0.5, 2.0)
+        assert (plan.step_of(0.0, "t"), plan.step_of(2.0, "t")) == (0, 4)
+        for t in (-0.5, 2.5):
+            with pytest.raises(ValidationError, match="within 0 .. 4 steps"):
+                plan.step_of(t, "t")
+
+    def test_plan_unpacks_into_run(self):
+        plan = plan_run(small_problem(), Grid2D(-2.0, 2.0, 3), 0.5, 1.0)
+        problem, grid, tau, steps = plan
+        assert (grid.n, tau, steps) == (3, 0.5, 2)
+        state, _ = run(*plan)
+        assert state.step_index == 2 and state.time == pytest.approx(1.0)
 
     def test_spacing_and_step_share_one_rule(self):
         # whole_steps backs both the time-step and the grid-spacing checks
@@ -435,6 +455,20 @@ class TestRunStudy:
             run_study(spec, tmp_path / "dd" / "rows.csv")
         assert calls == []
         assert not (tmp_path / "dd").exists()
+
+    def test_each_cell_planned_once(self, monkeypatch):
+        # two alphas x three runs, planned once for both schemes: six scale
+        # checks in harness (build_operators makes its own in stepper)
+        calls = []
+        real_check = harness.check_scales
+        monkeypatch.setattr(harness, "check_scales", lambda *args: (
+            calls.append(args) or real_check(*args)))
+        spec = StudySpec(axis="time", example="zero", scheme="both",
+                         alphas=(1.5, 1.9), steps=(0.2, 0.1), fixed=4.0,
+                         t_final=0.4)
+        rows = run_study(spec)
+        assert len(rows) == 8
+        assert len(calls) == 6
 
     def test_output_directory_made_before_the_first_run(self, tmp_path,
                                                          monkeypatch):
