@@ -18,7 +18,19 @@ coefficients of trigonometric symbols on the unit cell:
   so that h^{-alpha} sum_ij a_ij u(x + i h, y + j h) approximates
   (-Delta)^{alpha/2} to second order. This symbol is not a product of 1D
   symbols, which is why the weights need their own transform-based
-  construction instead of a tensor product.
+  construction instead of a tensor product. They are the 2D DCT-I of the
+  symbol sampled on an oversampled grid, but that grid is never formed:
+  the identity
+
+      (a + b)^beta = a^beta + b^beta
+                     - c int_0^inf (1 - e^{-ta})(1 - e^{-tb}) t^{-beta-1} dt,
+
+  beta = alpha/2, c = beta / Gamma(1 - beta), discretised by the
+  exponentially convergent trapezoidal rule in ln t, writes the samples as
+  a sum of at most 250 rank-1 terms, each of which transforms as a 1D
+  DCT-I. So the cost is at most 250 rows of 1D transforms and one
+  symmetric low-rank product, and the result is the sampled transform to
+  round-off (see ``laplacian_coeffs_2d``).
 
 All grid functions vanish identically outside the interior node set, so a
 solver on N interior nodes per direction needs offsets 0 .. N-1 only; larger
@@ -49,18 +61,22 @@ class QuadratureError(RuntimeError):
     """The coefficient quadrature oracle failed to reach its tolerance."""
 
 # Upper bound on the symbol sampling grid M (per dimension). The largest
-# transient is the count x (M/2 + 1) first-pass array of
-# laplacian_coeffs_2d: at most 2048 x 8193 doubles (128 MiB) for the
-# counts a solve may ask for.
+# transient is the R x (M/2 + 1) array of DCT-I rows of
+# laplacian_coeffs_2d, R its 187 .. 247 quadrature nodes: at most
+# 247 x 8193 doubles (15.4 MiB) for the counts a solve may ask for.
 DEFAULT_MAX_SAMPLES = 16384
 
 # Symbol-sampling factor of the 2D weights a solve uses (~1e-5 absolute
 # accuracy).
 OVERSAMPLING = 8
 
-# Sample rows built and transformed at a time by laplacian_coeffs_2d
-# (4 MiB per block at M = 8192).
-_ROW_BLOCK = 128
+# Trapezoidal rule of laplacian_coeffs_2d in y = ln t: the node spacing,
+# and the exponent past which either end of the integral is dropped.
+_LOG_STEP = 0.24
+_LOG_CUT = 40.0
+
+# Rows of the quadrant formed at a time by laplacian_coeffs_2d.
+_BLOCK = 128
 
 
 def validate_alpha(alpha: float, allow_classical: bool = False) -> float:
@@ -130,43 +146,89 @@ def laplacian_coeffs_2d(
     """Generate the quadrant a_ij, 0 <= i, j < count, of 2D weights.
 
     The other quadrants follow from a_{|i|,|j|} = a_ij, and the quadrant is
-    symmetric (a_ij = a_ji).
+    exactly symmetric (a_ij == a_ji bit for bit).
 
     The weights are the discrete Fourier coefficients of the symbol sampled
     on an M x M uniform grid over the periodic cell, M = smallest power of
     two >= oversampling * count. Because the symbol is real and even in each
-    variable, the full-cell inverse FFT collapses to a 2D type-I cosine
-    transform of the (M/2 + 1)^2 samples on [0, pi]^2. Only its count x
-    count corner is kept, so the transform runs in two pruned passes and
-    the full sample grid is never held: sample rows are built a fixed block
-    at a time and each row is transformed in place, keeping its first
-    ``count`` outputs; a second pass transforms the resulting
-    count x (M/2 + 1) array along its rows and crops it. Sampling
-    instead of integrating makes this an aliased version of the exact
-    coefficients; the alias terms are coefficients at offsets >= M - count,
-    which decay like |offset|^{-2-alpha}, so the error shrinks rapidly as
-    ``oversampling`` grows. Agreement with direct quadrature is pinned in
-    the test suite.
+    variable, they are the count x count corner of the 2D type-I cosine
+    transform (DCT-I) of the samples f_pq = (s_p + s_q)^beta on [0, pi]^2,
+    divided by 4 k^2, with k = M/2, s_p = 4 sin^2(pi p / 2k) and
+    beta = alpha/2. Sampling instead of integrating makes this an aliased
+    version of the exact coefficients; the alias terms are coefficients at
+    offsets >= M - count, which decay like |offset|^{-2-alpha}, so the error
+    shrinks rapidly as ``oversampling`` grows. Agreement with direct
+    quadrature is pinned in the test suite.
+
+    The samples are never formed. For 0 < beta < 1,
+
+        (a + b)^beta = a^beta + b^beta
+                       - c int_0^inf (1 - e^{-ta})(1 - e^{-tb}) t^{-beta-1} dt,
+
+    c = beta / Gamma(1 - beta), splits f into two rank-1 terms and an
+    integral of rank-1 terms. The integral is discretised by the trapezoidal
+    rule in y = ln t, which converges exponentially for this integrand
+    (Trefethen & Weideman, SIAM Review 56, 2014): nodes y_l = l * 0.24 on a
+    lattice anchored at y = 0 (so no node carries the rounding of a shifted
+    start), from -40 / (2 - beta), where the integrand has fallen to about
+    a b e^{-40}, to ln(40 / s_1), past which every e^{-t s_p}, p >= 1, is
+    below e^{-40} and each node adds w_l (1 - e_0)(1 - e_0)^T; those sum to the
+    geometric constant K = w_R / (1 - e^{-beta 0.24}), w_R the weight of the
+    first node not taken. With weights w_l = 0.24 e^{-beta y_l} and
+    E_lp = 1 - e^{-t_l s_p}, and because the DCT-I maps a constant to 2k e_0,
+    the corner is
+
+        [2k (d e_0^T + e_0 d^T) - c (Ehat^T diag(w) Ehat + K u u^T)] / 4k^2,
+
+    d the DCT-I of s^beta, Ehat the DCT-I of each row E_l, u = 2k e_0 - 1,
+    each cut to ``count`` entries. The quadrature and truncation errors are
+    far below one rounding, so the result is the sampled transform to
+    round-off (pinned against the one-shot transform in the test suite).
+    At alpha = 2, c is 0 and the first term alone is exact. The work is k+1
+    powers, R = 187 .. 247 length-(k+1) DCT-I rows (R grows with alpha and
+    k) and one symmetric rank-(R+1) product; the largest transient is the
+    R x (k+1) array of rows, 6.5 MiB at count 799 and alpha = 1.5.
     """
     alpha = validate_alpha(alpha, allow_classical=True)
     m = sampling_size(count, oversampling)
     k = m // 2
+    beta = alpha / 2.0
     theta = np.pi * np.arange(k + 1) / k
     s = 4.0 * np.sin(theta / 2.0) ** 2
-    # first pass: partial[q, p] = DCT-I of sample row p at frequency q < count
-    partial = np.empty((count, k + 1))
-    block = np.empty((min(_ROW_BLOCK, k + 1), k + 1))
-    for start in range(0, k + 1, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, k + 1)
-        rows = block[: stop - start]
-        np.add.outer(s[start:stop], s, out=rows)
-        np.power(rows, alpha / 2.0, out=rows)
-        partial[:, start:stop] = _fft.dct_type1_inplace(rows, axis=1)[:, :count].T
-    # second pass along the contiguous axis, then crop; the samples are
-    # exactly symmetric (s_p + s_q == s_q + s_p), so this is the corner of the
-    # one-shot 2D transform as it stands, with no transpose back
-    partial = _fft.dct_type1_inplace(partial, axis=1)
-    return partial[:, :count] / (4.0 * k * k)
+    d = _fft.dct_type1_inplace(s**beta)[:count] / (2.0 * k)
+    if beta < 1.0:
+        c = beta / math.gamma(1.0 - beta)
+        nodes = np.arange(math.ceil(-_LOG_CUT / (2.0 - beta) / _LOG_STEP),
+                          math.ceil(math.log(_LOG_CUT / s[1]) / _LOG_STEP))
+        y = nodes * _LOG_STEP
+        tail = (_LOG_STEP * math.exp(-beta * (nodes[-1] + 1) * _LOG_STEP)
+                / -math.expm1(-beta * _LOG_STEP))
+        rows = np.multiply.outer(-np.exp(y), s)
+        np.negative(np.expm1(rows, out=rows), out=rows)
+        rows = _fft.dct_type1_inplace(rows, axis=1)
+        # factors sqrt(c w_l) / 2k, and sqrt(c K) / 2k u as one more row
+        factors = np.empty((y.size + 1, count))
+        np.multiply(rows[:, :count],
+                    (np.sqrt(c * _LOG_STEP * np.exp(-beta * y)) / (2.0 * k))[:, None],
+                    out=factors[:-1])
+        factors[-1] = -math.sqrt(c * tail) / (2.0 * k)
+        factors[-1, 0] *= 1.0 - 2.0 * k
+        del rows
+        # -factors^T factors, one block row of its upper triangle at a time
+        # (small BLAS packing buffers, which stay resident); each block's
+        # triangle is mirrored below it, so a_ij == a_ji exactly
+        quad = np.empty((count, count))
+        for j0 in range(0, count, _BLOCK):
+            j1 = min(j0 + _BLOCK, count)
+            np.matmul(-factors[:, j0:j1].T, factors[:, j0:], out=quad[j0:j1, j0:])
+            upper = np.triu(quad[j0:j1, j0:j1])
+            quad[j0:j1, j0:j1] = upper + np.triu(upper, 1).T
+            quad[j1:, j0:j1] = quad[j0:j1, j1:].T
+    else:
+        quad = np.zeros((count, count))
+    quad[0] += d
+    quad[:, 0] += d
+    return quad
 
 
 def coeff_quadrature_oracle(alpha: float, i: int, j: int, tol: float = 1e-10) -> float:

@@ -143,11 +143,14 @@ class TestLaplacian2D:
 
     def test_symmetry_and_signs(self):
         quad = laplacian_coeffs_2d(1.3, 6, oversampling=16)
-        assert np.allclose(quad, quad.T, atol=1e-14)
+        assert np.array_equal(quad, quad.T)
         assert quad[0, 0] > 0
         off = quad.copy()
         off[0, 0] = 0.0
         assert np.all(off <= 1e-12)
+        # exact across the blocks the quadrant is mirrored in
+        quad = laplacian_coeffs_2d(1.3, 300)
+        assert np.array_equal(quad, quad.T)
 
     def test_oversampling_refines(self):
         ref = laplacian_coeffs_2d(1.1, 5, oversampling=256)
@@ -155,26 +158,34 @@ class TestLaplacian2D:
                 for o in (8, 32, 128)]
         assert errs[0] > errs[1] > errs[2]
 
-    @pytest.mark.parametrize("alpha", [1.1, 1.9, 2.0])
+    @pytest.mark.parametrize("alpha", [1.001, 1.05, 1.1, 1.5, 1.9, 1.95, 1.999, 2.0])
     def test_matches_one_shot_transform(self, alpha):
-        # M/2 + 1 = 5, 17, 257, 257, 513, 1025, 1025 sample rows: one
-        # partial row block, then whole blocks plus a partial last one
-        for count in (1, 3, 63, 64, 65, 129, 130):
-            got = laplacian_coeffs_2d(alpha, count)
-            want = oracle.one_shot_laplacian_coeffs_2d(alpha, count)
+        # the exponential sum is checked where its integral is hardest: alpha
+        # near both ends, few nodes (M = 2 at count 1, oversampling 2), the
+        # widest node range (oversampling 256), blocks of 128 rows mirrored
+        # (counts 129, 130, 399)
+        cases = [(count, 8) for count in (1, 3, 63, 64, 65, 129, 130)]
+        cases += [(count, o) for count in (1, 2, 5) for o in (2, 16, 64, 256)]
+        if alpha in (1.1, 1.5, 1.9):
+            cases.append((399, 8))
+        for count, o in cases:
+            got = laplacian_coeffs_2d(alpha, count, oversampling=o)
+            want = oracle.one_shot_laplacian_coeffs_2d(alpha, count, oversampling=o)
             assert got.shape == (count, count)
-            assert np.max(np.abs(got - want)) <= 1e-15
+            assert np.max(np.abs(got - want)) <= 1e-15, (count, o)
 
     def test_never_holds_the_sample_grid(self):
         # N = 799 samples a 4097 x 4097 grid (128 MiB, twice over in the
-        # one-shot form); the row-blocked transform holds a 799 x 4097 array
+        # one-shot form); the exponential sum holds its ~210 x 4097 DCT-I
+        # rows (6.5 MiB) and the 799 x 799 result, so a count x 4097 first
+        # pass (25 MiB) would break the bound
         tracemalloc.start()
         try:
             laplacian_coeffs_2d(1.5, 799)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20
+        assert peak <= 24 * 2**20
 
     def test_count_and_shape(self):
         assert laplacian_coeffs_2d(1.5, 9).shape == (9, 9)
