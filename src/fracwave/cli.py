@@ -316,7 +316,7 @@ def _cmd_solve(args) -> int:
 
         def recorder(state) -> None:
             if track_energy:
-                energies.append(discrete_energy(state, ops, args.scheme))
+                energies.append(discrete_energy(state, ops))
             base = snaps.get(state.step_index)
             if base is not None:
                 write_snap(state.u_curr, base, state.time)

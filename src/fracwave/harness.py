@@ -34,14 +34,13 @@ and I + c Atilde + c^2 B = (I + c delta_x)(I + c delta_y), both reduce to
     (M dt, dt) + kappa (A w^{n+1}, w^n),
 
 M the scheme's implicit operator: (I + c delta_x)(I + c delta_y) for sadi,
-I + c L for nonadi. ``discrete_energy`` evaluates this form in two cases.
-sadi reads M (w^{n+1} - w^n) off a sadi run state (``SchemeState.m_du``,
-summed from the steps' right-hand sides) and refuses any other state;
-nonadi applies its M, the operator its PCG solves with, to dt by one BTTB
-apply of L. The pairing h^2 (A w^n, w^{n+1}) comes with the states of a
+I + c L for nonadi. ``discrete_energy`` evaluates this form for both
+from the run state: M (w^{n+1} - w^n) is ``SchemeState.m_du``, made with
+the M of the scheme that made the state and no apply, and a state without
+it is refused. The pairing h^2 (A w^n, w^{n+1}) comes with the states of a
 run that applied A to w^n (``SchemeState.a_pair``: every sadi step, and
-the first baseline step); a state without it costs one more BTTB apply.
-So a sadi energy costs two inner products and no BTTB apply.
+the first baseline step); a state without it costs one BTTB apply, so of
+a run's energies only those at general baseline steps make one.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ from . import _fft
 from .errors import ValidationError
 from .problems import (Grid2D, Problem, example_problem, paper_runs,
                        whole_steps)
-from .stepper import (SCHEME_NAMES, SchemeState, StepOperators,
-                      _nonadi_m, check_scales, lookup_scheme, run)
+from .stepper import (SCHEME_NAMES, SchemeState, StepOperators, check_scales,
+                      lookup_scheme, run)
 
 __all__ = [
     "NORM_KINDS",
@@ -122,28 +121,21 @@ class EnergyTrace:
         return float(np.max(np.abs(v - v[0])) / abs(v[0]))
 
 
-def discrete_energy(
-    state: SchemeState, ops: StepOperators, scheme: str = "sadi"
-) -> float:
-    """Evaluate the energy ``scheme`` conserves for g = 0 on the level pair
-    held by ``state``: H_n^2 for sadi, E_n for nonadi, both as
-    (M dt, dt) + kappa (A u^{n+1}, u^n) with M the scheme's implicit operator.
-    The pairing is the state's ``a_pair`` when it carries one; sadi reads
-    M (u^{n+1} - u^n) off ``m_du`` and refuses a state without it."""
-    lookup_scheme(scheme)
-    du = state.u_curr - state.u_prev
-    if scheme == "sadi":
-        if state.m_du is None:
-            raise ValidationError("the sadi energy needs a sadi run state")
-        tau2 = ops.tau_step * ops.tau_step
-        energy = inner_product("l2", state.m_du, du, ops) / tau2
-    else:
-        dt = du / ops.tau_step
-        energy = inner_product("l2", _nonadi_m(ops, dt), dt, ops)
+def discrete_energy(state: SchemeState, ops: StepOperators) -> float:
+    """Evaluate the energy that the scheme which made ``state`` conserves
+    for g = 0 on the level pair it holds, (M dt, dt) + kappa (A u^{n+1}, u^n)
+    with M that scheme's implicit operator: H_n^2 for sadi, E_n for nonadi.
+    M (u^{n+1} - u^n) is read off ``m_du``, and a state without it is
+    refused; the pairing is the state's ``a_pair`` when it carries one."""
+    if state.m_du is None:
+        raise ValidationError("the energy needs a run state that carries "
+                              "M (u_curr - u_prev)")
+    tau2 = ops.tau_step * ops.tau_step
+    energy = inner_product("l2", state.m_du, state.u_curr - state.u_prev, ops)
     a_pair = state.a_pair
     if a_pair is None:
         a_pair = inner_product("A", state.u_prev, state.u_curr, ops)
-    return energy + ops.kappa * a_pair
+    return energy / tau2 + ops.kappa * a_pair
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .coeffs import coeff_quadrature_oracle, laplacian_coeffs_2d, riesz_coeffs_1
 from .harness import EnergyTrace, discrete_energy, inner_product, splitting_gap
 from .problems import Grid2D, Problem, resolve_nonlinearity, sech
 from .stepper import (
+    SCHEME_NAMES,
     build_operators,
     nonadi_first_step,
     nonadi_step,
@@ -211,11 +212,12 @@ def _check_splitting_gap() -> None:
 
 def _check_energy_conservation() -> None:
     problem, grid, ops = _small_ops(24, 4.0, "zero")  # tau = 5 h
-    energies: list[float] = []
-    run(problem, grid, ops.tau_step, 40, ops=ops,
-        recorder=lambda s: energies.append(discrete_energy(s, ops)))
-    drift = EnergyTrace(values=np.asarray(energies)).relative_drift()
-    _require(drift <= 1e-10, f"energy drift {drift:.2e} exceeds 1e-10")
+    for scheme in SCHEME_NAMES:
+        energies: list[float] = []
+        run(problem, grid, ops.tau_step, 40, scheme=scheme, ops=ops,
+            recorder=lambda s: energies.append(discrete_energy(s, ops)))
+        drift = EnergyTrace(values=np.asarray(energies)).relative_drift()
+        _require(drift <= 1e-10, f"{scheme} energy drift {drift:.2e} exceeds 1e-10")
 
 
 def run_selftest() -> tuple[bool, str]:

@@ -37,9 +37,10 @@ comparisons.
 steps and its solver of M (the GS inverse for sadi, the tau spectrum for
 nonadi), read from the module at each call so that a wrapper installed
 over one runs. ``run`` builds only that solver, in its set-up;
-``build_operators`` builds what both schemes share. sadi's states carry
-the M (u^{n+1} - u^n) its energy reads; the Riesz sum delta_x + delta_y,
-which only a norm applies, is a BTTB operator built on first apply.
+``build_operators`` builds what both schemes share. Every run state names
+the scheme that made it and carries M (u^{n+1} - u^n) with that scheme's
+M, the product its energy reads; the Riesz sum delta_x + delta_y, which
+only a norm applies, is a BTTB operator built on first apply.
 """
 
 from __future__ import annotations
@@ -95,36 +96,35 @@ SCHEME_NAMES = ("sadi", "nonadi")
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Two consecutive time levels: u_prev = u^{n-1}, u_curr = u^n.
-
+    """Two consecutive time levels: u_prev = u^{n-1}, u_curr = u^n, made by
+    the steps of ``scheme`` (None for a state built by hand).
     ``pcg_iterations`` counts the iterations of the baseline solve that
     produced u_curr (zero is a valid count); it is None for sadi steps.
 
     The steps hand on the applies they made, so that consumers need not
     repeat them. ``a_pair`` is h^2 (L u_prev, u_curr), the pairing term of
     the conserved energy, set by the steps that apply L to u_prev (sadi's
-    and the first baseline step). ``m_prev`` and ``m_curr`` are M u_prev
-    and M u_curr, M = I + c L, compact N x N fields that the baseline steps
-    carry for the next one's right-hand side and warm-start residual.
-    ``pinv_m_curr`` is P^{-1} M u_curr, P the tau preconditioner, which
-    the next solve takes for its preconditioned warm-start residual. Each
-    is None where no step made it: the energy then applies L for its
-    pairing, and ``nonadi_step`` refuses a state without the three baseline
-    fields. ``m_du`` is sadi's M (u_curr - u_prev),
-    M = (I + c delta_x)(I + c delta_y), a compact N x N field: every sadi
-    step solves M hat{u} = B(u^n), so it is the first step's right-hand
-    side and then B(u^n) plus the previous level's m_du, formed with no
-    apply. The sadi energy reads it, and refuses a state without it: a
-    baseline state, or a sadi step from a state without it.
+    and the first baseline step); where it is None the energy applies L.
+    ``m_du`` is M (u_curr - u_prev) with the M of ``scheme``, a compact
+    N x N field made with no apply: every sadi step solves M hat{u} = B(u^n),
+    M = (I + c delta_x)(I + c delta_y), so sadi's is the first step's
+    right-hand side and then B(u^n) plus the previous level's; the
+    baseline's, M = I + c L, is the M u its solve ended with less the one
+    it started from. The energy reads it, and refuses a state without it.
+    The baseline's ``m_curr`` = M u_curr and ``pinv_m_curr`` =
+    P^{-1} M u_curr, P the tau preconditioner, are read off the solve's
+    final residual and its preconditioned form; the next solve takes them
+    for its right-hand side (M u_prev = m_curr - m_du) and its warm-start
+    residuals, and ``nonadi_step`` refuses a state without the three.
     """
 
     u_prev: np.ndarray
     u_curr: np.ndarray
     step_index: int
     time: float
+    scheme: str | None = None
     pcg_iterations: int | None = None
     a_pair: float | None = None
-    m_prev: np.ndarray | None = None
     m_curr: np.ndarray | None = None
     pinv_m_curr: np.ndarray | None = None
     m_du: np.ndarray | None = None
@@ -261,18 +261,19 @@ def rhs_general(
     return out, lap_u
 
 
-def _hand_over(ops: StepOperators, u_prev: np.ndarray, u_curr: np.ndarray,
-               lap_u_prev: np.ndarray | None, step_index: int,
-               **carried) -> SchemeState:
-    """The state at ``step_index``: a step that made L u_prev hands on the
-    energy pairing h^2 (L u_prev, u_curr). ``carried`` holds sadi's
-    ``m_du``, or the baseline's ``pcg_iterations``, ``m_prev``, ``m_curr``
-    and ``pinv_m_curr``."""
+def _hand_over(scheme: str, ops: StepOperators, u_prev: np.ndarray,
+               u_curr: np.ndarray, lap_u_prev: np.ndarray | None,
+               step_index: int, **carried) -> SchemeState:
+    """The state at ``step_index``, made by ``scheme``: a step that made
+    L u_prev hands on the energy pairing h^2 (L u_prev, u_curr).
+    ``carried`` holds ``m_du``, and the baseline's ``pcg_iterations``,
+    ``m_curr`` and ``pinv_m_curr``."""
     h = ops.grid.h
     a_pair = (None if lap_u_prev is None
               else h * h * float(np.vdot(lap_u_prev, u_curr).real))
     return SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=step_index,
-                       time=step_index * ops.tau_step, a_pair=a_pair, **carried)
+                       time=step_index * ops.tau_step, scheme=scheme,
+                       a_pair=a_pair, **carried)
 
 
 def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
@@ -299,7 +300,7 @@ def sadi_first_step(problem: Problem, ops: StepOperators) -> SchemeState:
     b0, lap_u0 = rhs_general(u0, ops, g)
     rhs = 0.5 * b0 + ops.tau_step * phi2_field
     u1 = u0 + adi_solve(ops, rhs)
-    return _hand_over(ops, u0, u1, lap_u0, 1, m_du=rhs)
+    return _hand_over("sadi", ops, u0, u1, lap_u0, 1, m_du=rhs)
 
 
 def sadi_step(
@@ -310,18 +311,19 @@ def sadi_step(
     """One general step: solve for the second difference and shift levels.
 
     M (u^{n+1} - u^n) = B(u^n) + M (u^n - u^{n-1}), so the step hands on
-    ``m_du`` with one addition; from a state without it (built by hand, or
-    by the baseline) it hands on None. u^{n+1} is formed in the solve's
-    output and B(u^n) is released before the hand-over, so the carried
-    field adds no peak memory."""
+    ``m_du`` with one addition; from a state that is not sadi's (built by
+    hand, or by the baseline) or carries none, it hands on None. u^{n+1} is
+    formed in the solve's output and B(u^n) is released before the
+    hand-over, so the carried field adds no peak memory."""
     b, lap_curr = rhs_general(state.u_curr, ops, g)
     u_next = adi_solve(ops, b)
     u_next += 2.0 * state.u_curr
     u_next -= state.u_prev
-    m_du = None if state.m_du is None else b + state.m_du
+    own = state.scheme == "sadi" and state.m_du is not None
+    m_du = b + state.m_du if own else None
     del b
-    return _hand_over(ops, state.u_curr, u_next, lap_curr, state.step_index + 1,
-                      m_du=m_du)
+    return _hand_over("sadi", ops, state.u_curr, u_next, lap_curr,
+                      state.step_index + 1, m_du=m_du)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +344,9 @@ def _nonadi_solve(ops: StepOperators, b: np.ndarray, x0: np.ndarray,
                   tol: float, lap_x0: np.ndarray | None = None) -> SchemeState:
     """Solve (I + c L) x = b by PCG with the 2D sine-transform
     preconditioner P, warm-started from the previous level x0 with its
-    M x0 and P^{-1} M x0, and hand on the levels (x0, x) with M x0, M x and
-    P^{-1} M x, read off the final residual and its preconditioned form.
-    ``lap_x0``, L x0 when the caller made it, gives the energy pairing."""
+    M x0 and P^{-1} M x0, and hand on the levels (x0, x) with M x and
+    P^{-1} M x, read off the final residual and its preconditioned form,
+    and M x - M x0. ``lap_x0``, L x0 if made, gives the energy pairing."""
     x, report, m_x, pinv_m_x = pcg(
         partial(_nonadi_m, ops), partial(tau_apply, ops.tau2d), b, x0, m_x0,
         pinv_m_x0, tol=tol, max_iter=400)
@@ -353,9 +355,9 @@ def _nonadi_solve(ops: StepOperators, b: np.ndarray, x0: np.ndarray,
             f"step solve did not converge: {report.iterations} iterations, "
             f"relative residual {report.final_relative_residual:.2e}"
         )
-    return _hand_over(ops, x0, x, lap_x0, step_index,
-                      pcg_iterations=report.iterations, m_prev=m_x0, m_curr=m_x,
-                      pinv_m_curr=pinv_m_x)
+    return _hand_over("nonadi", ops, x0, x, lap_x0, step_index,
+                      pcg_iterations=report.iterations, m_du=m_x - m_x0,
+                      m_curr=m_x, pinv_m_curr=pinv_m_x)
 
 
 def nonadi_first_step(
@@ -384,16 +386,17 @@ def nonadi_step(
     tol: float = STEP_TOL,
 ) -> SchemeState:
     """General baseline step: (I + c L) u^{n+1} = 2 u^n - (I + c L) u^{n-1}
-    + tau^2 g(u^n). M u^{n-1}, M u^n and P^{-1} M u^n come from the state,
-    so the step applies L only in its PCG iterations and P^{-1} once more,
-    for the solve's scale. A state that does not carry them (built by hand,
-    or by sadi) is refused. The step hands on no energy pairing."""
-    if state.m_prev is None or state.m_curr is None or state.pinv_m_curr is None:
+    + tau^2 g(u^n). M u^n, P^{-1} M u^n and M (u^n - u^{n-1}), whence
+    M u^{n-1}, come from the state, so the step applies L only in its PCG
+    iterations and P^{-1} once more, for the solve's scale. A state that
+    does not carry them (built by hand, or by sadi) is refused. The step
+    hands on no energy pairing."""
+    if state.m_du is None or state.m_curr is None or state.pinv_m_curr is None:
         raise ValidationError(
             "nonadi_step needs a state that carries M u_prev, M u_curr and "
             "P^-1 M u_curr: start the baseline with nonadi_first_step")
     tau = ops.tau_step
-    b = 2.0 * state.u_curr - state.m_prev + tau * tau * g(state.u_curr)
+    b = 2.0 * state.u_curr - (state.m_curr - state.m_du) + tau * tau * g(state.u_curr)
     return _nonadi_solve(ops, b, state.u_curr, state.m_curr, state.pinv_m_curr,
                          state.step_index + 1, tol)
 

@@ -372,11 +372,11 @@ def pcg(
     apply, so a solve applies M^{-1} once outside its iterations (for the
     scale), and each iteration applies A and M^{-1} once.
 
-    Returns x, the report, A x and M^{-1} A x, formed at exit as b - r and
-    M^{-1} b - z from the recursive residual r and its preconditioned z,
-    with no application. They differ from fresh applies by the round-off
-    the iterations accumulate (van der Vorst & Ye 2000) and by any error
-    ``ax0`` and ``m_inv_ax0`` brought in.
+    Returns x, the report, A x and M^{-1} A x, formed at exit as b - r (in
+    r's memory) and M^{-1} b - z from the recursive residual r and its
+    preconditioned z, with no application. They differ from fresh applies
+    by the round-off the iterations accumulate (van der Vorst & Ye 2000)
+    and by any error ``ax0`` and ``m_inv_ax0`` brought in.
 
     The iterations update x, r and p in place, with one scratch array per
     solve, and never write into an array the callables returned, so either
@@ -416,4 +416,5 @@ def pcg(
         p *= rho_next / rho
         p += z
         rho = rho_next
-    return x, PcgReport(it, rel, bool(rel <= tol)), b - r, zb - z
+    m_inv_ax = zb - z  # before r is overwritten: z may be r itself
+    return x, PcgReport(it, rel, bool(rel <= tol)), np.subtract(b, r, out=r), m_inv_ax

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import _oracles as oracle
 import fracwave.cli as cli
@@ -30,8 +31,9 @@ from fracwave.harness import (
     run_study,
     write_rows_csv,
 )
-from fracwave.problems import Grid2D, Problem, example_problem, whole_steps
-from fracwave.stepper import SchemeState, build_operators, run
+from fracwave.problems import (Grid2D, Problem, example_problem,
+                               resolve_nonlinearity, whole_steps)
+from fracwave.stepper import SchemeState, build_operators, run, sadi_step
 
 
 def small_problem(alpha=1.5, nonlinearity="zero", amp=1.0):
@@ -142,7 +144,7 @@ class TestEnergy:
             ops = build_operators(problem, grid, tau)
             values = []
             run(problem, grid, tau, 30, scheme=scheme, ops=ops,
-                recorder=lambda s: values.append(discrete_energy(s, ops, scheme)))
+                recorder=lambda s: values.append(discrete_energy(s, ops)))
             drift = EnergyTrace(values=np.asarray(values)).relative_drift()
             assert drift <= bound, (scheme, alpha, tau, drift)
 
@@ -150,8 +152,8 @@ class TestEnergy:
     @pytest.mark.parametrize("tau", [0.05, 0.5])
     def test_matches_paper_forms(self, alpha, tau, rng):
         # the paper's four-term H_n^2 (sadi) and two-term E_n (nonadi),
-        # built from dense matrices, on random level pairs; the sadi state
-        # carries its M du from the dense H x H
+        # built from dense matrices, on random level pairs; each state
+        # carries its scheme's M du, from the dense H x H or I + c L
         problem = small_problem(alpha=alpha)
         grid = Grid2D(a=-2.0, b=2.0, n=6)
         ops = build_operators(problem, grid, tau)
@@ -165,63 +167,73 @@ class TestEnergy:
         for _ in range(5):
             u_prev, u_curr = rng.standard_normal((2, n, n))
             a, b = oracle.vec_f(u_curr), oracle.vec_f(u_prev)
-            m_du = oracle.unvec_f(np.kron(hmat, hmat) @ (a - b), n)
-            state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
-                                time=tau, m_du=m_du)
             dt = (a - b) / tau
             e_n = h2 * (dt @ dt + 0.5 * kappa * (a @ lap @ a + b @ lap @ b))
             h_n2 = e_n + h2 * (c * (dt @ cross @ dt - dt @ lap @ dt)
                                + c * c * dt @ tensor @ dt)
-            assert discrete_energy(state, ops) == pytest.approx(h_n2, rel=1e-12)
-            assert discrete_energy(state, ops, "nonadi") == pytest.approx(
-                e_n, rel=1e-12)
-        with pytest.raises(ValidationError):
-            discrete_energy(state, ops, "magic")
+            for m, want in ((np.kron(hmat, hmat), h_n2),
+                            (np.eye(n * n) + c * lap, e_n)):
+                state = SchemeState(u_prev=u_prev, u_curr=u_curr,
+                                    step_index=1, time=tau,
+                                    m_du=oracle.unvec_f(m @ (a - b), n))
+                assert discrete_energy(state, ops) == pytest.approx(
+                    want, rel=1e-12)
 
-    @pytest.mark.parametrize("scheme, applies", [("sadi", 1), ("nonadi", 2)])
+    @pytest.mark.parametrize("scheme, applies", [("sadi", 1), ("nonadi", 1)])
     def test_bttb_applies_per_call(self, scheme, applies, ops6, rng,
                                    bttb_calls):
         # a state built by hand carries no pairing: one apply of L makes
-        # it, and nonadi's M dt one more; the sadi state carries its M du
+        # it; M du, with either scheme's M, is read off the state
         _, _, ops = ops6
         u_prev, u_curr = rng.standard_normal((2, 6, 6))
+        du = u_curr - u_prev
+        hmat = scipy.linalg.toeplitz(ops.sweep_col)
+        m_du = (hmat @ du @ hmat if scheme == "sadi"
+                else du + ops.c * ops.lap.apply(du))
         state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
-                            time=0.05, m_du=rng.standard_normal((6, 6)))
-        discrete_energy(state, ops, scheme)
+                            time=0.05, scheme=scheme, m_du=m_du)
+        del bttb_calls[:]
+        energy = discrete_energy(state, ops)
         assert len(bttb_calls) == applies
         assert all(op is ops.lap for op in bttb_calls)
+        h2 = ops.grid.h ** 2
+        want = (h2 * np.vdot(m_du, du) / 0.05 ** 2
+                + ops.kappa * inner_product("A", u_prev, u_curr, ops))
+        assert energy == pytest.approx(want, rel=1e-13)
 
     def test_sadi_energy_refuses_states_without_m_du(self, ops6, rng,
                                                      bttb_calls):
-        # a state built by hand without M du, and a baseline run state,
-        # are refused before any apply
+        # a state built by hand without M du, and a sadi step from a
+        # baseline run state, which carries the baseline's M du and so
+        # hands on none, are refused before any apply
         problem, grid, ops = ops6
         u_prev, u_curr = rng.standard_normal((2, 6, 6))
         by_hand = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1,
                               time=0.05)
         baseline, _ = run(problem, grid, ops.tau_step, 2, scheme="nonadi",
                           ops=ops)
-        for state in (by_hand, baseline):
+        crossed = sadi_step(baseline, ops, resolve_nonlinearity("zero"))
+        assert crossed.scheme == "sadi" and crossed.m_du is None
+        for state in (by_hand, crossed):
             del bttb_calls[:]
-            with pytest.raises(ValidationError, match="sadi run state"):
+            with pytest.raises(ValidationError, match="run state"):
                 discrete_energy(state, ops)
             assert bttb_calls == []
 
-    @pytest.mark.parametrize("scheme, applies", [("sadi", 0), ("nonadi", 2)])
+    @pytest.mark.parametrize("scheme, applies", [("sadi", 0), ("nonadi", 1)])
     def test_bttb_applies_on_run_states(self, scheme, applies, ops6,
                                         bttb_calls):
-        # sadi states carry the pairing from the step's own apply of L u^n
-        # and M du from the step's right-hand sides, so their energy makes
-        # no apply; a general baseline step makes no pairing, so its energy
-        # makes it (the first step's L u^0 gives one). Either way a
-        # baseline step and its energy apply L twice plus once per PCG
-        # iteration.
+        # every state carries its M du, and sadi states the pairing from
+        # the step's own apply of L u^n, so their energy makes no apply; a
+        # general baseline step makes no pairing, so its energy makes it
+        # (the first step's L u^0 gives one). Either way a baseline step
+        # and its energy apply L once plus once per PCG iteration.
         problem, grid, ops = ops6
         counts = []
 
         def recorder(state):
             before = len(bttb_calls)
-            discrete_energy(state, ops, scheme)
+            discrete_energy(state, ops)
             counts.append(len(bttb_calls) - before)
 
         _, info = run(problem, grid, ops.tau_step, 4, scheme=scheme, ops=ops,
@@ -229,8 +241,8 @@ class TestEnergy:
         if scheme == "sadi":
             assert counts == [applies] * 4
         else:
-            assert counts == [1] + [applies] * 3
-            assert len(bttb_calls) == 2 * 4 + info.pcg_total_iterations
+            assert counts == [0] + [applies] * 3
+            assert len(bttb_calls) == 4 + info.pcg_total_iterations
 
     @pytest.mark.parametrize("scheme", ["sadi", "nonadi"])
     def test_carried_pairing_matches_inner_product(self, scheme):
@@ -251,8 +263,8 @@ class TestEnergy:
             by_hand = SchemeState(u_prev=state.u_prev, u_curr=state.u_curr,
                                   step_index=state.step_index, time=state.time,
                                   m_du=state.m_du)
-            assert discrete_energy(state, ops, scheme) == pytest.approx(
-                discrete_energy(by_hand, ops, scheme), rel=1e-14, abs=0.0)
+            assert discrete_energy(state, ops) == pytest.approx(
+                discrete_energy(by_hand, ops), rel=1e-14, abs=0.0)
 
     def test_trace_drift_metric(self):
         t = EnergyTrace(values=np.array([2.0, 2.0, 2.0]))

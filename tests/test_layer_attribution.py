@@ -42,7 +42,7 @@ def test_spans_recorded(scheme):
     with tracer.Tracer(fracwave) as tr:
         ops = fracwave.build_operators(problem, grid, tau)
         fracwave.run(problem, grid, tau, 3, scheme=scheme, ops=ops,
-                     recorder=lambda s: fracwave.discrete_energy(s, ops, scheme))
+                     recorder=lambda s: fracwave.discrete_energy(s, ops))
     totals = tr.layer_totals()
     assert EXPECTED[scheme] <= set(totals)
     assert totals["harness.discrete_energy"]["calls"] == 3

@@ -22,6 +22,7 @@ from fracwave.problems import (CUSTOM_INITIAL_DATA, Grid2D, Problem,
                                example_problem, resolve_nonlinearity, sech)
 from fracwave.stepper import (
     SCHEME_NAMES,
+    SchemeState,
     adi_solve,
     build_operators,
     check_scales,
@@ -256,8 +257,9 @@ class TestSchemeRelations:
             solves = 5 if scheme == "nonadi" else 0
             assert (info.pcg_solves, info.pcg_total_iterations) == (solves, 0)
             if scheme == "nonadi":
-                # M u^n as handed on by the zero right-hand side's solve
-                assert np.all(state.m_prev == 0.0) and np.all(state.m_curr == 0.0)
+                # M u^n and M du as handed on by the zero right-hand
+                # side's solve
+                assert np.all(state.m_du == 0.0) and np.all(state.m_curr == 0.0)
 
     def test_linearity_without_forcing(self):
         # g = 0 makes each step linear in the initial data
@@ -423,9 +425,11 @@ def close_in_max_norm(got, want, rel):
 class TestCarriedApplies:
     """Each step hands on the applies it made: the energy pairing a_pair
     from every step that applied L to u_prev (sadi's, and the first
-    baseline step), and M u_prev and M u_curr from the baseline steps, so
-    that a general baseline step applies L only in its PCG iterations.
-    sadi steps hand on M (u_curr - u_prev) from their right-hand sides."""
+    baseline step), and M u_curr and P^-1 M u_curr from the baseline
+    steps, so that a general baseline step applies L only in its PCG
+    iterations. Every step hands on M (u_curr - u_prev) with its own
+    scheme's M: sadi's from its right-hand sides, the baseline's from the
+    M u its solve started and ended with."""
 
     def test_nonadi_step_applies_only_in_iterations(self, bttb_calls):
         problem = gaussian_problem()
@@ -445,7 +449,7 @@ class TestCarriedApplies:
             state = nxt
         # a state without the carried M (built by hand, or by sadi)
         # is refused, naming the step that starts the baseline
-        for bare in (replace(state, m_prev=None, m_curr=None),
+        for bare in (replace(state, m_du=None), replace(state, m_curr=None),
                      sadi_first_step(problem, ops)):
             with pytest.raises(ValidationError, match="nonadi_first_step"):
                 nonadi_step(bare, ops, g)
@@ -486,26 +490,25 @@ class TestCarriedApplies:
         run(problem, grid, tau, steps, scheme="nonadi", ops=ops,
             recorder=states.append)
         for state in states:
-            assert state.m_du is None
-            for m, u in ((state.m_prev, state.u_prev),
-                         (state.m_curr, state.u_curr)):
-                # its own N x N memory, not a view of a larger buffer
-                assert m.flags.c_contiguous and m.base is None
-                assert close_in_max_norm(m, nonadi_m(ops, u), 1e-13)
+            m = state.m_curr
+            # its own N x N memory, not a view of a larger buffer
+            assert m.flags.c_contiguous and m.base is None
+            assert close_in_max_norm(m, nonadi_m(ops, state.u_curr), 1e-13)
             # P^-1 M u_curr, read off the preconditioned residual
             pinv_m = state.pinv_m_curr
             assert pinv_m.flags.c_contiguous and pinv_m.base is None
             fresh = tau_apply(ops.tau2d, nonadi_m(ops, state.u_curr))
             assert close_in_max_norm(pinv_m, fresh, 1e-13)
-        # each level's M is handed on, not recomputed
+        # each level's M is handed on, not recomputed: M du is the solve's
+        # M u_curr less the M u_prev the previous state carried
         for before, after in zip(states, states[1:]):
-            assert after.m_prev is before.m_curr
+            np.testing.assert_array_equal(after.m_du,
+                                          after.m_curr - before.m_curr)
         states = []
         run(problem, grid, tau, 3, scheme="sadi", ops=ops,
             recorder=states.append)
-        assert all(s.m_prev is None and s.m_curr is None
-                   and s.pinv_m_curr is None and s.a_pair is not None
-                   for s in states)
+        assert all(s.m_curr is None and s.pinv_m_curr is None
+                   and s.a_pair is not None for s in states)
 
     # Klein-Gordon is left out: at alpha = 1.9, tau = 10 it blows up by
     # step 6
@@ -518,37 +521,45 @@ class TestCarriedApplies:
          for tau in (0.01, 1.0, 10.0)])
     def test_carried_m_du_is_a_compact_apply_of_m(self, example, alpha, n,
                                                   tau, steps):
-        # M (u_curr - u_prev) summed from the right-hand sides stays at
-        # round-off from a fresh apply of sadi's M over a long run. The
-        # round-off is that of the stored levels, which the fresh apply
-        # sees and the sum does not: about eps max|u| a step, a random walk
-        # that reaches 2.5e-12 of max|M du| (du ~ tau u_t) after 2000 steps
-        # at tau = 0.01 but stays at 3e-14 of max|M u_curr|. At large tau
-        # the applies' own rounding, eps ||M|| max|du| with ||M|| at most
-        # (1 + 2 factor a_0)^2 (the row sums of H x H), outgrows that
-        # scale (2.5e-11 of max|M u_curr| at tau = 10), so the bound is
-        # taken at the larger of the two; 7.6e-15 of it is the worst seen
+        # M (u_curr - u_prev) carried by each scheme's states (summed from
+        # the right-hand sides for sadi, the difference of the carried
+        # M u for the baseline) stays at round-off from a fresh apply of
+        # the scheme's M over a long run. The round-off is that of the
+        # stored levels, which the fresh apply sees and the carried
+        # product does not: about eps max|u| a step, a random walk that
+        # reaches 2.5e-12 of max|M du| (du ~ tau u_t) after 2000 steps at
+        # tau = 0.01 but stays at 3e-14 of max|M u_curr|. At large tau the
+        # applies' own rounding, eps ||M|| max|du|, outgrows that scale
+        # (2.5e-11 of max|M u_curr| at tau = 10), so the bound is taken at
+        # the larger of the two. ||M|| is at most (1 + 2 factor a_0)^2, the
+        # row sums of H x H, which also bound those of I + c L: its centre
+        # weight is at most 2 a_0, and its off-centre weights, all
+        # negative, sum to less than it in magnitude. The worst seen is
+        # 3.0e-14 of the bound for sadi (2000 steps), 3.5e-16 for the
+        # baseline
         problem = (gaussian_problem() if example is None
                    else example_problem(example, alpha))
         grid = Grid2D(a=problem.a, b=problem.b, n=n)
         ops = build_operators(problem, grid, tau)
         norm_m = (1.0 + 2.0 * ops.c * ops.riesz_weights[0]) ** 2
-        states = []
-        run(problem, grid, tau, steps, scheme="sadi", ops=ops,
-            recorder=states.append)
-        for state in states:
-            m_du = state.m_du
-            # its own N x N memory, not a view of a larger buffer
-            assert m_du.flags.c_contiguous and m_du.base is None
-            du = state.u_curr - state.u_prev
-            scale = max(norm_m * np.max(np.abs(du)),
-                        np.max(np.abs(sadi_m(ops, state.u_curr))))
-            assert np.max(np.abs(m_du - sadi_m(ops, du))) <= 1e-13 * scale
-        # a sadi step from a state without it (built by hand, or by the
-        # baseline) hands on none
+        runs = {"sadi": [], "nonadi": []}
+        for scheme, apply_m in (("sadi", sadi_m), ("nonadi", nonadi_m)):
+            run(problem, grid, tau, steps, scheme=scheme, ops=ops,
+                recorder=runs[scheme].append)
+            for state in runs[scheme]:
+                m_du = state.m_du
+                # its own N x N memory, not a view of a larger buffer
+                assert m_du.flags.c_contiguous and m_du.base is None
+                du = state.u_curr - state.u_prev
+                scale = max(norm_m * np.max(np.abs(du)),
+                            np.max(np.abs(apply_m(ops, state.u_curr))))
+                err = np.max(np.abs(m_du - apply_m(ops, du)))
+                assert err <= 1e-13 * scale, (scheme, state.step_index)
+        # a sadi step from a state without it (built by hand) or with the
+        # baseline's M du hands on none
         g = resolve_nonlinearity(problem.nonlinearity)
-        for bare in (replace(states[-1], m_du=None),
-                     nonadi_first_step(problem, ops)):
+        for bare in (replace(runs["sadi"][-1], m_du=None),
+                     runs["nonadi"][-1]):
             assert sadi_step(bare, ops, g).m_du is None
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
@@ -567,12 +578,54 @@ class TestCarriedApplies:
                 assert state.a_pair == pytest.approx(want, rel=1e-14, abs=0.0)
             else:
                 assert state.a_pair is None
+            du = state.u_curr - state.u_prev
             if scheme == "nonadi":
-                for m, u in ((state.m_prev, state.u_prev),
-                             (state.m_curr, state.u_curr)):
+                for m, u in ((state.m_du, du), (state.m_curr, state.u_curr)):
                     assert close_in_max_norm(m, nonadi_m(ops, u), 1e-13)
             else:
-                assert state.m_prev is None and state.m_curr is None
+                assert close_in_max_norm(state.m_du, sadi_m(ops, du), 1e-13)
+                assert state.m_curr is None and state.pinv_m_curr is None
+
+
+class TestStateScheme:
+    """Every run state names the scheme that made it, and a step reads no
+    carried field that another scheme's state holds."""
+
+    def test_every_run_state_names_its_scheme(self):
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=9)
+        for scheme in SCHEME_NAMES:
+            states = []
+            run(problem, grid, 0.05, 3, scheme=scheme, recorder=states.append)
+            assert [s.scheme for s in states] == [scheme] * 3
+        z = np.zeros((9, 9))
+        assert SchemeState(u_prev=z, u_curr=z, step_index=1,
+                           time=0.05).scheme is None
+
+    def test_nonadi_step_refuses_sadi_and_hand_built_states(self):
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=9)
+        ops = build_operators(problem, grid, 0.05)
+        g = resolve_nonlinearity(problem.nonlinearity)
+        first = sadi_first_step(problem, ops)
+        by_hand = SchemeState(u_prev=first.u_prev, u_curr=first.u_curr,
+                              step_index=1, time=0.05, m_du=first.m_du)
+        for state in (first, sadi_step(first, ops, g), by_hand):
+            with pytest.raises(ValidationError, match="nonadi_first_step"):
+                nonadi_step(state, ops, g)
+
+    def test_sadi_step_from_baseline_state_hands_on_no_m_du(self):
+        # the baseline's M du is made with I + c L, not sadi's M, so a sadi
+        # step does not extend it, nor do the steps after that one
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=9)
+        ops = build_operators(problem, grid, 0.05)
+        g = resolve_nonlinearity(problem.nonlinearity)
+        baseline, _ = run(problem, grid, 0.05, 2, scheme="nonadi", ops=ops)
+        assert baseline.m_du is not None
+        crossed = sadi_step(baseline, ops, g)
+        assert crossed.scheme == "sadi" and crossed.m_du is None
+        assert sadi_step(crossed, ops, g).m_du is None
 
 
 class TestDihedralSymmetry:
@@ -734,7 +787,7 @@ class TestSchemeSolvers:
         ops = build_operators(problem, grid, 0.05)
         assert len(bttb_builds) == 1
         run(problem, grid, 0.05, 3, scheme=scheme, ops=ops,
-            recorder=lambda s: discrete_energy(s, ops, scheme))
+            recorder=lambda s: discrete_energy(s, ops))
         assert len(bttb_builds) == 1
 
     def test_energy_operators_built_once_on_first_apply(self, bttb_builds,
@@ -767,7 +820,7 @@ class TestUnconditionalStability:
         values = []
         state, _ = run(problem, grid, tau, 50, scheme=scheme, ops=ops,
                        recorder=lambda s: values.append(
-                           discrete_energy(s, ops, scheme)))
+                           discrete_energy(s, ops)))
         assert values[0] > 0.0
         assert EnergyTrace(np.asarray(values)).relative_drift() <= bound
         assert np.all(np.isfinite(state.u_curr))
