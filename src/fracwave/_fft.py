@@ -75,12 +75,12 @@ def _count(x, axis: int) -> None:
     COUNTER.transforms += x.size // x.shape[axis]
 
 
-def cfft(x, axis: int = 0, n: int | None = None, overwrite_x: bool = False):
-    """Counted complex FFT along ``axis``, zero-padded to ``n`` when given.
-    ``overwrite_x`` lets a complex input be transformed in place."""
+def cfft(x, axis: int = 0, overwrite_x: bool = False):
+    """Counted complex FFT along ``axis``; ``overwrite_x`` lets a complex
+    input be transformed in place."""
     if COUNTER.enabled:
         _count(x, axis)
-    return _sfft.fft(x, n=n, axis=axis, overwrite_x=overwrite_x, workers=_WORKERS)
+    return _sfft.fft(x, axis=axis, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
 def cifft(x, axis: int = 0, overwrite_x: bool = False):

@@ -63,8 +63,10 @@ from .problems import (
 )
 from .selftest import run_selftest
 from .snapshots import (
+    SNAPSHOT_SUFFIXES,
     SURFACE_NAMES,
     apply_surface,
+    snapshot_files,
     write_index_csv,
     write_snapshot_csv,
     write_snapshot_raw,
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--surface", choices=SURFACE_NAMES, default="u",
                        help="pointwise transform applied to snapshot fields "
                             "(default u)")
-    solve.add_argument("--format", choices=("csv", "raw"), default="csv",
+    solve.add_argument("--format", choices=tuple(SNAPSHOT_SUFFIXES), default="csv",
                        dest="snapshot_format",
                        help="snapshot file format (default csv)")
     solve.add_argument("--prefix", default="snap",
@@ -285,10 +287,9 @@ def _cmd_solve(args) -> int:
     snaps = {k: outdir / f"{args.prefix}_t{label}"  # step -> file stem
              for k, label in _snapshot_steps(args.snapshots, plan).items()}
     summary = os.path.join(outdir, args.summary)
-    suffixes = (".csv",) if args.snapshot_format == "csv" else (".f64", ".meta")
     with _fft.fft_workers(args.threads):
-        prepare_outputs([summary] + [f"{base}{suffix}" for base in snaps.values()
-                                     for suffix in suffixes])
+        prepare_outputs([summary] + [path for base in snaps.values() for path
+                                     in snapshot_files(base, args.snapshot_format)])
         log.info("solve: %s alpha=%g scheme=%s N=%d h=%g tau=%g steps=%d",
                  problem.label, problem.alpha, args.scheme, grid.n, grid.h, tau,
                  plan.steps)
@@ -300,7 +301,7 @@ def _cmd_solve(args) -> int:
         def write_snap(field_values: np.ndarray, base: Path, t_actual: float) -> None:
             surf = apply_surface(args.surface, field_values)
             if args.snapshot_format == "csv":
-                write_snapshot_csv(f"{base}.csv", surf)
+                write_snapshot_csv(*snapshot_files(base, "csv"), surf)
             else:
                 write_snapshot_raw(base, surf, h=grid.h, t=t_actual,
                                    alpha=problem.alpha, kappa=problem.kappa,

@@ -19,18 +19,8 @@ coefficients of trigonometric symbols on the unit cell:
   (-Delta)^{alpha/2} to second order. This symbol is not a product of 1D
   symbols, which is why the weights need their own transform-based
   construction instead of a tensor product. They are the 2D DCT-I of the
-  symbol sampled on an oversampled grid, but that grid is never formed:
-  the identity
-
-      (a + b)^beta = a^beta + b^beta
-                     - c int_0^inf (1 - e^{-ta})(1 - e^{-tb}) t^{-beta-1} dt,
-
-  beta = alpha/2, c = beta / Gamma(1 - beta), discretised by the
-  exponentially convergent trapezoidal rule in ln t, writes the samples as
-  a sum of at most 250 rank-1 terms, each of which transforms as a 1D
-  DCT-I. So the cost is at most 250 rows of 1D transforms and one
-  symmetric low-rank product, and the result is the sampled transform to
-  round-off (see ``laplacian_coeffs_2d``).
+  symbol sampled on an oversampled grid, to round-off, formed without that
+  grid from at most 250 rank-1 terms (see ``laplacian_coeffs_2d``).
 
 All grid functions vanish identically outside the interior node set, so a
 solver on N interior nodes per direction needs offsets 0 .. N-1 only; larger

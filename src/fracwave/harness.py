@@ -35,12 +35,9 @@ and I + c Atilde + c^2 B = (I + c delta_x)(I + c delta_y), both reduce to
 
 M the scheme's implicit operator: (I + c delta_x)(I + c delta_y) for sadi,
 I + c L for nonadi. ``discrete_energy`` evaluates this form for both
-from the run state: M (w^{n+1} - w^n) is ``SchemeState.m_du``, made with
-the M of the scheme that made the state and no apply, and a state without
-it is refused. The pairing h^2 (A w^n, w^{n+1}) comes with the states of a
-run that applied A to w^n (``SchemeState.a_pair``: every sadi step, and
-the first baseline step); a state without it costs one BTTB apply, so of
-a run's energies only those at general baseline steps make one.
+from the run state's ``m_du`` = M (w^{n+1} - w^n) and, where a step that
+applied A to w^n handed it on, its ``a_pair``; elsewhere (general baseline
+steps) the pairing costs one BTTB apply.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ from .errors import ValidationError
 
 __all__ = [
     "SURFACE_NAMES",
+    "SNAPSHOT_SUFFIXES",
     "apply_surface",
+    "snapshot_files",
     "write_index_csv",
     "write_snapshot_csv",
     "write_snapshot_raw",
@@ -36,6 +38,8 @@ __all__ = [
 ]
 
 SURFACE_NAMES = ("u", "sin_u", "sin_half_u")
+# The files one snapshot of each format makes, as suffixes of its stem.
+SNAPSHOT_SUFFIXES = {"csv": (".csv",), "raw": (".f64", ".meta")}
 
 
 def apply_surface(surface: str, u: np.ndarray) -> np.ndarray:
@@ -72,6 +76,14 @@ def write_snapshot_csv(path, field: np.ndarray) -> None:
         write_index_csv(fh, field, base=1)
 
 
+def snapshot_files(stem, fmt: str) -> list[Path]:
+    """The files one snapshot in format ``fmt`` makes at ``stem``, named by
+    appending (not Path.with_suffix) so that dots in labels like snap_t2.5
+    survive."""
+    stem = Path(stem)
+    return [stem.parent / (stem.name + s) for s in SNAPSHOT_SUFFIXES[fmt]]
+
+
 def write_snapshot_raw(
     path,
     field: np.ndarray,
@@ -85,11 +97,9 @@ def write_snapshot_raw(
 ) -> None:
     """Write ``path``.f64 (data) and ``path``.meta (text sidecar)."""
     field = np.asarray(field, dtype=float)
-    base = Path(path)
+    data_path, meta_path = snapshot_files(path, "raw")
     data = field.astype("<f8", copy=False)
-    # names are built by appending (not Path.with_suffix) so that dots in
-    # time labels like snap_t2.5 survive
-    base.parent.joinpath(base.name + ".f64").write_bytes(data.tobytes(order="C"))
+    data_path.write_bytes(data.tobytes(order="C"))
     meta = "\n".join([
         f"n = {field.shape[0]}",
         f"h = {h:.17g}",
@@ -100,18 +110,18 @@ def write_snapshot_raw(
         f"surface = {surface}",
         "dtype = float64 little-endian row-major",
     ])
-    base.parent.joinpath(base.name + ".meta").write_text(meta + "\n")
+    meta_path.write_text(meta + "\n")
 
 
 def read_snapshot_raw(path) -> tuple[np.ndarray, dict[str, str]]:
     """Read back a raw snapshot pair (inverse of write_snapshot_raw)."""
-    base = Path(path)
+    data_path, meta_path = snapshot_files(path, "raw")
     meta: dict[str, str] = {}
-    for line in base.parent.joinpath(base.name + ".meta").read_text().splitlines():
+    for line in meta_path.read_text().splitlines():
         if "=" in line:
             key, _, val = line.partition("=")
             meta[key.strip()] = val.strip()
     n = int(meta["n"])
-    raw = base.parent.joinpath(base.name + ".f64").read_bytes()
+    raw = data_path.read_bytes()
     field = np.frombuffer(raw, dtype="<f8").reshape(n, n)
     return field, meta

@@ -31,7 +31,7 @@ B(u) = -tau^2 kappa L u + tau^2 g(u) the right-hand side (rhs_general):
 The baseline scheme keeps the full operator implicit,
 (I + c L) u^{n+1} = 2 u^n - u^{n-1} - c L u^{n-1} + tau^2 g(u^n), and pays
 a preconditioned CG solve per step; it exists for accuracy and timing
-comparisons.
+comparisons. Its first step is sadi's, with M = I + c L.
 
 ``lookup_scheme``, the one place a scheme name is read, gives the scheme's
 steps and its solver of M (the GS inverse for sadi, the tau spectrum for
@@ -106,11 +106,8 @@ class SchemeState:
     the conserved energy, set by the steps that apply L to u_prev (sadi's
     and the first baseline step); where it is None the energy applies L.
     ``m_du`` is M (u_curr - u_prev) with the M of ``scheme``, a compact
-    N x N field made with no apply: every sadi step solves M hat{u} = B(u^n),
-    M = (I + c delta_x)(I + c delta_y), so sadi's is the first step's
-    right-hand side and then B(u^n) plus the previous level's; the
-    baseline's, M = I + c L, is the M u its solve ended with less the one
-    it started from. The energy reads it, and refuses a state without it.
+    N x N field each step makes with no apply (see ``sadi_step`` and
+    ``_nonadi_solve``); the energy reads it, and refuses a state without it.
     The baseline's ``m_curr`` = M u_curr and ``pinv_m_curr`` =
     P^{-1} M u_curr, P the tau preconditioner, are read off the solve's
     final residual and its preconditioned form; the next solve takes them
@@ -291,15 +288,23 @@ def adi_solve(ops: StepOperators, b: np.ndarray) -> np.ndarray:
     return gs_solve(ops.gs, x_swept.T).T
 
 
-def sadi_first_step(problem: Problem, ops: StepOperators) -> SchemeState:
-    """Advance the initial data, sampled on ``ops.grid``, to the first time
-    level. The right-hand side tau phi2 + B(u^0) / 2 is M (u^1 - u^0),
-    handed on as ``m_du``."""
+def _first_rhs(problem: Problem, ops: StepOperators) -> tuple[np.ndarray, ...]:
+    """u^0 sampled on ``ops.grid``, both schemes' first right-hand side
+    tau phi2 + B(u^0) / 2 = M (u^1 - u^0), and the L u^0 it applied."""
     g = resolve_nonlinearity(problem.nonlinearity)
     u0, phi2_field = problem.initial_fields(ops.grid)
-    b0, lap_u0 = rhs_general(u0, ops, g)
-    rhs = 0.5 * b0 + ops.tau_step * phi2_field
-    u1 = u0 + adi_solve(ops, rhs)
+    rhs, lap_u0 = rhs_general(u0, ops, g)
+    rhs *= 0.5  # formed in B(u^0)'s memory: one field fewer a first step
+    rhs += ops.tau_step * phi2_field
+    return u0, rhs, lap_u0
+
+
+def sadi_first_step(problem: Problem, ops: StepOperators) -> SchemeState:
+    """Advance the initial data to the first time level. The right-hand
+    side tau phi2 + B(u^0) / 2 is M (u^1 - u^0), handed on as ``m_du``."""
+    u0, rhs, lap_u0 = _first_rhs(problem, ops)
+    u1 = adi_solve(ops, rhs)
+    u1 += u0
     return _hand_over("sadi", ops, u0, u1, lap_u0, 1, m_du=rhs)
 
 
@@ -365,18 +370,13 @@ def nonadi_first_step(
     ops: StepOperators,
     tol: float = STEP_TOL,
 ) -> SchemeState:
-    """First step of the baseline: (I + c L) u^1 = u^0 + tau phi2
-    + (tau^2/2) g(u^0), the initial data sampled on ``ops.grid``. Its two
-    applies outside the solve, L u^0 and P^{-1} M u^0, make the warm
-    start's M u^0 and P^{-1} M u^0; L u^0 also gives the energy pairing."""
-    g = resolve_nonlinearity(problem.nonlinearity)
-    u0, phi2_field = problem.initial_fields(ops.grid)
-    tau = ops.tau_step
-    b = u0 + tau * phi2_field + (0.5 * tau * tau) * g(u0)
-    lap_u0 = ops.lap.apply(u0)
+    """First step of the baseline: sadi's with M = I + c L, solved for u^1
+    from the shared right-hand side plus M u^0. Its applies outside the solve,
+    L u^0 (also the energy pairing) and P^{-1} M u^0, make the warm start."""
+    u0, rhs, lap_u0 = _first_rhs(problem, ops)
     m_u0 = u0 + ops.c * lap_u0
-    return _nonadi_solve(ops, b, u0, m_u0, tau_apply(ops.tau2d, m_u0), 1, tol,
-                         lap_u0)
+    return _nonadi_solve(ops, rhs + m_u0, u0, m_u0, tau_apply(ops.tau2d, m_u0),
+                         1, tol, lap_u0)
 
 
 def nonadi_step(

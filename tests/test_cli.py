@@ -24,7 +24,7 @@ from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError, ValidationError
 from fracwave.harness import StudySpec, plan_run
 from fracwave.problems import Grid2D, example_problem
-from fracwave.snapshots import read_snapshot_raw
+from fracwave.snapshots import SNAPSHOT_SUFFIXES, read_snapshot_raw
 
 
 def read_snapshot_csv(path):
@@ -88,6 +88,26 @@ class TestSolve:
         assert meta["surface"] == "u"
         assert float(meta["t"]) == pytest.approx(0.4)
         assert float(meta["alpha"]) == 1.5
+
+    @pytest.mark.parametrize("fmt", ["csv", "raw"])
+    def test_checks_exactly_the_files_it_writes(self, fmt, tmp_path,
+                                                monkeypatch):
+        # the up-front output check and the snapshot writers name the same
+        # files, so a changed suffix on one side alone fails here
+        checked = []
+        real_prepare = cli.prepare_outputs
+
+        def record(paths):
+            paths = list(paths)
+            checked.extend(Path(path) for path in paths)
+            return real_prepare(paths)
+
+        monkeypatch.setattr(cli, "prepare_outputs", record)
+        argv = SOLVE_SMALL + ["--snapshots", "0,0.4", "--format", fmt,
+                              "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert sorted(checked) == sorted(tmp_path.iterdir())
+        assert len(checked) == 1 + 2 * len(SNAPSHOT_SUFFIXES[fmt])
 
     def test_surface_transform_applied(self, tmp_path):
         d1, d2 = tmp_path / "u", tmp_path / "s"

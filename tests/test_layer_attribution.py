@@ -19,8 +19,8 @@ TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 EXPECTED = {
     "sadi": {"stepper.step", "stepper.rhs_general", "stepper.adi_solve",
              "structured.gs_solve", "harness.discrete_energy"},
-    "nonadi": {"structured.pcg", "structured.tau_apply",
-               "harness.discrete_energy"},
+    "nonadi": {"stepper.rhs_general", "structured.pcg",
+               "structured.tau_apply", "harness.discrete_energy"},
 }
 
 

@@ -8,9 +8,11 @@ import pytest
 
 from fracwave.errors import ValidationError
 from fracwave.snapshots import (
+    SNAPSHOT_SUFFIXES,
     SURFACE_NAMES,
     apply_surface,
     read_snapshot_raw,
+    snapshot_files,
     write_index_csv,
     write_snapshot_csv,
     write_snapshot_raw,
@@ -107,3 +109,21 @@ class TestSurface:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             apply_surface("cos_u", np.zeros((2, 2)))
+
+
+class TestSnapshotFiles:
+    """``snapshot_files`` lists what one snapshot of a format makes, the
+    files ``solve`` checks before it runs."""
+
+    @pytest.mark.parametrize("fmt", sorted(SNAPSHOT_SUFFIXES))
+    def test_each_writer_makes_exactly_its_listed_files(self, fmt, tmp_path):
+        stem = tmp_path / "snap_t2.5"  # a dotted label keeps its dot
+        listed = snapshot_files(stem, fmt)
+        assert [path.name for path in listed] == [
+            "snap_t2.5" + suffix for suffix in SNAPSHOT_SUFFIXES[fmt]]
+        if fmt == "csv":
+            write_snapshot_csv(*listed, np.eye(3))
+        else:
+            write_snapshot_raw(stem, np.eye(3), h=0.5, t=2.5, alpha=1.5,
+                               kappa=1.0, nonlinearity="zero")
+        assert sorted(tmp_path.iterdir()) == sorted(listed)

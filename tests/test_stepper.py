@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import _oracles as oracle
-from fracwave import _fft
+from fracwave import _fft, stepper
 from fracwave.errors import BlowUpError, ValidationError
 from fracwave.harness import (EnergyTrace, discrete_energy, inner_product,
                               splitting_gap)
@@ -225,6 +225,51 @@ class TestSchemeRelations:
         for r in ratios:
             assert 6.0 < r < 8.5
         assert ratios[1] > ratios[0]
+
+    def test_first_steps_solve_one_equation(self, monkeypatch):
+        # both first steps solve M (u^1 - u^0) = tau phi2 + B(u^0) / 2, each
+        # with its own M, from one right-hand side: sadi hands it on as its
+        # first m_du, and the baseline's u^1 - u^0 under I + c L, fresh or
+        # carried, gives it back within the bound of
+        # test_carried_m_du_is_a_compact_apply_of_m. The baseline solves to
+        # 1e-13, below which its stopping error lies (9.4e-17 of the scale
+        # seen; 3.9e-14 at the default 1e-11). A displaced start
+        # (u^0 != 0) is the case in which its right-hand side holds M u^0
+        problem = example_problem("klein-gordon", 1.5)
+        grid = Grid2D(a=problem.a, b=problem.b, n=39)
+        tau = 0.05
+        ops = build_operators(problem, grid, tau)
+        u0, phi2 = problem.initial_fields(grid)
+        assert np.max(np.abs(u0)) > 1.0
+        b0, _ = stepper.rhs_general(
+            u0, ops, resolve_nonlinearity(problem.nonlinearity))
+        want = 0.5 * b0 + tau * phi2
+        # each first step samples the data and makes B(u^0) once
+        calls = {"initial_fields": 0, "rhs_general": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Problem, "initial_fields")
+        counted(stepper, "rhs_general")
+        sadi = sadi_first_step(problem, ops)
+        np.testing.assert_array_equal(sadi.m_du, want)
+        np.testing.assert_array_equal(sadi.u_prev, u0)
+        assert calls == {"initial_fields": 1, "rhs_general": 1}
+        baseline = nonadi_first_step(problem, ops, tol=1e-13)
+        assert calls == {"initial_fields": 2, "rhs_general": 2}
+        np.testing.assert_array_equal(baseline.u_prev, u0)
+        du = baseline.u_curr - baseline.u_prev
+        norm_m = (1.0 + 2.0 * ops.c * ops.riesz_weights[0]) ** 2
+        scale = max(norm_m * np.max(np.abs(du)),
+                    np.max(np.abs(nonadi_m(ops, baseline.u_curr))))
+        for m_du in (nonadi_m(ops, du), baseline.m_du):
+            assert np.max(np.abs(m_du - want)) <= 1e-13 * scale
 
     def test_kappa_zero_is_pointwise_recurrence(self):
         # with kappa = 0 the spatial operator drops out entirely:
