@@ -112,11 +112,14 @@ def _check_gs_inverse() -> None:
         col[0] = np.abs(col).sum() + 1.0
         data = gs_precompute(col)
         v = rng.standard_normal(n)
-        _fft.COUNTER.enabled = True
-        _fft.COUNTER.reset()
-        x = gs_solve(data, scipy.linalg.toeplitz(col) @ v)
-        calls = _fft.COUNTER.calls
-        _fft.COUNTER.enabled = False
+        counter = _fft.COUNTER
+        saved = counter.enabled, counter.calls, counter.transforms
+        counter.enabled, counter.calls, counter.transforms = True, 0, 0
+        try:  # a caller's counter is left as it was, whatever the solve does
+            x = gs_solve(data, scipy.linalg.toeplitz(col) @ v)
+            calls = counter.calls
+        finally:
+            counter.enabled, counter.calls, counter.transforms = saved
         _require(calls == 4, f"structured solve at n={n} used {calls} FFTs instead of 4")
         _require(np.linalg.norm(x - v) <= 1e-10 * np.linalg.norm(v),
                  f"solve(H v) does not return v at n={n}")

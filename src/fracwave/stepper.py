@@ -10,23 +10,23 @@ nonlinearity explicitly, and adds an O(tau^2) cross term
 (kappa^2 tau^2 / 4) delta_x delta_y acting on the second time difference.
 That cross term is exactly what makes the implicit operator factor into
 
-    (I + c delta_x)(I + c delta_y),   c = tau^2 kappa / 2,
+    M = (I + c delta_x)(I + c delta_y),   c = tau^2 kappa / 2,
 
 so each time level is obtained by sweeping 1D Toeplitz solves over the
 columns, then the rows, of the right-hand side. The Toeplitz solves use
 the precomputed structured inverse (four FFTs of length next_fast_len(N)
 per solve) from :mod:`fracwave.structured`.
 
-Update formulas implemented here, with hat{u} the increment solved for and
-B(u) = -tau^2 kappa L u + tau^2 g(u) the right-hand side (rhs_general):
-
-  general step (n >= 1):
-      (I + c delta_x)(I + c delta_y) hat{u} = B(u^n),
-      u^{n+1} = hat{u} + 2 u^n - u^{n-1};
+Update formulas implemented here, with hat{u} = u^{n+1} - u^n the increment
+solved for and B(u) = -tau^2 kappa L u + tau^2 g(u) (rhs_general):
 
   first step (n = 0), using u_t(0) = phi2:
-      (I + c delta_x)(I + c delta_y) hat{u} = tau phi2 + B(u^0) / 2,
-      u^1 = u^0 + hat{u}.
+      M hat{u} = r_0 = tau phi2 + B(u^0) / 2;
+
+  general step (n >= 1), M (u^{n+1} - 2 u^n + u^{n-1}) = B(u^n) summed:
+      M hat{u} = r_n = B(u^n) + r_{n-1};
+
+then u^{n+1} = u^n + hat{u}, and r_n = M (u^{n+1} - u^n) is carried.
 
 The baseline scheme keeps the full operator implicit,
 (I + c L) u^{n+1} = 2 u^n - u^{n-1} - c L u^{n-1} + tau^2 g(u^n), and pays
@@ -105,9 +105,9 @@ class SchemeState:
     repeat them. ``a_pair`` is h^2 (L u_prev, u_curr), the pairing term of
     the conserved energy, set by the steps that apply L to u_prev (sadi's
     and the first baseline step); where it is None the energy applies L.
-    ``m_du`` is M (u_curr - u_prev) with the M of ``scheme``, a compact
-    N x N field each step makes with no apply (see ``sadi_step`` and
-    ``_nonadi_solve``); the energy reads it, and refuses a state without it.
+    ``m_du`` is M (u_curr - u_prev) with the M of ``scheme``, made with no
+    apply: sadi's solve took it for its right-hand side (``_nonadi_solve``
+    makes the baseline's); the energy reads it and refuses a state without it.
     The baseline's ``m_curr`` = M u_curr and ``pinv_m_curr`` =
     P^{-1} M u_curr, P the tau preconditioner, are read off the solve's
     final residual and its preconditioned form; the next solve takes them
@@ -313,22 +313,19 @@ def sadi_step(
     ops: StepOperators,
     g: Callable[[np.ndarray], np.ndarray],
 ) -> SchemeState:
-    """One general step: solve for the second difference and shift levels.
-
-    M (u^{n+1} - u^n) = B(u^n) + M (u^n - u^{n-1}), so the step hands on
-    ``m_du`` with one addition; from a state that is not sadi's (built by
-    hand, or by the baseline) or carries none, it hands on None. u^{n+1} is
-    formed in the solve's output and B(u^n) is released before the
-    hand-over, so the carried field adds no peak memory."""
-    b, lap_curr = rhs_general(state.u_curr, ops, g)
-    u_next = adi_solve(ops, b)
-    u_next += 2.0 * state.u_curr
-    u_next -= state.u_prev
-    own = state.scheme == "sadi" and state.m_du is not None
-    m_du = b + state.m_du if own else None
-    del b
+    """One general step: solve M (u^{n+1} - u^n) = r = B(u^n) + M (u^n -
+    u^{n-1}) and hand r on as ``m_du``. r is formed in B(u^n)'s memory from
+    the state's ``m_du``, so the step reads no u^{n-1}. A state that sadi's
+    steps did not make (built by hand, or by the baseline, whose M du is
+    made with another M) is refused."""
+    if state.scheme != "sadi" or state.m_du is None:
+        raise ValidationError("sadi_step needs a sadi state with its M (u_curr"
+                              " - u_prev): start with sadi_first_step")
+    rhs, lap_curr = rhs_general(state.u_curr, ops, g)
+    rhs += state.m_du
+    u_next = adi_solve(ops, rhs) + state.u_curr
     return _hand_over("sadi", ops, state.u_curr, u_next, lap_curr,
-                      state.step_index + 1, m_du=m_du)
+                      state.step_index + 1, m_du=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import fracwave.cli as cli
 import fracwave.harness as harness
-from fracwave import _fft, stepper
+from fracwave import _fft, selftest, stepper
 from fracwave.cli import main
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError, ValidationError
@@ -843,6 +843,33 @@ class TestSelftestCommand:
         check_lines = [ln for ln in out1.splitlines() if ln.startswith("PASS")]
         assert len(check_lines) >= 10
         assert not any(ln.startswith("FAIL") for ln in out1.splitlines())
+
+    @pytest.mark.parametrize("counting", [False, True],
+                             ids=["idle", "counting"])
+    def test_failed_check_leaves_fft_counter_as_it_was(self, monkeypatch,
+                                                       counting):
+        # the four-FFT check counts on the process-wide counter; a solve
+        # that raises must leave it as the caller had it: off if it was
+        # off, and with a counting caller's counts, not zeros
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(selftest, "gs_solve", broken)
+        counter = _fft.COUNTER
+        monkeypatch.setattr(counter, "enabled", counting)
+        monkeypatch.setattr(counter, "calls", 5)
+        monkeypatch.setattr(counter, "transforms", 40)
+        with pytest.raises(RuntimeError, match="injected"):
+            selftest._check_gs_inverse()
+        assert (counter.enabled, counter.calls, counter.transforms) == (
+            counting, 5, 40)
+        if not counting:  # nor does the whole suite, which reports it
+            passed, report = selftest.run_selftest()
+            assert not passed
+            assert ("FAIL structured_inverse_four_ffts: unexpected "
+                    "RuntimeError: injected") in report
+            assert (counter.enabled, counter.calls, counter.transforms) == (
+                False, 5, 40)
 
     def test_fault_injection_is_caught(self, capsys, monkeypatch):
         def corrupted(*args, **kwargs):

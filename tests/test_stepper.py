@@ -566,22 +566,21 @@ class TestCarriedApplies:
          for tau in (0.01, 1.0, 10.0)])
     def test_carried_m_du_is_a_compact_apply_of_m(self, example, alpha, n,
                                                   tau, steps):
-        # M (u_curr - u_prev) carried by each scheme's states (summed from
-        # the right-hand sides for sadi, the difference of the carried
-        # M u for the baseline) stays at round-off from a fresh apply of
-        # the scheme's M over a long run. The round-off is that of the
-        # stored levels, which the fresh apply sees and the carried
-        # product does not: about eps max|u| a step, a random walk that
-        # reaches 2.5e-12 of max|M du| (du ~ tau u_t) after 2000 steps at
-        # tau = 0.01 but stays at 3e-14 of max|M u_curr|. At large tau the
+        # M (u_curr - u_prev) carried by each scheme's states (for sadi the
+        # right-hand side its solve used, for the baseline the difference
+        # of the carried M u) stays at round-off from a fresh apply of the
+        # scheme's M over a long run. The round-off is that of the stored
+        # levels, which the fresh apply sees and the carried product does
+        # not: about eps max|u| a step, 3e-14 of max|M u_curr|. sadi forms
+        # u^{n+1} = u^n + M^-1 r from the r it carries, so that rounding
+        # does not accumulate in du from step to step. At large tau the
         # applies' own rounding, eps ||M|| max|du|, outgrows that scale
         # (2.5e-11 of max|M u_curr| at tau = 10), so the bound is taken at
         # the larger of the two. ||M|| is at most (1 + 2 factor a_0)^2, the
         # row sums of H x H, which also bound those of I + c L: its centre
         # weight is at most 2 a_0, and its off-centre weights, all
         # negative, sum to less than it in magnitude. The worst seen is
-        # 3.0e-14 of the bound for sadi (2000 steps), 3.5e-16 for the
-        # baseline
+        # 8.6e-16 of the scale for sadi, 3.5e-16 for the baseline
         problem = (gaussian_problem() if example is None
                    else example_problem(example, alpha))
         grid = Grid2D(a=problem.a, b=problem.b, n=n)
@@ -600,12 +599,15 @@ class TestCarriedApplies:
                             np.max(np.abs(apply_m(ops, state.u_curr))))
                 err = np.max(np.abs(m_du - apply_m(ops, du)))
                 assert err <= 1e-13 * scale, (scheme, state.step_index)
-        # a sadi step from a state without it (built by hand) or with the
-        # baseline's M du hands on none
+        # a sadi step refuses a state without sadi's M du: one built by
+        # hand, with or without it, or a baseline state, whose M du is
+        # made with another M
         g = resolve_nonlinearity(problem.nonlinearity)
-        for bare in (replace(runs["sadi"][-1], m_du=None),
+        last = runs["sadi"][-1]
+        for bare in (replace(last, m_du=None), replace(last, scheme=None),
                      runs["nonadi"][-1]):
-            assert sadi_step(bare, ops, g).m_du is None
+            with pytest.raises(ValidationError, match="sadi_first_step"):
+                sadi_step(bare, ops, g)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_kappa_zero_states_carry_applies(self, scheme):
@@ -633,8 +635,8 @@ class TestCarriedApplies:
 
 
 class TestStateScheme:
-    """Every run state names the scheme that made it, and a step reads no
-    carried field that another scheme's state holds."""
+    """Every run state names the scheme that made it, and each scheme's
+    general step refuses a state that its own steps did not make."""
 
     def test_every_run_state_names_its_scheme(self):
         problem = gaussian_problem()
@@ -659,18 +661,35 @@ class TestStateScheme:
             with pytest.raises(ValidationError, match="nonadi_first_step"):
                 nonadi_step(state, ops, g)
 
-    def test_sadi_step_from_baseline_state_hands_on_no_m_du(self):
-        # the baseline's M du is made with I + c L, not sadi's M, so a sadi
-        # step does not extend it, nor do the steps after that one
+    def test_sadi_step_refuses_baseline_and_hand_built_states(self):
+        # the baseline's M du is made with I + c L, not sadi's M, and a
+        # state built by hand names no scheme, so a sadi step can extend
+        # neither M du
         problem = gaussian_problem()
         grid = Grid2D(a=problem.a, b=problem.b, n=9)
         ops = build_operators(problem, grid, 0.05)
         g = resolve_nonlinearity(problem.nonlinearity)
         baseline, _ = run(problem, grid, 0.05, 2, scheme="nonadi", ops=ops)
         assert baseline.m_du is not None
-        crossed = sadi_step(baseline, ops, g)
-        assert crossed.scheme == "sadi" and crossed.m_du is None
-        assert sadi_step(crossed, ops, g).m_du is None
+        by_hand = SchemeState(u_prev=baseline.u_prev, u_curr=baseline.u_curr,
+                              step_index=2, time=0.1, m_du=baseline.m_du)
+        for state in (baseline, by_hand):
+            with pytest.raises(ValidationError, match="sadi_first_step"):
+                sadi_step(state, ops, g)
+
+    def test_sadi_step_reads_no_u_prev(self):
+        # the step solves for u^{n+1} - u^n from the M du the state
+        # carries, so a NaN u^{n-1} leaves the next state bit-identical
+        problem = gaussian_problem()
+        grid = Grid2D(a=problem.a, b=problem.b, n=12)
+        ops = build_operators(problem, grid, 0.05)
+        g = resolve_nonlinearity(problem.nonlinearity)
+        state = sadi_step(sadi_first_step(problem, ops), ops, g)
+        blind = replace(state, u_prev=np.full_like(state.u_prev, np.nan))
+        want, got = sadi_step(state, ops, g), sadi_step(blind, ops, g)
+        np.testing.assert_array_equal(got.u_curr, want.u_curr)
+        np.testing.assert_array_equal(got.m_du, want.m_du)
+        assert got.a_pair == want.a_pair
 
 
 class TestDihedralSymmetry:
