@@ -1,12 +1,12 @@
-"""Thin wrappers around scipy.fft used by the structured-matrix kernels.
+"""The package's one door to scipy.fft: thin wrappers for the kernels.
 
 Two concerns are centralized here:
 
 * a process-wide worker count so the CLI ``--threads`` flag reaches every
   transform without threading state through each call site (``solve`` and
   the studies set it for their own duration with ``fft_workers``), and
-* an optional transform counter used by tests to assert FFT budgets
-  (the fast Toeplitz solve must cost exactly four FFTs of length
+* a transform counter, read through ``counting()``, that asserts FFT
+  budgets (the fast Toeplitz solve must cost exactly four FFTs of length
   next_fast_len(N)).
 
 Convention used throughout the project: the forward transform is
@@ -54,20 +54,34 @@ class FftCounter:
     """Counts 1D complex transforms executed through this module.
 
     ``calls`` counts invocations; ``transforms`` counts individual 1D
-    transforms (a batched call over k columns adds k). Disabled by default
-    so the hot path pays only an attribute check.
+    transforms (a batched call over k columns adds k). Disabled outside
+    ``counting()``, so the hot path pays only an attribute check.
     """
 
     enabled: bool = False
     calls: int = 0
     transforms: int = 0
 
-    def reset(self) -> None:
-        self.calls = 0
-        self.transforms = 0
-
 
 COUNTER = FftCounter()
+
+
+@contextmanager
+def counting():
+    """Yield an ``FftCounter`` that holds the calls and transforms of the
+    ``with`` body once it exits. The exit, raise or not, gives ``COUNTER``
+    its flag back: a counting caller's counts keep running, so windows
+    nest, and an idle caller's counts are left as they were."""
+    saved = COUNTER.enabled, COUNTER.calls, COUNTER.transforms
+    window = FftCounter()
+    COUNTER.enabled = True
+    try:
+        yield window
+    finally:
+        window.calls = COUNTER.calls - saved[1]
+        window.transforms = COUNTER.transforms - saved[2]
+        if not saved[0]:
+            COUNTER.enabled, COUNTER.calls, COUNTER.transforms = saved
 
 
 def _count(x, axis: int) -> None:

@@ -308,14 +308,12 @@ def _cmd_solve(args) -> int:
                                    nonlinearity=problem.nonlinearity,
                                    surface=args.surface)
 
-        if 0 in snaps:
-            u0 = problem.initial_fields(grid)[0]
-            write_snap(u0, snaps[0], 0.0)
-
         track_energy = problem.nonlinearity == "zero"
         energies: list[float] = []
 
         def recorder(state) -> None:
+            if state.step_index == 1 and 0 in snaps:  # u^0 as the first step sampled it
+                write_snap(state.u_prev, snaps[0], 0.0)
             if track_energy:
                 energies.append(discrete_energy(state, ops))
             base = snaps.get(state.step_index)

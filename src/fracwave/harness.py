@@ -313,15 +313,20 @@ def _spec_defaults(spec: StudySpec) -> StudySpec:
 
 
 def prepare_outputs(paths: Iterable) -> None:
-    """Refuse every output file path that names no file (its last component
-    empty, '.' or '..') or an existing directory, then make the directories
-    of them all."""
+    """Refuse every output file path that names no file (last component
+    empty, '.' or '..'), a directory or an earlier path's file, then make
+    the directories of them all."""
     paths = [os.fspath(path) for path in paths]
+    seen: set[str] = set()  # normalised absolute paths
     for text in paths:
         if os.path.basename(text) in ("", ".", ".."):
             raise ValidationError(f"output path {text!r} names no file")
         if os.path.isdir(text):
             raise IsADirectoryError(f"output path {text!r} is a directory")
+        key = os.path.abspath(text)
+        if key in seen:
+            raise ValidationError(f"output path {text!r} names a file another output writes")
+        seen.add(key)
     for text in paths:
         Path(text).parent.mkdir(parents=True, exist_ok=True)
 

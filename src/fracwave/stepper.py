@@ -385,10 +385,11 @@ def nonadi_step(
     """General baseline step: (I + c L) u^{n+1} = 2 u^n - (I + c L) u^{n-1}
     + tau^2 g(u^n). M u^n, P^{-1} M u^n and M (u^n - u^{n-1}), whence
     M u^{n-1}, come from the state, so the step applies L only in its PCG
-    iterations and P^{-1} once more, for the solve's scale. A state that
-    does not carry them (built by hand, or by sadi) is refused. The step
+    iterations and P^{-1} once more, for the solve's scale. A state the
+    baseline did not make (built by hand, or by sadi) is refused. The step
     hands on no energy pairing."""
-    if state.m_du is None or state.m_curr is None or state.pinv_m_curr is None:
+    if (state.scheme != "nonadi" or state.m_du is None or state.m_curr is None
+            or state.pinv_m_curr is None):
         raise ValidationError(
             "nonadi_step needs a state that carries M u_prev, M u_curr and "
             "P^-1 M u_curr: start the baseline with nonadi_first_step")

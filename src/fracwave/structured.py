@@ -124,17 +124,17 @@ def gs_precompute(first_col: np.ndarray) -> GSData:
         raise SolverError(f"first entry of the inverse column is {p1:.3e} <= 0; "
                           "matrix is not symmetric positive definite")
     length = _fft.next_fast_len(n)
-    padded = np.zeros(length)
-    padded[:n] = c
+    padded = np.zeros(length, dtype=complex)  # complex input: numpy's bits
+    padded.real[:n] = c
     s = np.empty(length)
     s[0] = p1
-    s[1:] = -padded[1:][::-1]
+    s[1:] = -padded.real[1:][::-1]
     q_diag = np.exp(-1j * np.pi * np.arange(length) / length)
     data = GSData(
         n=n,
         p1=p1,
-        lambda_c=np.fft.fft(padded),
-        lambda_s=np.fft.fft(q_diag * s),
+        lambda_c=_fft.cfft(padded),
+        lambda_s=_fft.cfft(q_diag * s),
         q_scaled=q_diag / (2.0 * p1),
         q_conj=q_diag.conj(),
         correction=np.empty((n, 0), order="F"),

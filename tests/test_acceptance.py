@@ -172,13 +172,9 @@ def test_05_structured_inverse():
         col = oracle.random_spd_toeplitz(n, rng)
         data = gs_precompute(col)
         b = rng.standard_normal(n)
-        _fft.COUNTER.reset()
-        _fft.COUNTER.enabled = True
-        try:
+        with _fft.counting() as ffts:
             x = gs_solve(data, b)
-        finally:
-            _fft.COUNTER.enabled = False
-        fft_counts.add(_fft.COUNTER.calls)
+        fft_counts.add(ffts.calls)
         want = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
         worst = max(worst, np.linalg.norm(x - want) / np.linalg.norm(want))
     ok = worst <= 1e-9 and fft_counts == {4}

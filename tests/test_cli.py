@@ -23,7 +23,7 @@ from fracwave.cli import main
 from fracwave.coeffs import laplacian_coeffs_2d, riesz_coeffs_1d
 from fracwave.errors import SolverError, ValidationError
 from fracwave.harness import StudySpec, plan_run
-from fracwave.problems import Grid2D, example_problem
+from fracwave.problems import Grid2D, Problem, example_problem
 from fracwave.snapshots import SNAPSHOT_SUFFIXES, read_snapshot_raw
 
 
@@ -62,6 +62,24 @@ class TestSolve:
             assert field.shape == (11, 11)
         # t = 0 snapshot holds the initial displacement: zero for this model
         assert np.all(read_snapshot_csv(tmp_path / "snap_t0.csv") == 0.0)
+
+    def test_initial_snapshot_is_the_first_steps_sample(self, tmp_path,
+                                                         monkeypatch):
+        # the t = 0 snapshot is the u^0 the first step sampled: the data
+        # are sampled once
+        problem = example_problem("klein-gordon", 1.5)
+        u0 = problem.initial_fields(Grid2D(problem.a, problem.b, 9))[0]
+        calls = []
+        real = Problem.initial_fields
+        monkeypatch.setattr(Problem, "initial_fields",
+                            lambda self, grid: calls.append(grid) or real(self, grid))
+        assert main(["solve", "--example", "klein-gordon", "--alpha", "1.5",
+                     "--n", "9", "--tau", "0.1", "--t-final", "0.2",
+                     "--snapshots", "0", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        assert np.max(np.abs(u0)) > 1.0
+        np.testing.assert_array_equal(
+            read_snapshot_csv(tmp_path / "snap_t0.csv"), u0)
 
     def test_deterministic_output(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -361,6 +379,15 @@ class TestExitCodes:
         assert rc == 4
         assert "blow-up" in capsys.readouterr().err
 
+    def test_blow_up_at_the_first_step_writes_no_snapshot(self, tmp_path):
+        # the t = 0 snapshot is written after the first step, from its u^0
+        rc = main(["solve", "--example", "klein-gordon", "--kappa", "0",
+                   "--alpha", "1.5", "--n", "9", "--tau", "1e7",
+                   "--t-final", "2e7", "--snapshots", "0",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 4
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_failure_exits_five(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")
@@ -453,11 +480,21 @@ class TestExitCodes:
          2, []),
         (["coeffs", "--alpha", "1.5", "--count", "4", "--oversampling", "1",
           "--out", "new/c.csv"], 2, []),
+        # two outputs naming one file: the summary would overwrite the
+        # snapshot (or the raw snapshot's sidecar) it follows
+        (["solve", "--example", "zero", "--alpha", "1.5", "--n", "9",
+          "--tau", "0.1", "--t-final", "0.2", "--snapshots", "0.1",
+          "--summary", "snap_t0.1.csv", "--out-dir", "d"], 2, []),
+        (["solve", "--example", "zero", "--alpha", "1.5", "--n", "9",
+          "--tau", "0.1", "--t-final", "0.2", "--snapshots", "0.1",
+          "--format", "raw", "--summary", "sub/../snap_t0.1.meta",
+          "--out-dir", "d"], 2, []),
     ], ids=["solve-refused", "study-out-elsewhere", "solve-scale-refused",
             "study-scale-refused", "study-steps-refused", "summary-empty",
             "summary-dot", "summary-dotdot", "study-out-dot",
             "study-out-empty", "coeffs-alpha-refused",
-            "coeffs-oversampling-refused"])
+            "coeffs-oversampling-refused", "summary-is-a-snapshot",
+            "summary-is-a-raw-sidecar"])
     def test_unused_output_directory_not_made(self, argv, rc, left, tmp_path,
                                               monkeypatch):
         # a directory is made only when something is written there, and
@@ -849,8 +886,9 @@ class TestSelftestCommand:
     def test_failed_check_leaves_fft_counter_as_it_was(self, monkeypatch,
                                                        counting):
         # the four-FFT check counts on the process-wide counter; a solve
-        # that raises must leave it as the caller had it: off if it was
-        # off, and with a counting caller's counts, not zeros
+        # that raises must leave it as the caller had it: off with its
+        # counts if it was off, and a counting caller's counts running
+        # (the precompute's two transforms), not zeros
         def broken(*args):
             raise RuntimeError("injected")
 
@@ -862,7 +900,7 @@ class TestSelftestCommand:
         with pytest.raises(RuntimeError, match="injected"):
             selftest._check_gs_inverse()
         assert (counter.enabled, counter.calls, counter.transforms) == (
-            counting, 5, 40)
+            (True, 7, 42) if counting else (False, 5, 40))
         if not counting:  # nor does the whole suite, which reports it
             passed, report = selftest.run_selftest()
             assert not passed

@@ -132,14 +132,10 @@ class TestSadiVsDense:
         problem = gaussian_problem()
         grid = Grid2D(a=problem.a, b=problem.b, n=14)
         ops = build_operators(problem, grid, 0.05)
-        _fft.COUNTER.reset()
-        _fft.COUNTER.enabled = True
-        try:
+        assert ops.gs.n == 14  # the solver's build is set-up, outside the window
+        with _fft.counting() as ffts:
             adi_solve(ops, rng.standard_normal((14, 14)))
-        finally:
-            _fft.COUNTER.enabled = False
-        assert _fft.COUNTER.calls == 8
-        assert _fft.COUNTER.transforms == 8 * 14
+        assert (ffts.calls, ffts.transforms) == (8, 8 * 14)
 
     def test_adi_solve_non_fast_length(self, rng):
         # N = 39 sweeps at next_fast_len(39) = 40 with the rank-1 correction:
@@ -150,14 +146,9 @@ class TestSadiVsDense:
         ops = build_operators(problem, grid, tau)
         assert ops.gs.length == 40
         b = rng.standard_normal((n, n))
-        _fft.COUNTER.reset()
-        _fft.COUNTER.enabled = True
-        try:
+        with _fft.counting() as ffts:
             got = adi_solve(ops, b)
-        finally:
-            _fft.COUNTER.enabled = False
-        assert _fft.COUNTER.calls == 8
-        assert _fft.COUNTER.transforms == 8 * n
+        assert (ffts.calls, ffts.transforms) == (8, 8 * n)
         _, _, ikh, hki = oracle.dense_sadi_system(problem.alpha, n, grid.h,
                                                   tau, problem.kappa)
         want = oracle.unvec_f(np.linalg.solve(ikh @ hki, oracle.vec_f(b)), n)
@@ -657,7 +648,9 @@ class TestStateScheme:
         first = sadi_first_step(problem, ops)
         by_hand = SchemeState(u_prev=first.u_prev, u_curr=first.u_curr,
                               step_index=1, time=0.05, m_du=first.m_du)
-        for state in (first, sadi_step(first, ops, g), by_hand):
+        # every field a baseline step reads, but no scheme named
+        unnamed = replace(nonadi_first_step(problem, ops), scheme=None)
+        for state in (first, sadi_step(first, ops, g), by_hand, unnamed):
             with pytest.raises(ValidationError, match="nonadi_first_step"):
                 nonadi_step(state, ops, g)
 

@@ -38,6 +38,45 @@ def _h_first_col(alpha: float, n: int, factor: float) -> np.ndarray:
     return col
 
 
+class TestFftCounting:
+    """``_fft.counting()``: the window every FFT budget is read through."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        """The process-wide counter, idle with counts 5 and 40; the test's
+        changes are undone afterwards."""
+        for name, value in (("enabled", False), ("calls", 5), ("transforms", 40)):
+            monkeypatch.setattr(_fft.COUNTER, name, value)
+        return _fft.COUNTER
+
+    def test_counts_the_body_and_restores_an_idle_counter_on_raise(self, counter):
+        with pytest.raises(RuntimeError, match="injected"):
+            with _fft.counting() as ffts:
+                _fft.cifft(_fft.cfft(np.ones((8, 3))))
+                raise RuntimeError("injected")
+        assert (ffts.calls, ffts.transforms) == (2, 6)
+        assert (counter.enabled, counter.calls, counter.transforms) == (False, 5, 40)
+
+    def test_a_counting_caller_keeps_its_counts_running(self, counter):
+        counter.enabled = True
+        with pytest.raises(RuntimeError, match="injected"):
+            with _fft.counting() as ffts:
+                _fft.cfft(np.ones((4, 3)), axis=1)
+                raise RuntimeError("injected")
+        assert (ffts.calls, ffts.transforms) == (1, 4)
+        assert (counter.enabled, counter.calls, counter.transforms) == (True, 6, 44)
+
+    def test_windows_nest(self, counter):
+        with _fft.counting() as outer:
+            _fft.cfft(np.ones(8))
+            with _fft.counting() as inner:
+                _fft.cfft(np.ones((8, 2)))
+            _fft.cifft(np.ones(8))
+        assert (inner.calls, inner.transforms) == (1, 2)
+        assert (outer.calls, outer.transforms) == (3, 4)
+        assert (counter.enabled, counter.calls, counter.transforms) == (False, 5, 40)
+
+
 class TestSkewCirculant:
     """The dense skew-circulant oracle the inverse tests compare against."""
 
@@ -108,15 +147,10 @@ class TestGsInverse:
         assert data.correction.shape == (n, 0)
         for width in (None, 3, 17):
             b = rng.standard_normal(n) if width is None else rng.standard_normal((n, width))
-            _fft.COUNTER.reset()
-            _fft.COUNTER.enabled = True
-            try:
+            with _fft.counting() as ffts:
                 gs_solve(data, b)
-            finally:
-                _fft.COUNTER.enabled = False
-            assert _fft.COUNTER.calls == 4
             cols = 1 if width is None else width
-            assert _fft.COUNTER.transforms == 4 * cols
+            assert (ffts.calls, ffts.transforms) == (4, 4 * cols)
 
     def test_memory_layout_does_not_matter(self, rng):
         # the solve copies its input into its own transposed working array,
@@ -128,13 +162,9 @@ class TestGsInverse:
         b = rng.standard_normal((n, k))
         results = []
         for v in (b, np.asfortranarray(b), np.ascontiguousarray(b.T).T):
-            _fft.COUNTER.reset()
-            _fft.COUNTER.enabled = True
-            try:
+            with _fft.counting() as ffts:
                 results.append(gs_solve(data, v))
-            finally:
-                _fft.COUNTER.enabled = False
-            assert _fft.COUNTER.calls == 4
+            assert ffts.calls == 4
         for got in results[1:]:
             np.testing.assert_array_equal(got, results[0])
         want = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
@@ -179,14 +209,9 @@ class TestGsInverse:
         b = rng.standard_normal((n, cols))
         results = []
         for v in (b, np.asfortranarray(b), np.ascontiguousarray(b.T).T):
-            _fft.COUNTER.reset()
-            _fft.COUNTER.enabled = True
-            try:
+            with _fft.counting() as ffts:
                 results.append(gs_solve(data, v))
-            finally:
-                _fft.COUNTER.enabled = False
-            assert _fft.COUNTER.calls == 4
-            assert _fft.COUNTER.transforms == 4 * cols
+            assert (ffts.calls, ffts.transforms) == (4, 4 * cols)
         for got in results[1:]:
             np.testing.assert_array_equal(got, results[0])
         want = np.linalg.solve(oracle.dense_sym_toeplitz(col), b)
